@@ -14,15 +14,11 @@ the minimal and maximal families together (`verify_duality`).
 """
 
 from .analysis import (
-    Witness,
-    WitnessKind,
-    complement_of,
     compute_lmes,
     compute_lmns,
     compute_lmss,
     compute_lmus,
     is_label_redundant,
-    max_lmss,
     duality_preconditions,
 )
 from .bruteforce import (
@@ -70,10 +66,7 @@ __all__ = [
     "SatOutcome",
     "SetFamily",
     "Solver",
-    "Witness",
-    "WitnessKind",
     "classify_all",
-    "complement_of",
     "compute_lmes",
     "compute_lmns",
     "compute_lmss",
@@ -88,7 +81,6 @@ __all__ = [
     "is_subformula",
     "label",
     "main",
-    "max_lmss",
     "parse_dimacs",
     "parse_gcnf",
     "parse_lcnf",

@@ -13,40 +13,20 @@ active labels:
   and adding any further label makes it unsatisfiable.
 
 Minimal sets are extracted by a deletion loop that re-tests each label's
-redundancy against the current reduced formula; maximal sets by a grow loop
-from a seed, finished by a maximality sweep over all absent labels.  Both are
-deterministic given the formula and the label order.
+redundancy against the current reduced formula; maximal sets by a single grow
+pass from a seed.  One pass suffices both ways: equivalence with the formula
+is upward-closed over label sets and satisfiability is downward-closed, so a
+label kept while shrinking (or rejected while growing) stays so as the
+current set keeps shrinking (or growing).  Both are deterministic given the
+formula and the label order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import LcnfFormula
 from .errors import PreconditionError
 from .oracle import LcnfOracle
-
-
-class WitnessKind(Enum):
-    LMES = "lmes"
-    LMUS = "lmus"
-    LMNS = "lmns"
-    LMSS = "lmss"
-    CO_LMNS = "colmns"
-    CO_LMSS = "colmss"
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A label set tagged with the kind of witness it is."""
-
-    kind: WitnessKind
-    labels: frozenset
-
-    def __iter__(self):
-        return iter(sorted(self.labels))
 
 
 def _normalize_order(phi: LcnfFormula, order: Iterable[int] | None) -> list[int]:
@@ -147,14 +127,6 @@ def compute_lmss(
             continue
         if ora.is_sat_induced(current | {l}):
             current.add(l)
-    # maximality sweep: re-check every absent label until none can be added
-    changed = True
-    while changed:
-        changed = False
-        for l in sorted(phi.active_labels - current):
-            if ora.is_sat_induced(current | {l}):
-                current.add(l)
-                changed = True
     return frozenset(current)
 
 
@@ -191,70 +163,36 @@ def compute_lmns(
             continue
         if not ora.is_equivalent_subformula(current | {l}):
             current.add(l)
-    changed = True
-    while changed:
-        changed = False
-        for l in sorted(phi.active_labels - current):
-            if not ora.is_equivalent_subformula(current | {l}):
-                current.add(l)
-                changed = True
     return frozenset(current)
 
 
-def complement_of(phi: LcnfFormula, labels: Iterable[int], kind: WitnessKind) -> Witness:
-    """The complement of a maximal witness, tagged with the complement kind.
+def duality_obstacle(phi: LcnfFormula, has_irredundant_label: Callable[[], bool]) -> str | None:
+    """Why the hitting-set duality does not apply to ``phi``, or None if it does.
 
-    The complement of a maximal non-equivalent set is a minimal set whose
-    removal breaks equivalence; the complement of a maximal satisfiable set
-    is a minimal correction set.  No verification is performed.
+    The duality between minimal equivalence-preserving sets and complements
+    of maximal non-equivalent sets requires at least one active label and,
+    when unlabelled clauses are present, at least one irredundant label; only
+    then is ``has_irredundant_label`` called.
     """
-    mapping = {
-        WitnessKind.LMNS: WitnessKind.CO_LMNS,
-        WitnessKind.LMSS: WitnessKind.CO_LMSS,
-    }
-    if kind not in mapping:
-        raise ValueError("complement is defined for LMNS and LMSS witnesses")
-    want = frozenset(int(l) for l in labels)
-    return Witness(mapping[kind], phi.active_labels - want)
-
-
-def max_lmss(phi: LcnfFormula, *, oracle: LcnfOracle | None = None) -> frozenset:
-    """A maximum-cardinality maximal satisfiable label set.
-
-    Exhaustive: walks subset sizes from largest to smallest and returns the
-    first satisfiable label set found (lexicographically smallest at that
-    size).  Any satisfiable set found this way is maximal, since every
-    larger set was already checked.
-    """
-    ora = oracle if oracle is not None else LcnfOracle(phi)
-    if not ora.is_sat_induced(frozenset()):
-        raise PreconditionError(
-            "unlabelled clauses are unsatisfiable; no satisfiable label set exists"
-        )
-    active = sorted(phi.active_labels)
-    for size in range(len(active), -1, -1):
-        for combo in combinations(active, size):
-            if ora.is_sat_induced(combo):
-                return frozenset(combo)
-    raise AssertionError("unreachable: the empty label set was satisfiable")
+    if not phi.active_labels:
+        return "no active labels"
+    if phi.unlabelled_clauses and not has_irredundant_label():
+        return "unlabelled clauses are present and every label is redundant"
+    return None
 
 
 def duality_preconditions(
     phi: LcnfFormula, *, oracle: LcnfOracle | None = None
 ) -> tuple[bool, str | None]:
-    """Check the applicability conditions of the hitting-set duality.
+    """Check the duality's applicability conditions with oracle queries.
 
-    The duality between minimal equivalence-preserving sets and complements
-    of maximal non-equivalent sets requires the formula to have at least one
-    active label and, when unlabelled clauses are present, at least one
-    irredundant label.  Returns (ok, reason-if-not).
+    Returns (ok, reason-if-not); see ``duality_obstacle``.
     """
-    if not phi.active_labels:
-        return False, "no active labels"
-    if phi.unlabelled_clauses:
+
+    def has_irredundant_label() -> bool:
         ora = oracle if oracle is not None else LcnfOracle(phi)
-        for l in sorted(phi.active_labels):
-            if not ora.is_equivalent_subformula(phi.active_labels - {l}):
-                return True, None
-        return False, "unlabelled clauses are present and every label is redundant"
-    return True, None
+        labels = phi.active_labels
+        return not all(ora.is_equivalent_subformula(labels - {l}) for l in sorted(labels))
+
+    reason = duality_obstacle(phi, has_irredundant_label)
+    return reason is None, reason

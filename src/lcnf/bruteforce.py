@@ -2,22 +2,26 @@
 
 ``classify_all`` walks every subset of a formula's active labels, decides
 satisfiability and equivalence of each induced subformula, and assembles the
-four witness families (and their complements) by literal application of the
-definitions.  Equivalence is decided by comparing full model sets whenever
-the formula has at most 12 variables: each clause's satisfying assignments
-are packed into one big integer, so a subformula's model set is a bitwise AND
-and equivalence is integer equality.  This path shares nothing with the
-clause-learning oracle, which is the point: the two can check each other.
-Larger formulas fall back to the entailment oracle.
+four witness families (and their complements) from those statuses.  Since
+equivalence is upward-closed over label sets and satisfiability is
+downward-closed, minimality and maximality are decided against the one-label
+neighbours of each subset alone.  Equivalence is decided by comparing full
+model sets whenever the formula has at most 12 variables: each clause's
+satisfying assignments are packed into one big integer, so a subformula's
+model set is a bitwise AND and equivalence is integer equality.  This path
+shares nothing with the clause-learning oracle, which is the point: the two
+can check each other.  Larger formulas fall back to the entailment oracle.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
 """
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .core import LcnfFormula
@@ -95,7 +99,9 @@ class AnalysisReport:
 
     Families are exhaustive and mutually consistent: the complement families
     are the complements of their maximal counterparts within the active
-    labels.  ``classification`` maps every label subset to its status.
+    labels.  ``classification`` maps every label subset to its status; it is
+    built from ``statuses`` (one (satisfiable, equivalent) pair per bitmask
+    over the sorted active labels) on first read.
     The existence flags record the corner cases: maximal non-equivalent sets
     exist unless every subformula is equivalent, maximal satisfiable sets
     exist unless the unlabelled clauses are unsatisfiable, and the minimal
@@ -115,7 +121,17 @@ class AnalysisReport:
     lmns_exists: bool
     lmss_exists: bool
     empty_lmes: bool
-    classification: dict = field(repr=False, default_factory=dict)
+    statuses: list = field(repr=False, default_factory=list)
+
+    @cached_property
+    def classification(self) -> dict:
+        active = sorted(self.active_labels)
+        return {_subset(active, m): SubsetStatus(*st) for m, st in enumerate(self.statuses)}
+
+
+def _subset(active, mask: int) -> frozenset:
+    """The labels of ``active`` (sorted) selected by the bits of ``mask``."""
+    return frozenset(l for i, l in enumerate(active) if mask >> i & 1)
 
 
 def _literal_masks(variables: tuple) -> dict:
@@ -146,7 +162,7 @@ def _clause_masks(phi: LcnfFormula, variables: tuple) -> list[int]:
 
 
 def _classify_range(phi, active, lo, hi):
-    """Status of label subsets lo..hi-1 (as bitmasks over sorted labels)."""
+    """(satisfiable, equivalent) of subsets lo..hi-1 (bitmasks over sorted labels)."""
     variables = tuple(sorted(phi.variables))
     label_bits = []
     positions = {l: i for i, l in enumerate(active)}
@@ -168,39 +184,15 @@ def _classify_range(phi, active, lo, hi):
             for bits, cm in zip(label_bits, clause_masks):
                 if bits & ~mask == 0:
                     models &= cm
-            out.append((mask, models != 0, models == full))
+            out.append((models != 0, models == full))
     else:
         oracle = LcnfOracle(phi)
         for mask in range(lo, hi):
-            subset = frozenset(l for l in active if mask & (1 << positions[l]))
+            subset = _subset(active, mask)
             out.append(
-                (
-                    mask,
-                    oracle.is_sat_induced(subset),
-                    oracle.is_equivalent_subformula(subset),
-                )
+                (oracle.is_sat_induced(subset), oracle.is_equivalent_subformula(subset))
             )
     return out
-
-
-def _strict_submasks(mask: int):
-    # all s with s subset of mask and s != mask (none when mask == 0)
-    if mask == 0:
-        return
-    sub = (mask - 1) & mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def _nonzero_submasks(mask: int):
-    # all s with s subset of mask and s != 0, including mask itself
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
 
 
 def classify_all(
@@ -214,10 +206,15 @@ def classify_all(
 
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
     guards against blowup (exceeding it, or ``max_variables``, raises
-    ResourceLimitError).  With ``jobs`` > 1 the subset classification is
-    sharded across processes; the result is identical regardless of the job
-    count, as each subset's status is independent and assembly is ordered.
+    ResourceLimitError).  Equivalence is upward-closed and satisfiability
+    downward-closed, so a subset is minimal (maximal) in its family exactly
+    when no one-label neighbour below (above) it has the family's property.
+    With ``jobs`` > 1 the subsets are split into ``jobs`` ranges, classified
+    by at most min(jobs, ranges, CPU count) worker processes; the result does
+    not depend on ``jobs``, which must be at least 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     active = tuple(sorted(phi.active_labels))
     k = len(active)
     if k > max_labels:
@@ -230,46 +227,38 @@ def classify_all(
         )
 
     total = 1 << k
-    if jobs > 1 and total >= 2:
-        step = (total + jobs - 1) // jobs
-        ranges = [(phi, active, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        status: list = [None] * total
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_classify_chunk, ranges):
-                for mask, sat, equiv in chunk:
-                    status[mask] = (sat, equiv)
+    step = -(-total // jobs)
+    ranges = [(phi, active, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    workers = min(jobs, len(ranges), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_classify_chunk, ranges))
     else:
-        status = [None] * total
-        for mask, sat, equiv in _classify_range(phi, active, 0, total):
-            status[mask] = (sat, equiv)
+        chunks = map(_classify_chunk, ranges)
+    statuses = [st for chunk in chunks for st in chunk]
 
-    sat = [s for s, _ in status]
-    equiv = [e for _, e in status]
+    sat = [s for s, _ in statuses]
+    equiv = [e for _, e in statuses]
     full = total - 1
-
-    def subset_of(mask: int) -> frozenset:
-        return frozenset(active[i] for i in range(k) if mask & (1 << i))
-
+    bits = [1 << i for i in range(k)]
     lmes, lmus, lmns, lmss = [], [], [], []
     for mask in range(total):
-        if equiv[mask] and not any(equiv[s] for s in _strict_submasks(mask)):
-            lmes.append(subset_of(mask))
-        if not sat[mask] and all(sat[s] for s in _strict_submasks(mask)):
-            lmus.append(subset_of(mask))
-        rest = full & ~mask
-        if not equiv[mask] and all(equiv[mask | s] for s in _nonzero_submasks(rest)):
-            lmns.append(subset_of(mask))
-        if sat[mask] and not any(sat[mask | s] for s in _nonzero_submasks(rest)):
-            lmss.append(subset_of(mask))
+        if equiv[mask]:
+            if not any(equiv[mask ^ b] for b in bits if mask & b):
+                lmes.append(_subset(active, mask))
+        elif all(equiv[mask | b] for b in bits if not mask & b):
+            lmns.append(_subset(active, mask))
+        if sat[mask]:
+            if not any(sat[mask | b] for b in bits if not mask & b):
+                lmss.append(_subset(active, mask))
+        elif all(sat[mask ^ b] for b in bits if mask & b):
+            lmus.append(_subset(active, mask))
 
     active_set = frozenset(active)
     lmes_f = SetFamily(lmes, active_set)
     lmus_f = SetFamily(lmus, active_set)
     lmns_f = SetFamily(lmns, active_set)
     lmss_f = SetFamily(lmss, active_set)
-    classification = {
-        subset_of(mask): SubsetStatus(sat[mask], equiv[mask]) for mask in range(total)
-    }
     return AnalysisReport(
         formula=phi,
         active_labels=active_set,
@@ -283,7 +272,7 @@ def classify_all(
         lmns_exists=bool(lmns),
         lmss_exists=bool(lmss),
         empty_lmes=equiv[0],
-        classification=classification,
+        statuses=statuses,
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Label = int
 LabelSet = frozenset  # frozenset[int]
@@ -80,7 +80,6 @@ class LcnfFormula:
         labelling: Sequence[frozenset],
         *,
         _indices: tuple | None = None,
-        label_names: Mapping[int, str] | None = None,
     ):
         if len(clauses) != len(labelling):
             raise ValueError("labelling must assign a label set to every clause")
@@ -89,15 +88,12 @@ class LcnfFormula:
         if _indices is None:
             _indices = tuple(range(len(self._all_clauses)))
         self._indices = _indices
-        self.label_names = dict(label_names) if label_names else {}
 
     @classmethod
     def from_clauses(
         cls,
         clauses: Iterable[Iterable[int]],
         labelling: Iterable[Iterable[int]] | None = None,
-        *,
-        label_names: Mapping[int, str] | None = None,
     ) -> "LcnfFormula":
         """Build a formula from raw literal lists and per-clause label sets.
 
@@ -109,7 +105,7 @@ class LcnfFormula:
             labels = [frozenset()] * len(clause_objs)
         else:
             labels = [_as_label_set(ls) for ls in labelling]
-        return cls(clause_objs, labels, label_names=label_names)
+        return cls(clause_objs, labels)
 
     # -- clause access ------------------------------------------------------
 
@@ -189,12 +185,7 @@ class LcnfFormula:
         """
         want = frozenset(int(l) for l in labels)
         kept = tuple(i for i in self._indices if self._all_labels[i] <= want)
-        return LcnfFormula(
-            self._all_clauses,
-            self._all_labels,
-            _indices=kept,
-            label_names=self.label_names,
-        )
+        return LcnfFormula(self._all_clauses, self._all_labels, _indices=kept)
 
     def remove_label(self, label: int) -> "LcnfFormula":
         """Remove every clause carrying ``label``.
@@ -241,7 +232,6 @@ def label(
     scheme: str = "clause",
     *,
     labels: Iterable[Iterable[int]] | None = None,
-    label_names: Mapping[int, str] | None = None,
 ) -> LcnfFormula:
     """Build a labelled formula from a plain CNF under a labelling scheme.
 
@@ -273,7 +263,7 @@ def label(
             for c in group:
                 clauses.append(c)
                 labelling.append(() if gi == 0 else (gi,))
-        return LcnfFormula.from_clauses(clauses, labelling, label_names=label_names)
+        return LcnfFormula.from_clauses(clauses, labelling)
 
     clauses = [tuple(c) for c in formula]
     if scheme == "clause":
@@ -293,4 +283,4 @@ def label(
                 f"explicit labelling has {len(labelling)} entries "
                 f"for {len(clauses)} clauses"
             )
-    return LcnfFormula.from_clauses(clauses, labelling, label_names=label_names)
+    return LcnfFormula.from_clauses(clauses, labelling)

@@ -9,8 +9,9 @@ the duality, and verifies the duality against ground-truth families.
 
 A hitting set H of a family is irreducible exactly when every element of H
 has a private member: some family member whose intersection with H is that
-single element.  This is what ``is_irreducible_hitting_set`` checks, and the
-enumeration filters its output through it.
+single element.  This is what ``is_irreducible_hitting_set`` checks.  For a
+set that hits every member, irreducible and inclusion-minimal coincide, so
+the enumeration only has to keep the inclusion-minimal hitting sets it finds.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
-from .analysis import duality_preconditions
+from .analysis import duality_obstacle, duality_preconditions
 from .core import LcnfFormula
 from .errors import PreconditionError, ResourceLimitError
 from .oracle import LcnfOracle
@@ -118,7 +119,8 @@ def enumerate_minimal_hitting_sets(
 
     Branches on the smallest currently-unhit member (ties broken by numeric
     order), pruning any partial set that already contains a known hitting
-    set.  Candidates are deduplicated and filtered for irreducibility.
+    set.  Candidates are reduced to the inclusion-minimal ones, which are
+    exactly the irreducible hitting sets.
     The empty family has the single hitting set {} and a family containing
     the empty set has none.
 
@@ -152,8 +154,7 @@ def enumerate_minimal_hitting_sets(
 
     descend(frozenset())
     minimal = [h for h in found if not any(o < h for o in found)]
-    irreducible = [h for h in minimal if is_irreducible_hitting_set(h, members)]
-    return SetFamily(irreducible, universe)
+    return SetFamily(minimal, universe)
 
 
 def _gate(phi: LcnfFormula, oracle: LcnfOracle | None):
@@ -232,13 +233,12 @@ class DualityVerdict:
         }
 
 
-def verify_duality(
-    phi: LcnfFormula,
-    ground_truth: "AnalysisReport",
-    *,
-    oracle: LcnfOracle | None = None,
-) -> DualityVerdict:
+def verify_duality(phi: LcnfFormula, ground_truth: "AnalysisReport") -> DualityVerdict:
     """Check both duality directions against brute-force families.
+
+    Applicability is read from the families: a label is irredundant exactly
+    when it lies in every minimal equivalent set, so some label is
+    irredundant iff the minimal family has a non-empty intersection.
 
     Four checks: dualizing the minimal family yields the complement family;
     dualizing back recovers the minimal family; the union of the minimal
@@ -246,11 +246,13 @@ def verify_duality(
     non-equivalent family; and the complement family is exactly the
     complements of the maximal non-equivalent family.
     """
-    ok, reason = duality_preconditions(phi, oracle=oracle)
-    if not ok:
+    lmes = ground_truth.lmes
+    reason = duality_obstacle(
+        phi, lambda: bool(reduce(frozenset.__and__, lmes.members))
+    )
+    if reason is not None:
         return DualityVerdict(False, reason, None, None, None, None)
     active = phi.active_labels
-    lmes = ground_truth.lmes
     lmns = ground_truth.lmns
     colmns = ground_truth.colmns
 

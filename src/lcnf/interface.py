@@ -30,8 +30,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .analysis import (
-    WitnessKind,
-    complement_of,
     compute_lmes,
     compute_lmns,
     compute_lmss,
@@ -59,6 +57,17 @@ class FormatWarning(UserWarning):
 
 def _warn(message: str):
     warnings.warn(message, FormatWarning, stacklevel=3)
+
+
+def _header_mismatches(clauses: list, declared_vars: int, declared_clauses: int) -> list:
+    """Warnings for clause and variable counts that disagree with the header."""
+    out = []
+    if len(clauses) != declared_clauses:
+        out.append(f"header declares {declared_clauses} clauses, found {len(clauses)}")
+    max_var = max((abs(l) for c in clauses for l in c), default=0)
+    if max_var > declared_vars:
+        out.append(f"header declares {declared_vars} variables, found variable {max_var}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +138,8 @@ def parse_dimacs(text: str) -> list[tuple]:
         raise ParseError("missing 'p cnf' header")
     if current:
         raise ParseError("missing clause terminator 0", last_line)
-    declared_vars, declared_clauses = header
-    if len(clauses) != declared_clauses:
-        _warn(f"header declares {declared_clauses} clauses, found {len(clauses)}")
-    max_var = max((abs(l) for c in clauses for l in c), default=0)
-    if max_var > declared_vars:
-        _warn(f"header declares {declared_vars} variables, found variable {max_var}")
+    for message in _header_mismatches(clauses, *header):
+        _warn(message)
     return clauses
 
 
@@ -202,18 +207,14 @@ def parse_gcnf(text: str) -> LcnfFormula:
             )
         clauses.append(clause)
         labelling.append(() if g == 0 else (g,))
-    if len(clauses) != declared_clauses:
-        _warn(f"header declares {declared_clauses} clauses, found {len(clauses)}")
-    max_var = max((abs(l) for c in clauses for l in c), default=0)
-    if max_var > declared_vars:
-        _warn(f"header declares {declared_vars} variables, found variable {max_var}")
+    for message in _header_mismatches(clauses, declared_vars, declared_clauses):
+        _warn(message)
     return LcnfFormula.from_clauses(clauses, labelling)
 
 
 def parse_lcnf(text: str) -> LcnfFormula:
     """Parse labelled CNF: clauses tagged with their full label set."""
     header, rows = _parse_tagged(text, "lcnf", 2)
-    declared_vars, declared_clauses = header
     clauses = []
     labelling = []
     for raw_labels, clause, lineno in rows:
@@ -227,11 +228,8 @@ def parse_lcnf(text: str) -> LcnfFormula:
                 labels.append(l)
         clauses.append(clause)
         labelling.append(tuple(labels))
-    if len(clauses) != declared_clauses:
-        _warn(f"header declares {declared_clauses} clauses, found {len(clauses)}")
-    max_var = max((abs(l) for c in clauses for l in c), default=0)
-    if max_var > declared_vars:
-        _warn(f"header declares {declared_vars} variables, found variable {max_var}")
+    for message in _header_mismatches(clauses, *header):
+        _warn(message)
     return LcnfFormula.from_clauses(clauses, labelling)
 
 
@@ -436,8 +434,7 @@ def _cmd_mcs(args) -> int:
     order = _parse_label_list(args.order)
 
     def compute(phi, ora):
-        mss = compute_lmss(phi, seed, order, oracle=ora)
-        return complement_of(phi, mss, WitnessKind.LMSS).labels
+        return phi.active_labels - compute_lmss(phi, seed, order, oracle=ora)
 
     return _single_set_command(args, "colmss", compute)
 
@@ -472,9 +469,8 @@ def _cmd_enum(args) -> int:
 
 def _cmd_verify_duality(args) -> int:
     phi = _load_formula(args)
-    oracle = LcnfOracle(phi, conflict_budget=_budget(args))
     report = classify_all(phi, max_labels=args.max_labels, jobs=args.jobs)
-    verdict = verify_duality(phi, report, oracle=oracle)
+    verdict = verify_duality(phi, report)
     if not verdict.applicable:
         raise PreconditionError(f"duality is not applicable: {verdict.reason}")
     checks = verdict.checks()
@@ -519,6 +515,16 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -538,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--conflict-budget", type=int, default=None,
                         help=f"solver conflict budget per query (default ${CONFLICT_BUDGET_ENV})")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for exhaustive analysis")
+    common.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes for exhaustive analysis (at least 1; "
+                        "capped at the CPU count and the chunk count)")
     common.add_argument("file", help="input formula file")
 
     parser = argparse.ArgumentParser(

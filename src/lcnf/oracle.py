@@ -432,24 +432,3 @@ class LcnfOracle:
                     return False
         return True
 
-
-def is_sat_induced(
-    phi: LcnfFormula,
-    labels: Iterable[int],
-    *,
-    oracle: LcnfOracle | None = None,
-) -> bool:
-    """Satisfiability of the subformula of ``phi`` induced by ``labels``."""
-    ora = oracle if oracle is not None else LcnfOracle(phi)
-    return ora.is_sat_induced(labels)
-
-
-def is_equivalent_subformula(
-    phi: LcnfFormula,
-    labels: Iterable[int],
-    *,
-    oracle: LcnfOracle | None = None,
-) -> bool:
-    """Whether the subformula of ``phi`` induced by ``labels`` is equivalent to ``phi``."""
-    ora = oracle if oracle is not None else LcnfOracle(phi)
-    return ora.is_equivalent_subformula(labels)

@@ -4,15 +4,11 @@ import random
 import pytest
 
 from lcnf.analysis import (
-    Witness,
-    WitnessKind,
-    complement_of,
     compute_lmes,
     compute_lmns,
     compute_lmss,
     compute_lmus,
     is_label_redundant,
-    max_lmss,
     duality_preconditions,
 )
 from lcnf.bruteforce import classify_all, random_lcnf
@@ -139,40 +135,6 @@ def test_lmns_maximality(worked_example):
         assert ora.is_equivalent_subformula(got | {l})
 
 
-def test_complement_of(worked_example):
-    w = complement_of(worked_example, frozenset({1, 3, 4}), WitnessKind.LMNS)
-    assert isinstance(w, Witness)
-    assert w.kind is WitnessKind.CO_LMNS
-    assert w.labels == frozenset({2})
-    assert list(w) == [2]
-    w2 = complement_of(worked_example, frozenset({1}), WitnessKind.LMSS)
-    assert w2.kind is WitnessKind.CO_LMSS
-
-
-def test_complement_of_rejects_minimal_kinds(worked_example):
-    with pytest.raises(ValueError):
-        complement_of(worked_example, frozenset({1, 2}), WitnessKind.LMES)
-
-
-def test_max_lmss(phi_u, phi_g, worked_example):
-    assert max_lmss(phi_u) == frozenset({1})
-    assert max_lmss(phi_g) == frozenset({2, 3})
-    assert max_lmss(worked_example) == worked_example.active_labels
-
-
-def test_max_lmss_is_a_maximum(phi_g):
-    report = classify_all(phi_g)
-    best = max(len(m) for m in report.lmss.members)
-    assert len(max_lmss(phi_g)) == best
-    assert max_lmss(phi_g) in report.lmss.members
-
-
-def test_max_lmss_requires_sat_unlabelled_part():
-    phi = LcnfFormula.from_clauses([(1,), (-1,), (2,)], [(), (), (1,)])
-    with pytest.raises(PreconditionError):
-        max_lmss(phi)
-
-
 def test_label_redundancy(worked_example):
     assert is_label_redundant(worked_example, 4)
     assert not is_label_redundant(worked_example, 2)
@@ -192,11 +154,6 @@ def test_duality_preconditions(worked_example):
 
 def test_preconditions_hold_without_unlabelled_clauses(phi_u):
     assert duality_preconditions(phi_u) == (True, None)
-
-
-def test_witness_iterates_sorted():
-    w = Witness(WitnessKind.CO_LMNS, frozenset({4, 1, 3}))
-    assert list(w) == [1, 3, 4]
 
 
 def test_compute_results_land_in_bruteforce_families():

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from lcnf import bruteforce
 from lcnf.bruteforce import (
     GenerationProfile,
     SubsetStatus,
@@ -159,6 +160,45 @@ def test_parallel_classification_matches_serial():
         assert serial.classification == parallel.classification
 
 
+def test_jobs_is_validated_and_capped_by_ranges_and_cpus(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(bruteforce, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 3)
+    one_label = LcnfFormula.from_clauses([(1,), (1, 2)], [(1,), ()])
+    four_labels = LcnfFormula.from_clauses(
+        [(1,), (1, 2), (-1, 3), (2, -3), (3,)], [(1,), (2,), (3,), (4,), (1, 4)]
+    )
+    serial = classify_all(four_labels)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError):
+            classify_all(one_label, jobs=jobs)
+
+    classify_all(one_label, jobs=64)  # 2 subsets, so 2 ranges
+    assert classify_all(four_labels, jobs=64).statuses == serial.statuses
+    assert classify_all(four_labels, jobs=2).statuses == serial.statuses
+    assert created == [2, 3, 2]
+
+    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: None)
+    assert classify_all(four_labels, jobs=8).statuses == serial.statuses
+    assert created == [2, 3, 2]  # one cpu: no pool at all
+
+
 def brute_families(phi):
     """Independent family extraction from model sets, no package helpers."""
     active = sorted(phi.active_labels)
@@ -192,14 +232,17 @@ def brute_families(phi):
 
 def test_classification_matches_independent_model_enumeration():
     small = GenerationProfile(variables=4, clauses=8, labels=4, clause_labels=2)
-    for seed in range(40):
-        phi = random_lcnf(seed, small)
-        report = classify_all(phi)
-        lmes, lmus, lmns, lmss = brute_families(phi)
-        assert report.lmes == lmes, f"seed {seed}"
-        assert report.lmus == lmus, f"seed {seed}"
-        assert report.lmns == lmns, f"seed {seed}"
-        assert report.lmss == lmss, f"seed {seed}"
+    six_labels = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
+    for profile in (small, six_labels):
+        for seed in range(40):
+            phi = random_lcnf(seed, profile)
+            report = classify_all(phi)
+            lmes, lmus, lmns, lmss = brute_families(phi)
+            where = f"{profile.labels} labels, seed {seed}"
+            assert report.lmes == lmes, where
+            assert report.lmus == lmus, where
+            assert report.lmns == lmns, where
+            assert report.lmss == lmss, where
 
 
 def test_irredundant_labels_lie_in_every_minimal_equivalent_subset():

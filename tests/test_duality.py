@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lcnf.analysis import duality_preconditions
 from lcnf.bruteforce import classify_all, random_lcnf
 from lcnf.core import LcnfFormula
 from lcnf.duality import (
@@ -180,6 +181,7 @@ def test_verify_duality_random_corpus():
         phi = random_lcnf(seed)
         report = classify_all(phi)
         verdict = verify_duality(phi, report)
+        assert (verdict.applicable, verdict.reason) == duality_preconditions(phi), seed
         if verdict.applicable:
             assert verdict.passed, f"seed {seed}"
             passed += 1

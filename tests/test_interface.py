@@ -89,13 +89,21 @@ def test_parse_dimacs_rejects_unterminated_clause():
 
 
 def test_parse_dimacs_warns_on_clause_count_mismatch():
-    with pytest.warns(FormatWarning):
+    with pytest.warns(FormatWarning, match="3 clauses, found 1"):
         assert parse_dimacs("p cnf 1 3\n1 0\n") == [(1,)]
+    with pytest.warns(FormatWarning, match="3 clauses, found 1"):
+        assert len(parse_gcnf("p gcnf 1 3 1\n{1} 1 0\n")) == 1
+    with pytest.warns(FormatWarning, match="3 clauses, found 1"):
+        assert len(parse_lcnf("p lcnf 1 3\n{1} 1 0\n")) == 1
 
 
 def test_parse_dimacs_warns_on_variable_overflow():
-    with pytest.warns(FormatWarning):
+    with pytest.warns(FormatWarning, match="found variable 5"):
         parse_dimacs("p cnf 1 1\n5 0\n")
+    with pytest.warns(FormatWarning, match="found variable 5"):
+        parse_gcnf("p gcnf 1 1 1\n{1} 5 0\n")
+    with pytest.warns(FormatWarning, match="found variable 5"):
+        parse_lcnf("p lcnf 1 1\n{1} 5 0\n")
 
 
 # -- gcnf -------------------------------------------------------------------
@@ -413,6 +421,13 @@ def test_cli_jobs_output_identical(worked_example_path):
         assert run_cli(
             "enum", "--family", "lmns", "--jobs", jobs, worked_example_path
         ) == base
+
+
+def test_cli_rejects_jobs_below_one(worked_example_path):
+    for jobs in ("0", "-1"):
+        for command in (("enum", "--family", "lmes"), ("lmes",)):
+            code, out = run_cli(*command, "--jobs", jobs, worked_example_path)
+            assert (code, out) == (2, ""), (command, jobs)
 
 
 def test_cli_repeated_runs_identical(worked_example_path, phi_u_path):

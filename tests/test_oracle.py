@@ -9,8 +9,6 @@ from lcnf.oracle import (
     LcnfOracle,
     Solver,
     entails,
-    is_equivalent_subformula,
-    is_sat_induced,
     solve,
 )
 
@@ -191,10 +189,11 @@ def test_equivalence_requires_containment(worked_example):
         ora.is_equivalent_subformula(frozenset({1, 2}), within=frozenset({1}))
 
 
-def test_module_level_oracle_wrappers(worked_example):
-    assert is_sat_induced(worked_example, frozenset({1}))
-    assert is_equivalent_subformula(worked_example, frozenset({1, 2}))
-    assert not is_equivalent_subformula(worked_example, frozenset({1}))
+def test_oracle_queries_on_worked_example(worked_example):
+    ora = LcnfOracle(worked_example)
+    assert ora.is_sat_induced(frozenset({1}))
+    assert ora.is_equivalent_subformula(frozenset({1, 2}))
+    assert not ora.is_equivalent_subformula(frozenset({1}))
 
 
 def test_oracle_accepts_inactive_labels(worked_example):

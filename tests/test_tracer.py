@@ -1,0 +1,47 @@
+"""The benchmark's tracer patches lcnf's entry points by name; they must exist."""
+import importlib.util
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from lcnf import analysis, duality, interface
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls(tmp_path):
+    # unlabelled clause present, so an oracle-backed gate would need solves
+    path = tmp_path / "gate.lcnf"
+    path.write_text("p lcnf 2 3\n{} 1 0\n{1} 1 2 0\n{2} 2 0\n")
+    originals = (
+        analysis.duality_preconditions,
+        duality.duality_preconditions,
+        interface.parse_lcnf,
+        interface.classify_all,
+    )
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert duality.duality_preconditions is not originals[1]
+        with redirect_stdout(io.StringIO()) as out:
+            code = tracer.request(interface.main, ["verify-duality", str(path)])
+    finally:
+        tracer.uninstall()
+    assert (code, out.getvalue().splitlines()[-1]) == (0, "result: pass")
+    assert (
+        analysis.duality_preconditions,
+        duality.duality_preconditions,
+        interface.parse_lcnf,
+        interface.classify_all,
+    ) == originals
+    counts = tracer.counts
+    assert counts["duality.verify"] == 1 and counts["bruteforce.classify"] == 1
+    assert counts["oracle.build"] == 0
+    assert counts["duality.precondition_solves"] == 0
