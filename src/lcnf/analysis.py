@@ -29,6 +29,27 @@ from .errors import PreconditionError
 from .oracle import LcnfOracle
 
 
+# Why a witness kind does not exist for a formula; raised here by the
+# single-witness functions and by the CLI's exhaustive ``enum`` gate.
+REASON_SATISFIABLE = "formula is satisfiable; no unsatisfiable label subset exists"
+REASON_NO_ACTIVE_LABELS = "no active labels: the only subformula is the formula itself"
+REASON_ALL_REDUNDANT = (
+    "all labels are redundant: the unlabelled clauses entail every "
+    "clause, so every subformula is equivalent"
+)
+REASON_UNSAT_UNLABELLED = (
+    "unlabelled clauses are unsatisfiable; no satisfiable label set exists"
+)
+
+
+def _active(phi: LcnfFormula, label) -> int:
+    """``label`` as an int; ValueError unless it is active in ``phi``."""
+    label = int(label)
+    if label not in phi.active_labels:
+        raise ValueError(f"label {label} is not active in this formula")
+    return label
+
+
 def _normalize_order(phi: LcnfFormula, order: Iterable[int] | None) -> list[int]:
     """Resolve a label order: the given labels first, missing ones appended
     in ascending order.  Unknown labels are rejected."""
@@ -37,9 +58,7 @@ def _normalize_order(phi: LcnfFormula, order: Iterable[int] | None) -> list[int]
         return active
     out: list[int] = []
     for l in order:
-        l = int(l)
-        if l not in phi.active_labels:
-            raise ValueError(f"label {l} is not active in this formula")
+        l = _active(phi, l)
         if l not in out:
             out.append(l)
     out.extend(l for l in active if l not in out)
@@ -50,9 +69,7 @@ def is_label_redundant(
     phi: LcnfFormula, label: int, *, oracle: LcnfOracle | None = None
 ) -> bool:
     """Whether removing ``label`` preserves equivalence with ``phi``."""
-    label = int(label)
-    if label not in phi.active_labels:
-        raise ValueError(f"label {label} is not active in this formula")
+    label = _active(phi, label)
     ora = oracle if oracle is not None else LcnfOracle(phi)
     return ora.is_equivalent_subformula(phi.active_labels - {label})
 
@@ -90,9 +107,7 @@ def compute_lmus(
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
     if ora.is_sat_induced(phi.active_labels):
-        raise PreconditionError(
-            "formula is satisfiable; no unsatisfiable label subset exists"
-        )
+        raise PreconditionError(REASON_SATISFIABLE)
     current = set(phi.active_labels)
     for l in _normalize_order(phi, order):
         if not ora.is_sat_induced(current - {l}):
@@ -111,14 +126,13 @@ def compute_lmss(
 
     Requires the unlabelled clauses (and the seed-induced subformula) to be
     satisfiable; otherwise no satisfiable label set exists at all and a
-    PreconditionError is raised.
+    PreconditionError is raised.  A seed label that is not active is a
+    ValueError, as it is in ``order``.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    seed = frozenset(int(l) for l in seed) & phi.active_labels
+    seed = frozenset(_active(phi, l) for l in seed)
     if not ora.is_sat_induced(frozenset()):
-        raise PreconditionError(
-            "unlabelled clauses are unsatisfiable; no satisfiable label set exists"
-        )
+        raise PreconditionError(REASON_UNSAT_UNLABELLED)
     if not ora.is_sat_induced(seed):
         raise PreconditionError("seed labels induce an unsatisfiable subformula")
     current = set(seed)
@@ -142,21 +156,17 @@ def compute_lmns(
     Requires the seed-induced subformula to differ from the formula.  With an
     empty seed this is exactly the existence condition: no such set exists
     when there are no active labels, or when the unlabelled clauses already
-    entail every clause (all labels redundant at once).
+    entail every clause (all labels redundant at once).  A seed label that
+    is not active is a ValueError, as it is in ``order``.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    seed = frozenset(int(l) for l in seed) & phi.active_labels
+    seed = frozenset(_active(phi, l) for l in seed)
     if ora.is_equivalent_subformula(seed):
         if not phi.active_labels:
-            raise PreconditionError(
-                "no active labels: the only subformula is the formula itself"
-            )
+            raise PreconditionError(REASON_NO_ACTIVE_LABELS)
         if seed and not ora.is_equivalent_subformula(frozenset()):
             raise PreconditionError("seed labels induce an equivalent subformula")
-        raise PreconditionError(
-            "all labels are redundant: the unlabelled clauses entail every "
-            "clause, so every subformula is equivalent"
-        )
+        raise PreconditionError(REASON_ALL_REDUNDANT)
     current = set(seed)
     for l in _normalize_order(phi, order):
         if l in current:

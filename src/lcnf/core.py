@@ -129,11 +129,6 @@ class LcnfFormula:
             raise ValueError(f"clause {index} does not match this formula's clause")
         return self._all_labels[index]
 
-    @property
-    def labelling(self) -> dict:
-        """Mapping clause index -> label set, for surviving clauses."""
-        return {i: self._all_labels[i] for i in self._indices}
-
     @cached_property
     def _index_set(self) -> frozenset:
         return frozenset(self._indices)
@@ -186,14 +181,6 @@ class LcnfFormula:
         want = frozenset(int(l) for l in labels)
         kept = tuple(i for i in self._indices if self._all_labels[i] <= want)
         return LcnfFormula(self._all_clauses, self._all_labels, _indices=kept)
-
-    def remove_label(self, label: int) -> "LcnfFormula":
-        """Remove every clause carrying ``label``.
-
-        Equivalent to inducing with the active labels minus ``label``.
-        Removing a label that is not active returns the formula unchanged.
-        """
-        return self.induced(self.active_labels - {int(label)})
 
     # -- identity -----------------------------------------------------------
 

@@ -86,6 +86,9 @@ def test_lmss_on_sat_formula_is_everything(worked_example):
 def test_lmss_rejects_unsat_seed(phi_u):
     with pytest.raises(PreconditionError):
         compute_lmss(phi_u, seed=(3,))
+    # an inactive seed label is rejected like an inactive label in ``order``
+    with pytest.raises(ValueError, match="label 7 is not active"):
+        compute_lmss(phi_u, seed=(1, 7))
 
 
 def test_lmss_rejects_unsat_unlabelled_part():
@@ -112,6 +115,8 @@ def test_lmns_grow(worked_example):
 def test_lmns_rejects_equivalent_seed(worked_example):
     with pytest.raises(PreconditionError):
         compute_lmns(worked_example, seed=(1, 2))
+    with pytest.raises(ValueError, match="label 7 is not active"):
+        compute_lmns(worked_example, seed=(7,))
 
 
 def test_lmns_needs_active_labels():

@@ -101,12 +101,6 @@ def test_induced_monotone_under_label_growth(worked_example):
         assert inner <= outer
 
 
-def test_remove_label(worked_example):
-    sub = worked_example.remove_label(1)
-    assert sub == worked_example.induced({2, 3, 4})
-    assert len(sub) == 4  # clauses 5-8 survive
-
-
 def test_induced_preserves_clause_indices(worked_example):
     sub = worked_example.induced({4})
     assert [c.index for c in sub] == [4, 7]

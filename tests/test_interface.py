@@ -60,11 +60,26 @@ def test_parse_dimacs_rejects_missing_header():
         parse_dimacs("1 2 0\n")
     with pytest.raises(ParseError):
         parse_dimacs("")
+    for parse, text in [
+        (parse_dimacs, "c only a comment\n"),
+        (parse_gcnf, "\nc only a comment\n"),
+        (parse_lcnf, ""),
+    ]:
+        with pytest.raises(ParseError, match="missing 'p") as e:
+            parse(text)
+        assert e.value.line is None
 
 
 def test_parse_dimacs_rejects_duplicate_header():
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
+    for parse, text in [
+        (parse_gcnf, "p gcnf 1 1 1\nc\np gcnf 1 1 1\n{1} 1 0\n"),
+        (parse_lcnf, "p lcnf 1 1\n{1} 1 0\np lcnf 1 1\n"),
+    ]:
+        with pytest.raises(ParseError, match="duplicate header") as e:
+            parse(text)
+        assert e.value.line == 3
 
 
 def test_parse_dimacs_rejects_malformed_header():
@@ -80,6 +95,15 @@ def test_parse_dimacs_rejects_malformed_integer():
     with pytest.raises(ParseError) as e:
         parse_dimacs("p cnf 1 1\n1 x 0\n")
     assert "x" in str(e.value) and e.value.line == 2
+    for parse, text, what in [
+        (parse_gcnf, "p gcnf 1 2 1\n{1} 1 0\n{1} 1 x 0\n", "integer 'x'"),
+        (parse_gcnf, "p gcnf 1 2 1\n{1} 1 0\n{x} 1 0\n", "label 'x'"),
+        (parse_lcnf, "p lcnf 2 2\n{1} 1 0\n{1} 2 y 0\n", "integer 'y'"),
+        (parse_lcnf, "p lcnf 2 2\n{1} 1 0\n{1 y} 2 0\n", "label 'y'"),
+    ]:
+        with pytest.raises(ParseError, match=f"malformed {what}") as e:
+            parse(text)
+        assert e.value.line == 3
 
 
 def test_parse_dimacs_rejects_unterminated_clause():
@@ -185,6 +209,14 @@ def test_parse_lcnf_rejects_trailing_tokens():
 def test_parse_lcnf_rejects_clause_before_header():
     with pytest.raises(ParseError):
         parse_lcnf("{1} 1 0\np lcnf 1 1\n")
+    for parse, text in [
+        (parse_dimacs, "c\n1 0\np cnf 1 1\n"),
+        (parse_gcnf, "c\n{1} 1 0\np gcnf 1 1 1\n"),
+        (parse_lcnf, "c\n{1} 1 0\np lcnf 1 1\n"),
+    ]:
+        with pytest.raises(ParseError, match="before the 'p") as e:
+            parse(text)
+        assert e.value.line == 2
 
 
 # -- serialization ----------------------------------------------------------
@@ -265,6 +297,21 @@ def test_cli_single_witness_commands(worked_example_path):
     )
     assert run_cli("lmss", worked_example_path) == (0, "1 2 3 4\n")
     assert run_cli("mcs", worked_example_path) == (0, "\n")
+    # seed labels must be active, as labels in --order must
+    for command in ("lmss", "mcs", "lmns"):
+        for option in ("--seed-labels", "--order"):
+            assert run_cli(command, option, "7", worked_example_path) == (2, ""), (
+                command,
+                option,
+            )
+
+
+def test_cli_seed_labels_only_on_grow_commands(worked_example_path, phi_u_path):
+    assert run_cli("lmss", "--seed-labels", "2", phi_u_path) == (0, "2\n")
+    assert run_cli("mcs", "--seed-labels", "2", phi_u_path) == (0, "1 3\n")
+    assert run_cli("lmns", "--seed-labels", "2", worked_example_path) == (0, "2 3\n")
+    for command, path in (("lmes", worked_example_path), ("lmus", phi_u_path)):
+        assert run_cli(command, "--seed-labels", "1", path) == (2, ""), command
 
 
 def test_cli_check_redundant(worked_example_path):
@@ -387,8 +434,9 @@ def test_cli_conflict_budget_env_var(tmp_path, monkeypatch):
     f.write_text("p lcnf 2 3\n{1} 1 0\n{} 1 2 0\n{} 1 -2 0\n")
     monkeypatch.setenv("LCNF_CONFLICT_BUDGET", "0")
     assert run_cli("lmes", str(f))[0] == 4
-    monkeypatch.setenv("LCNF_CONFLICT_BUDGET", "notanumber")
-    assert run_cli("lmes", str(f))[0] == 2
+    for bad in ("notanumber", "-5"):
+        monkeypatch.setenv("LCNF_CONFLICT_BUDGET", bad)
+        assert run_cli("lmes", str(f)) == (2, ""), bad
     monkeypatch.setenv("LCNF_CONFLICT_BUDGET", "100")
     assert run_cli("lmes", str(f))[0] == 0
 
@@ -423,11 +471,19 @@ def test_cli_jobs_output_identical(worked_example_path):
         ) == base
 
 
-def test_cli_rejects_jobs_below_one(worked_example_path):
-    for jobs in ("0", "-1"):
-        for command in (("enum", "--family", "lmes"), ("lmes",)):
-            code, out = run_cli(*command, "--jobs", jobs, worked_example_path)
-            assert (code, out) == (2, ""), (command, jobs)
+def test_cli_rejects_bounded_knobs_below_their_minimum(worked_example_path, tmp_path):
+    below = [("--jobs", "0"), ("--jobs", "-1"), ("--conflict-budget", "-1"), ("--max-labels", "-1")]
+    for option, value in below:
+        for command in (("enum", "--family", "lmes"), ("lmes",), ("lmus",)):
+            code, out = run_cli(*command, option, value, worked_example_path)
+            assert (code, out) == (2, ""), (command, option, value)
+    # rejected even where the bound could not be reached: no labels at all
+    unlabelled = tmp_path / "none.lcnf"
+    unlabelled.write_text("p lcnf 1 1\n{} 1 0\n")
+    assert run_cli("enum", "--family", "lmes", "--max-labels", "-1", str(unlabelled))[0] == 2
+    # zero stays valid for both budgets
+    assert run_cli("enum", "--family", "lmes", "--max-labels", "0", str(unlabelled)) == (0, "\n")
+    assert run_cli("lmes", "--conflict-budget", "0", str(unlabelled)) == (0, "\n")
 
 
 def test_cli_repeated_runs_identical(worked_example_path, phi_u_path):

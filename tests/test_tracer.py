@@ -45,3 +45,18 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert counts["duality.verify"] == 1 and counts["bruteforce.classify"] == 1
     assert counts["oracle.build"] == 0
     assert counts["duality.precondition_solves"] == 0
+
+
+def test_tracer_reaches_witness_commands(worked_example_path):
+    # the witness commands name compute_* and parse_* when they run, so the
+    # spans patched in by name wrap them
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with redirect_stdout(io.StringIO()) as out:
+            code = tracer.request(interface.main, ["lmns", worked_example_path])
+    finally:
+        tracer.uninstall()
+    assert (code, out.getvalue()) == (0, "1 3 4\n")
+    assert tracer.counts["analysis.compute"] == 1
+    assert tracer.counts["interface.parse"] >= 1
