@@ -530,23 +530,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(show, message, category, *args, **kwargs):
+    """Print a format warning as one ``warning:`` line; hand others to ``show``."""
+    if issubclass(category, FormatWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *args, **kwargs)
+
+
 def main(argv: Iterable[str] | None = None) -> int:
-    """Run the command line; returns the exit code."""
+    """Run the command line; returns the exit code.
+
+    Format warnings go to stderr as ``warning: <message>``, on every call.
+    """
     try:
         args = build_parser().parse_args(list(argv) if argv is not None else None)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
-    try:
-        return args.handler(args)
-    except (ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except PreconditionError as e:
-        print(f"not applicable: {e}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except ResourceLimitError as e:
-        print(f"resource limit: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", FormatWarning)
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        try:
+            return args.handler(args)
+        except (ParseError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_INPUT
+        except PreconditionError as e:
+            print(f"not applicable: {e}", file=sys.stderr)
+            return EXIT_NOT_APPLICABLE
+        except ResourceLimitError as e:
+            print(f"resource limit: {e}", file=sys.stderr)
+            return EXIT_RESOURCE
 
 
 def console_main() -> None:

@@ -2,16 +2,21 @@
 
 The solver is a conventional conflict-driven clause learner: two watched
 literals per clause, first-UIP conflict analysis, activity-based branching
-with phase saving, and Luby restarts.  Assumptions are handled as forced
-top-level decisions, so one solver instance answers many queries about the
-same clause set without rebuilding anything.
+with phase saving, and Luby restarts.  Its state lives in lists indexed by a
+dense variable number or a literal code, MiniSat style.  Assumptions are
+forced top-level decisions, one level each.  The trail is kept between
+``solve`` calls: level-0 facts stay assigned, and a call replays its
+assumptions only from the first one that differs from the previous call's.
+One solver instance thus answers many queries about the same clause set
+without rebuilding anything.
 
 ``LcnfOracle`` wraps a labelled formula in the standard selector encoding:
 every active label l gets a fresh selector variable s_l and every clause c
 becomes  c OR (negated selectors of c's labels).  Fixing the selectors by
-assumptions then activates exactly the clauses of an induced subformula, so
-satisfiability, entailment and equivalence queries about any label subset are
-single ``solve`` calls against one shared solver.
+assumptions, in label order, then activates exactly the clauses of an
+induced subformula, so satisfiability, entailment and equivalence queries
+about any label subset are single ``solve`` calls against one shared solver.
+Each clause's label set is read once, when the oracle is built.
 """
 from __future__ import annotations
 
@@ -62,135 +67,156 @@ class Solver:
 
     ``conflict_budget`` bounds the number of conflicts a single ``solve`` may
     spend; exceeding it raises ResourceLimitError rather than guessing.
+
+    Variables are numbered densely in first-seen order; literal ``v`` of
+    dense variable ``i`` has code ``2i`` and its negation ``2i + 1``.  The
+    trail survives ``solve``: level-0 facts stay assigned, and assumption
+    ``k`` owns decision level ``k + 1``, so the levels of the previous
+    call's longest common assumption prefix are kept as they are.
     """
 
     _RESTART_BASE = 100
 
     def __init__(self, clauses: Iterable = (), *, conflict_budget: int | None = None):
         self.conflict_budget = conflict_budget
-        self._clauses: list[list[int]] = []
-        self._watchers: dict[int, list[int]] = {}
-        self._units: list[int] = []
-        self._empty = False
-        self._vars: list[int] = []  # clause variables, in first-seen order
-        self._varset: set[int] = set()
-        self._activity: dict[int, float] = {}
-        self._phase: dict[int, bool] = {}
+        self._ok = True  # False once the clauses are refuted at level 0
+        self._clauses: list[list[int]] = []  # literal codes, watching [0] and [1]
+        self._index: dict[int, int] = {}  # variable -> dense index
+        self._names: list[int] = []  # dense index -> variable
+        # per dense variable
+        self._level: list[int] = []
+        self._reason: list[int | None] = []
+        self._activity: list[float] = []
+        self._phase: list[int] = []  # sign bit of the saved phase
+        # per literal code
+        self._value: list[bool | None] = []
+        self._watches: list[list[int]] = []
         self._var_inc = 1.0
-        # search state, rebuilt by each solve()
-        self._assign: dict[int, bool] = {}
-        self._level: dict[int, int] = {}
-        self._reason: dict[int, int | None] = {}
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
+        self._asms: list[int] = []  # assumption codes of the open assumption levels
         for c in clauses:
             self.add_clause(c)
 
     # -- clause database ----------------------------------------------------
 
-    def _register(self, var: int):
-        if var not in self._varset:
-            self._varset.add(var)
-            self._vars.append(var)
-            self._activity[var] = 0.0
-            self._phase[var] = False
+    def _new_var(self, var: int) -> int:
+        i = self._index[var] = len(self._names)
+        self._names.append(var)
+        self._level.append(0)
+        self._reason.append(None)
+        self._activity.append(0.0)
+        self._phase.append(1)
+        self._value += (None, None)
+        self._watches += ([], [])
+        return i
 
     def add_clause(self, literals: Iterable[int]):
         """Add a clause; duplicate literals collapse, tautologies are dropped."""
-        lits: list[int] = []
-        seen = set()
-        taut = False
-        for l in literals:
-            l = int(l)
-            if l == 0:
-                raise ValueError("literal 0 is not allowed in a clause")
-            self._register(abs(l))
-            if -l in seen:
-                taut = True
-            if l not in seen:
-                seen.add(l)
-                lits.append(l)
-        if taut:
+        lits = [int(l) for l in literals]
+        if 0 in lits:
+            raise ValueError("literal 0 is not allowed in a clause")
+        self._cancel_until(0)
+        index = self._index
+        value = self._value  # extended in place by _new_var
+        clause: list[int] = []
+        dropped = False  # a tautology, or satisfied at level 0
+        for l in lits:
+            i = index.get(abs(l))
+            if i is None:
+                i = self._new_var(abs(l))
+            code = 2 * i + (l < 0)
+            if value[code] or code ^ 1 in clause:
+                dropped = True
+            elif value[code] is None and code not in clause:
+                clause.append(code)
+        if dropped:
             return
-        if not lits:
-            self._empty = True
-        elif len(lits) == 1:
-            self._units.append(lits[0])
+        if not clause:
+            self._ok = False
+        elif len(clause) == 1:
+            self._enqueue(clause[0], None)
         else:
-            self._attach(lits)
+            self._attach(clause)
 
     def _attach(self, lits: list[int]) -> int:
         ci = len(self._clauses)
         self._clauses.append(lits)
-        self._watchers.setdefault(lits[0], []).append(ci)
-        self._watchers.setdefault(lits[1], []).append(ci)
+        self._watches[lits[0]].append(ci)
+        self._watches[lits[1]].append(ci)
         return ci
 
     # -- assignment ---------------------------------------------------------
 
-    def _value(self, lit: int):
-        a = self._assign.get(abs(lit))
-        if a is None:
-            return None
-        return a if lit > 0 else not a
-
     def _enqueue(self, lit: int, reason: int | None):
-        var = abs(lit)
-        self._assign[var] = lit > 0
-        self._level[var] = len(self._trail_lim)
-        self._reason[var] = reason
+        self._value[lit] = True
+        self._value[lit ^ 1] = False
+        self._level[lit >> 1] = len(self._trail_lim)
+        self._reason[lit >> 1] = reason
         self._trail.append(lit)
 
     def _cancel_until(self, level: int):
-        while len(self._trail_lim) > level:
-            mark = self._trail_lim.pop()
-            while len(self._trail) > mark:
-                lit = self._trail.pop()
-                var = abs(lit)
-                self._phase[var] = lit > 0
-                del self._assign[var]
-                del self._level[var]
-                del self._reason[var]
-        self._qhead = min(self._qhead, len(self._trail))
+        if len(self._trail_lim) > level:
+            mark = self._trail_lim[level]
+            value = self._value
+            phase = self._phase
+            for lit in self._trail[mark:]:
+                value[lit] = value[lit ^ 1] = None
+                phase[lit >> 1] = lit & 1
+            del self._trail[mark:]
+            del self._trail_lim[level:]
+            self._qhead = min(self._qhead, mark)
 
     # -- propagation --------------------------------------------------------
 
     def _propagate(self) -> int | None:
         """Unit propagation; returns a conflicting clause index or None."""
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
-            self._qhead += 1
-            watchlist = self._watchers.get(-p)
+        value = self._value
+        watches = self._watches
+        clauses = self._clauses
+        trail = self._trail
+        level = len(self._trail_lim)
+        qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchlist = watches[false_lit]
             if not watchlist:
                 continue
             kept: list[int] = []
-            n = len(watchlist)
-            for wi in range(n):
-                ci = watchlist[wi]
-                lits = self._clauses[ci]
-                if lits[0] == -p:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = self._value(lits[0])
-                if first is True:
+            for wi, ci in enumerate(watchlist):
+                lits = clauses[ci]
+                if lits[0] == false_lit:
+                    lits[0] = first = lits[1]
+                    lits[1] = false_lit
+                else:
+                    first = lits[0]
+                first_value = value[first]
+                if first_value:
                     kept.append(ci)
                     continue
-                moved = False
                 for j in range(2, len(lits)):
-                    if self._value(lits[j]) is not False:
-                        lits[1], lits[j] = lits[j], lits[1]
-                        self._watchers.setdefault(lits[1], []).append(ci)
-                        moved = True
+                    q = lits[j]
+                    if value[q] is not False:
+                        lits[1] = q
+                        lits[j] = false_lit
+                        watches[q].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if first is False:
-                    kept.extend(watchlist[wi + 1 :])
-                    self._watchers[-p] = kept
-                    return ci
-                self._enqueue(lits[0], ci)
-            self._watchers[-p] = kept
+                else:
+                    kept.append(ci)
+                    if first_value is False:
+                        kept.extend(watchlist[wi + 1 :])
+                        watches[false_lit] = kept
+                        self._qhead = qhead
+                        return ci
+                    value[first] = True
+                    value[first ^ 1] = False
+                    self._level[first >> 1] = level
+                    self._reason[first >> 1] = ci
+                    trail.append(first)
+            watches[false_lit] = kept
+        self._qhead = qhead
         return None
 
     # -- conflict analysis --------------------------------------------------
@@ -198,8 +224,7 @@ class Solver:
     def _bump(self, var: int):
         self._activity[var] += self._var_inc
         if self._activity[var] > 1e100:
-            for v in self._activity:
-                self._activity[v] *= 1e-100
+            self._activity = [a * 1e-100 for a in self._activity]
             self._var_inc *= 1e-100
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
@@ -208,83 +233,85 @@ class Solver:
         The asserting literal sits at position 0 of the learned clause and a
         deepest remaining literal at position 1, ready for watching.
         """
+        level = self._level
         cur_level = len(self._trail_lim)
         seen: set[int] = set()
-        learned: list[int] = []
+        learned: list[int] = [0]
         counter = 0
-        p = None
         index = len(self._trail)
         reason_lits = self._clauses[confl]
         while True:
             for q in reason_lits:
-                if p is not None and q == p:
-                    continue
-                v = abs(q)
-                if v in seen or self._level[v] == 0:
+                # the literal a reason clause implied is already seen
+                v = q >> 1
+                if v in seen or level[v] == 0:
                     continue
                 seen.add(v)
                 self._bump(v)
-                if self._level[v] == cur_level:
+                if level[v] == cur_level:
                     counter += 1
                 else:
                     learned.append(q)
             while True:
                 index -= 1
                 p = self._trail[index]
-                if abs(p) in seen:
+                if p >> 1 in seen:
                     break
             counter -= 1
             if counter == 0:
                 break
-            reason_lits = self._clauses[self._reason[abs(p)]]
-        learned.insert(0, -p)
+            reason_lits = self._clauses[self._reason[p >> 1]]
+        learned[0] = p ^ 1
         if len(learned) == 1:
             return learned, 0
         # place a literal from the backjump level at position 1
         max_i = 1
         for i in range(2, len(learned)):
-            if self._level[abs(learned[i])] > self._level[abs(learned[max_i])]:
+            if level[learned[i] >> 1] > level[learned[max_i] >> 1]:
                 max_i = i
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self._level[abs(learned[1])]
+        return learned, level[learned[1] >> 1]
 
     # -- main search --------------------------------------------------------
 
-    def _pick_branch(self) -> int | None:
-        best = None
+    def _pick_branch(self) -> int:
+        """The unassigned variable of highest activity, first-seen on ties; -1 if none."""
+        value = self._value
+        best = -1
         best_act = -1.0
-        for v in self._vars:
-            if v not in self._assign and self._activity[v] > best_act:
+        for v, act in enumerate(self._activity):
+            if act > best_act and value[2 * v] is None:
                 best = v
-                best_act = self._activity[v]
+                best_act = act
         return best
 
-    def _model(self, extra_vars: frozenset = frozenset()) -> dict:
-        return {v: self._assign[v] for v in sorted(self._varset | extra_vars)}
+    def _model(self, free: dict) -> dict:
+        return dict(sorted([*zip(self._names, self._value[::2]), *free.items()]))
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatOutcome:
         """Decide satisfiability of the clause set under unit assumptions."""
-        if self._empty:
-            return SatOutcome(False)
-        asms = [int(a) for a in assumptions]
-        if any(a == 0 for a in asms):
+        asms = list(map(int, assumptions))
+        if 0 in asms:
             raise ValueError("assumption literals must be nonzero")
-        asm_vars = frozenset(abs(a) for a in asms) - self._varset
-        self._cancel_until(0)
-        self._assign.clear()
-        self._level.clear()
-        self._reason.clear()
-        self._trail.clear()
-        self._trail_lim.clear()
-        self._qhead = 0
-        for l in self._units:
-            v = self._value(l)
-            if v is False:
-                return SatOutcome(False)
-            if v is None:
-                self._enqueue(l, None)
-        if self._propagate() is not None:
+        if not self._ok:
             return SatOutcome(False)
+        # an assumption on a variable outside the clauses only meets other
+        # assumptions on it; it goes straight into the model
+        codes = []
+        free: dict[int, bool] = {}
+        index = self._index
+        for a in asms:
+            i = index.get(abs(a))
+            if i is not None:
+                codes.append(2 * i + (a < 0))
+            elif free.setdefault(abs(a), a > 0) != (a > 0):
+                return SatOutcome(False)
+        shared = 0
+        limit = min(len(self._trail_lim), len(self._asms), len(codes))
+        while shared < limit and self._asms[shared] == codes[shared]:
+            shared += 1
+        self._cancel_until(shared)
+        self._asms = codes
 
         conflicts = 0
         restart_count = 0
@@ -294,21 +321,18 @@ class Solver:
             confl = self._propagate()
             if confl is not None:
                 if not self._trail_lim:
+                    self._ok = False
                     return SatOutcome(False)
                 conflicts += 1
                 since_restart += 1
                 if self.conflict_budget is not None and conflicts > self.conflict_budget:
+                    self._cancel_until(0)
                     raise ResourceLimitError(
                         f"conflict budget of {self.conflict_budget} exceeded"
                     )
                 learned, back_level = self._analyze(confl)
                 self._cancel_until(back_level)
-                if len(learned) == 1:
-                    self._units.append(learned[0])
-                    self._enqueue(learned[0], None)
-                else:
-                    ci = self._attach(learned)
-                    self._enqueue(learned[0], ci)
+                self._enqueue(learned[0], self._attach(learned) if len(learned) > 1 else None)
                 self._var_inc /= 0.95
                 if since_restart >= restart_limit:
                     restart_count += 1
@@ -317,9 +341,9 @@ class Solver:
                     self._cancel_until(0)
                 continue
             level = len(self._trail_lim)
-            if level < len(asms):
-                a = asms[level]
-                v = self._value(a)
+            if level < len(codes):
+                a = codes[level]
+                v = self._value[a]
                 if v is False:
                     return SatOutcome(False)
                 self._trail_lim.append(len(self._trail))
@@ -327,10 +351,10 @@ class Solver:
                     self._enqueue(a, None)
                 continue
             var = self._pick_branch()
-            if var is None:
-                return SatOutcome(True, self._model(asm_vars))
+            if var < 0:
+                return SatOutcome(True, self._model(free))
             self._trail_lim.append(len(self._trail))
-            self._enqueue(var if self._phase[var] else -var, None)
+            self._enqueue(2 * var + self._phase[var], None)
 
 
 def solve(
@@ -379,34 +403,31 @@ class LcnfOracle:
 
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
         self.formula = phi
-        base = 0
-        for c in phi.clauses:
-            for l in c.literals:
-                base = max(base, abs(l))
-        self._selector = {
-            l: base + 1 + i for i, l in enumerate(sorted(phi.active_labels))
-        }
+        self._clauses = [(c, phi.labels_of(c)) for c in phi.clauses]
+        base = max((abs(l) for c, _ in self._clauses for l in c.literals), default=0)
+        # (label, selector variable), by label: the order of every query's assumptions
+        self._selectors = [(l, base + 1 + i) for i, l in enumerate(sorted(phi.active_labels))]
+        selector = dict(self._selectors)
+        self._with_label: dict[int, list[int]] = {l: [] for l in selector}
         self._solver = Solver(conflict_budget=conflict_budget)
-        for c in phi.clauses:
-            aug = list(c.sorted_literals())
-            aug.extend(-self._selector[l] for l in sorted(phi.labels_of(c)))
-            self._solver.add_clause(aug)
+        for i, (c, ls) in enumerate(self._clauses):
+            self._solver.add_clause(
+                [*c.sorted_literals(), *(-selector[l] for l in sorted(ls))]
+            )
+            for l in ls:
+                self._with_label[l].append(i)
 
-    def _assumptions(self, labels: frozenset) -> list[int]:
-        return [
-            sel if l in labels else -sel
-            for l, sel in sorted(self._selector.items())
-        ]
+    def _assumptions(self, labels: Iterable[int]) -> list[int]:
+        want = frozenset(map(int, labels))
+        return [sel if l in want else -sel for l, sel in self._selectors]
 
     def is_sat_induced(self, labels: Iterable[int]) -> bool:
         """Satisfiability of the subformula induced by ``labels``."""
-        want = frozenset(int(l) for l in labels) & self.formula.active_labels
-        return self._solver.solve(self._assumptions(want)).satisfiable
+        return self._solver.solve(self._assumptions(labels)).satisfiable
 
     def entails_clause(self, labels: Iterable[int], clause) -> bool:
         """Whether the subformula induced by ``labels`` entails ``clause``."""
-        want = frozenset(int(l) for l in labels) & self.formula.active_labels
-        asms = self._assumptions(want)
+        asms = self._assumptions(labels)
         asms.extend(-l for l in _clause_literals(clause))
         return not self._solver.solve(asms).satisfiable
 
@@ -417,18 +438,19 @@ class LcnfOracle:
 
         Compares against the whole formula by default, or against the
         subformula induced by ``within`` (which must contain ``labels``).
-        Checked clause by clause: every removed clause must be entailed by
-        the kept ones; the first non-entailed clause short-circuits.
+        Checked clause by clause, in formula order: every removed clause, one
+        with a label in the comparison set but not in ``labels``, must be
+        entailed by the kept ones; the first non-entailed clause
+        short-circuits.
         """
         active = self.formula.active_labels
-        sup = active if within is None else frozenset(int(l) for l in within) & active
-        sub = frozenset(int(l) for l in labels) & active
+        sup = active if within is None else frozenset(map(int, within)) & active
+        sub = frozenset(map(int, labels)) & active
         if not sub <= sup:
             raise ValueError("labels must be contained in the comparison set")
-        for c in self.formula.clauses:
-            ls = self.formula.labels_of(c)
-            if ls <= sup and not ls <= sub:
-                if not self.entails_clause(sub, c):
-                    return False
+        removed = sorted({i for l in sup - sub for i in self._with_label[l]})
+        for i in removed:
+            c, ls = self._clauses[i]
+            if ls <= sup and not self.entails_clause(sub, c):
+                return False
         return True
-

@@ -18,6 +18,7 @@ from lcnf.interface import (
     serialize_dimacs,
     serialize_gcnf,
     serialize_lcnf,
+    main,
 )
 
 from conftest import (
@@ -193,6 +194,18 @@ def test_parse_lcnf_collapses_duplicate_labels_with_warning():
     with pytest.warns(FormatWarning):
         phi = parse_lcnf("p lcnf 1 1\n{2 2} 1 0\n")
     assert phi.labels_of(0) == frozenset({2})
+
+
+def test_cli_prints_format_warnings_on_every_call(tmp_path, capsys):
+    f = tmp_path / "warned.lcnf"
+    f.write_text("p lcnf 1 3\n{2 2} 1 0\n")
+    for _ in range(2):
+        assert main(["stats", str(f)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: line 2: duplicate label 2 in block",
+            "warning: header declares 3 clauses, found 1",
+        ]
 
 
 def test_parse_lcnf_rejects_zero_inside_clause():

@@ -66,6 +66,8 @@ def test_conflicting_assumptions_are_unsat():
 def test_assumptions_reject_zero():
     with pytest.raises(ValueError):
         solve([(1,)], assumptions=(0,))
+    with pytest.raises(ValueError):
+        solve([()], assumptions=(0,))
 
 
 def test_assumption_variables_reported_in_model():
@@ -121,6 +123,52 @@ def test_solver_agrees_under_assumptions():
         augmented = clauses + [(a,) for a in asms]
         expected = bool(models_of(augmented, range(1, n + 1)))
         assert solve(clauses, assumptions=asms).satisfiable == expected
+
+
+def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
+    # one Solver keeps its trail between calls: consecutive assumption lists
+    # share prefixes or repeat, clauses (units among them) arrive between
+    # solves, and a budget runs out mid-sequence; every answer must match a
+    # fresh solver's and every model must satisfy the clauses and assumptions
+    rng = random.Random(31)
+    budget_trips = 0
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(rng.randint(3 * n, 5 * n))
+        ]
+        s = Solver(clauses)
+        asms = []
+        for _ in range(60):
+            r = rng.random()
+            if r < 0.08:
+                width = rng.randint(1, 2)
+                c = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width))
+                s.add_clause(c)
+                clauses.append(c)
+                continue
+            asms = asms[: rng.randint(0, len(asms))]
+            for v in rng.sample(range(1, n + 3), rng.randint(0, 5)):
+                asms.append(v if rng.random() < 0.5 else -v)
+            outcomes = []
+            if r < 0.2:
+                # the query that exceeds its budget is asked again without one
+                s.conflict_budget = 0
+                try:
+                    outcomes.append(s.solve(asms))
+                except ResourceLimitError:
+                    budget_trips += 1
+                finally:
+                    s.conflict_budget = None
+            outcomes.append(s.solve(asms))
+            expected = solve(clauses, asms).satisfiable
+            for out in outcomes:
+                assert out.satisfiable == expected
+                if out:
+                    assert all(out.model[abs(a)] == (a > 0) for a in asms)
+                    assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in clauses)
+    assert budget_trips > 0
 
 
 def test_entails_basic():
@@ -181,6 +229,37 @@ def test_equivalence_matches_model_sets_over_parent_universe():
         )
         sub_models = models_of(phi.induced(subset).cnf(), universe)
         assert ora.is_equivalent_subformula(subset) == (sub_models == full_models)
+
+
+def test_one_oracle_answers_a_mixed_query_sequence():
+    # consecutive label sets differ in at most one label, so the selector
+    # assumptions of neighbouring queries share prefixes or repeat
+    rng = random.Random(32)
+    for _ in range(60):
+        phi, n = random_lcnf_inputs(rng, max_vars=5, max_clauses=10, max_labels=5)
+        ora = LcnfOracle(phi)
+        active = sorted(phi.active_labels)
+        universe = set(range(1, n + 1))
+        labels = set(active)
+        for _ in range(30):
+            if active and rng.random() < 0.8:
+                labels ^= {rng.choice(active)}
+            models = models_of(phi.induced(labels).cnf(), universe)
+            kind = rng.randrange(3)
+            if kind == 0:
+                assert ora.is_sat_induced(labels) == bool(models)
+            elif kind == 1 and phi.variables:
+                # on the formula's own variables: the selector variables are
+                # numbered right above them
+                vs = rng.sample(sorted(phi.variables), rng.randint(1, min(2, len(phi.variables))))
+                goal = tuple(v if rng.random() < 0.5 else -v for v in vs)
+                index = {v: i for i, v in enumerate(sorted(universe))}
+                expected = all(any(m[index[abs(l)]] == (l > 0) for l in goal) for m in models)
+                assert ora.entails_clause(labels, goal) == expected
+            elif kind == 2:
+                within = labels | {l for l in active if rng.random() < 0.5}
+                wider = models_of(phi.induced(within).cnf(), universe)
+                assert ora.is_equivalent_subformula(labels, within) == (models == wider)
 
 
 def test_equivalence_requires_containment(worked_example):
