@@ -1,16 +1,18 @@
 """Brute-force ground truth: exhaustive classification of all label subsets.
 
-``classify_all`` walks every subset of a formula's active labels, decides
-satisfiability and equivalence of each induced subformula, and assembles the
-four witness families (and their complements) from those statuses.  Since
-equivalence is upward-closed over label sets and satisfiability is
-downward-closed, minimality and maximality are decided against the one-label
-neighbours of each subset alone.  Equivalence is decided by comparing full
-model sets whenever the formula has at most 12 variables: each clause's
-satisfying assignments are packed into one big integer, so a subformula's
-model set is a bitwise AND and equivalence is integer equality.  This path
-shares nothing with the clause-learning oracle, which is the point: the two
-can check each other.  Larger formulas fall back to the entailment oracle.
+``classify_all`` walks every subset of a formula's active labels and decides
+satisfiability and equivalence of each induced subformula.  The report it
+returns builds each witness family from those statuses when the family is
+first read, by one rule: the four families are the minimal or maximal label
+sets on which one status has one value.  Since equivalence is upward-closed
+over label sets and satisfiability is downward-closed, minimality and
+maximality are decided against the one-label neighbours of each subset
+alone.  Equivalence is decided by comparing full model sets whenever the
+formula has at most 12 variables: each clause's satisfying assignments are
+packed into one big integer, so a subformula's model set is a bitwise AND
+and equivalence is integer equality.  This path shares nothing with the
+clause-learning oracle, which is the point: the two can check each other.
+Larger formulas fall back to the entailment oracle.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -19,10 +21,8 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 from .core import LcnfFormula
 from .duality import SetFamily
@@ -30,6 +30,7 @@ from .errors import ResourceLimitError
 from .oracle import LcnfOracle
 
 MODEL_ENUMERATION_LIMIT = 12  # variables; beyond this, equivalence uses the oracle
+MAX_VARIABLES = 24  # classify_all refuses formulas with more variables
 
 
 @dataclass(frozen=True)
@@ -93,35 +94,60 @@ def random_lcnf(seed: int, profile: GenerationProfile | None = None) -> LcnfForm
     return LcnfFormula.from_clauses(clauses, labelling)
 
 
+# family -> (status index, wanted value, minimal): the members are the label
+# sets whose status (0 satisfiable, 1 equivalent) has the wanted value while no
+# one-label neighbour below (minimal) or above (maximal) has it.  Equivalence
+# is upward-closed and satisfiability downward-closed, so the neighbours decide.
+_FAMILIES = {
+    "lmes": (1, True, True),
+    "lmus": (0, False, True),
+    "lmns": (1, False, False),
+    "lmss": (0, True, False),
+}
+
+
 @dataclass
 class AnalysisReport:
     """Complete subset classification of one formula.
 
-    Families are exhaustive and mutually consistent: the complement families
-    are the complements of their maximal counterparts within the active
-    labels.  ``classification`` maps every label subset to its status; it is
-    built from ``statuses`` (one (satisfiable, equivalent) pair per bitmask
-    over the sorted active labels) on first read.
-    The existence flags record the corner cases: maximal non-equivalent sets
+    ``statuses`` holds one (satisfiable, equivalent) pair per bitmask over the
+    sorted active labels; the rest is read off it.  The witness families, their
+    complements (within the active labels) and ``classification`` (label
+    subset -> status) are built when first read.  Maximal non-equivalent sets
     exist unless every subformula is equivalent, maximal satisfiable sets
-    exist unless the unlabelled clauses are unsatisfiable, and the minimal
-    equivalent family collapses to the empty set exactly when the empty
-    subformula is already equivalent.
+    unless the unlabelled clauses are unsatisfiable; ``empty_lmes`` says the
+    empty subformula is already equivalent, so the minimal family is {{}}.
     """
 
     formula: LcnfFormula
     active_labels: frozenset
-    satisfiable: bool
-    lmes: SetFamily
-    lmus: SetFamily
-    lmns: SetFamily
-    lmss: SetFamily
-    colmns: SetFamily
-    colmss: SetFamily
-    lmns_exists: bool
-    lmss_exists: bool
-    empty_lmes: bool
-    statuses: list = field(repr=False, default_factory=list)
+    statuses: list = field(repr=False)
+
+    def _extremal(self, name: str) -> SetFamily:
+        index, wanted, minimal = _FAMILIES[name]
+        has = [st[index] == wanted for st in self.statuses]
+        full = len(has) - 1
+        active = sorted(self.active_labels)
+        members = []
+        for mask, h in enumerate(has):
+            if h:
+                rest = mask if minimal else full ^ mask  # the bits a neighbour flips
+                while rest and not has[mask ^ (rest & -rest)]:
+                    rest &= rest - 1
+                if not rest:
+                    members.append(_subset(active, mask))
+        return SetFamily(members, self.active_labels)
+
+    lmes = cached_property(lambda self: self._extremal("lmes"))
+    lmus = cached_property(lambda self: self._extremal("lmus"))
+    lmns = cached_property(lambda self: self._extremal("lmns"))
+    lmss = cached_property(lambda self: self._extremal("lmss"))
+    colmns = cached_property(lambda self: self.lmns.complements())
+    colmss = cached_property(lambda self: self.lmss.complements())
+    satisfiable = property(lambda self: self.statuses[-1][0])
+    empty_lmes = property(lambda self: self.statuses[0][1])
+    lmns_exists = property(lambda self: bool(self.lmns))
+    lmss_exists = property(lambda self: bool(self.lmss))
 
     @cached_property
     def classification(self) -> dict:
@@ -199,19 +225,15 @@ def classify_all(
     phi: LcnfFormula,
     max_labels: int = 16,
     *,
-    max_variables: int = 24,
     jobs: int = 1,
 ) -> AnalysisReport:
-    """Classify every label subset and assemble all witness families.
+    """Classify every label subset; the report builds families on first read.
 
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
-    guards against blowup (exceeding it, or ``max_variables``, raises
-    ResourceLimitError).  Equivalence is upward-closed and satisfiability
-    downward-closed, so a subset is minimal (maximal) in its family exactly
-    when no one-label neighbour below (above) it has the family's property.
-    With ``jobs`` > 1 the subsets are split into ``jobs`` ranges, classified
-    by at most min(jobs, ranges, CPU count) worker processes; the result does
-    not depend on ``jobs``, which must be at least 1.
+    guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
+    ResourceLimitError).  With ``jobs`` > 1 the subsets are split into ``jobs``
+    ranges, classified by at most min(jobs, ranges, CPU count) worker
+    processes; the result does not depend on ``jobs``, which must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -221,9 +243,9 @@ def classify_all(
         raise ResourceLimitError(
             f"formula has {k} labels, over the limit of {max_labels}"
         )
-    if len(phi.variables) > max_variables:
+    if len(phi.variables) > MAX_VARIABLES:
         raise ResourceLimitError(
-            f"formula has {len(phi.variables)} variables, over the limit of {max_variables}"
+            f"formula has {len(phi.variables)} variables, over the limit of {MAX_VARIABLES}"
         )
 
     total = 1 << k
@@ -231,49 +253,15 @@ def classify_all(
     ranges = [(phi, active, lo, min(lo + step, total)) for lo in range(0, total, step)]
     workers = min(jobs, len(ranges), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: multiprocessing is a third of the time `import lcnf` takes
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_classify_chunk, ranges))
     else:
         chunks = map(_classify_chunk, ranges)
     statuses = [st for chunk in chunks for st in chunk]
-
-    sat = [s for s, _ in statuses]
-    equiv = [e for _, e in statuses]
-    full = total - 1
-    bits = [1 << i for i in range(k)]
-    lmes, lmus, lmns, lmss = [], [], [], []
-    for mask in range(total):
-        if equiv[mask]:
-            if not any(equiv[mask ^ b] for b in bits if mask & b):
-                lmes.append(_subset(active, mask))
-        elif all(equiv[mask | b] for b in bits if not mask & b):
-            lmns.append(_subset(active, mask))
-        if sat[mask]:
-            if not any(sat[mask | b] for b in bits if not mask & b):
-                lmss.append(_subset(active, mask))
-        elif all(sat[mask ^ b] for b in bits if mask & b):
-            lmus.append(_subset(active, mask))
-
-    active_set = frozenset(active)
-    lmes_f = SetFamily(lmes, active_set)
-    lmus_f = SetFamily(lmus, active_set)
-    lmns_f = SetFamily(lmns, active_set)
-    lmss_f = SetFamily(lmss, active_set)
-    return AnalysisReport(
-        formula=phi,
-        active_labels=active_set,
-        satisfiable=sat[full],
-        lmes=lmes_f,
-        lmus=lmus_f,
-        lmns=lmns_f,
-        lmss=lmss_f,
-        colmns=lmns_f.complements(),
-        colmss=lmss_f.complements(),
-        lmns_exists=bool(lmns),
-        lmss_exists=bool(lmss),
-        empty_lmes=equiv[0],
-        statuses=statuses,
-    )
+    return AnalysisReport(phi, frozenset(active), statuses)
 
 
 def _classify_chunk(args):

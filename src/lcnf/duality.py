@@ -10,8 +10,10 @@ the duality, and verifies the duality against ground-truth families.
 A hitting set H of a family is irreducible exactly when every element of H
 has a private member: some family member whose intersection with H is that
 single element.  This is what ``is_irreducible_hitting_set`` checks.  For a
-set that hits every member, irreducible and inclusion-minimal coincide, so
-the enumeration only has to keep the inclusion-minimal hitting sets it finds.
+set that hits every member, irreducible and inclusion-minimal coincide.  A
+set whose element has lost its private member never regains one as the set
+grows, so the enumeration prunes such sets at once and reaches only minimal
+hitting sets.
 """
 from __future__ import annotations
 
@@ -81,6 +83,10 @@ class SetFamily:
         return f"SetFamily([{body}])"
 
 
+def _as_family(family: SetFamily | Iterable) -> SetFamily:
+    return family if isinstance(family, SetFamily) else SetFamily(family)
+
+
 def is_hitting_set(candidate: Iterable[int], family: SetFamily | Iterable) -> bool:
     """Whether ``candidate`` intersects every member of the family.
 
@@ -88,10 +94,7 @@ def is_hitting_set(candidate: Iterable[int], family: SetFamily | Iterable) -> bo
     empty set.
     """
     h = frozenset(int(l) for l in candidate)
-    members = family.members if isinstance(family, SetFamily) else [
-        frozenset(m) for m in family
-    ]
-    return all(h & m for m in members)
+    return all(h & m for m in _as_family(family).members)
 
 
 def is_irreducible_hitting_set(candidate: Iterable[int], family: SetFamily | Iterable) -> bool:
@@ -101,15 +104,10 @@ def is_irreducible_hitting_set(candidate: Iterable[int], family: SetFamily | Ite
     candidate must be the sole intersection with some family member.
     """
     h = frozenset(int(l) for l in candidate)
-    members = family.members if isinstance(family, SetFamily) else [
-        frozenset(m) for m in family
-    ]
-    if not all(h & m for m in members):
-        return False
-    for e in h:
-        if not any(h & m == {e} for m in members):
-            return False
-    return True
+    members = _as_family(family).members
+    return all(h & m for m in members) and all(
+        any(h & m == {e} for m in members) for e in h
+    )
 
 
 def enumerate_minimal_hitting_sets(
@@ -117,44 +115,46 @@ def enumerate_minimal_hitting_sets(
 ) -> SetFamily:
     """All irreducible hitting sets of a family of finite integer sets.
 
-    Branches on the smallest currently-unhit member (ties broken by numeric
-    order), pruning any partial set that already contains a known hitting
-    set.  Candidates are reduced to the inclusion-minimal ones, which are
-    exactly the irreducible hitting sets.
-    The empty family has the single hitting set {} and a family containing
-    the empty set has none.
+    An MMCS-style search (Murakami & Uno, 2014) that reaches only minimal
+    sets, each once: it branches on the unhit member with the fewest
+    candidates, tries them in numeric order, drops each tried one from the
+    candidates of its later siblings, and prunes a partial set as soon as one
+    of its elements has no private member.  The empty family has the single
+    hitting set {} and a family containing the empty set has none.
 
-    Raises ResourceLimitError when more than ``limit`` candidates accumulate.
+    Raises ResourceLimitError when more than ``limit`` minimal sets are found.
     """
-    if isinstance(family, SetFamily):
-        members = family.members
-        universe = family.universe
-    else:
-        members = frozenset(frozenset(int(l) for l in m) for m in family)
-        universe = frozenset().union(*members) if members else frozenset()
-    ordered = sorted(members, key=lambda m: (len(m), tuple(sorted(m))))
-    if any(not m for m in ordered):
+    family = _as_family(family)
+    universe = family.universe
+    if frozenset() in family.members:
         return SetFamily([], universe)
-
+    # member i is bit i of a mask; hits[e] masks the members that contain e
+    members = list(family.members)
+    hits = {e: sum(1 << i for i, m in enumerate(members) if e in m) for e in universe}
     found: list[frozenset] = []
 
-    def descend(current: frozenset):
-        if any(f <= current for f in found):
+    def descend(private: dict, unhit: int, candidates: frozenset):
+        # private: each chosen element -> the members it alone hits (never 0)
+        if not unhit:
+            found.append(frozenset(private))
+            if len(found) > limit:
+                raise ResourceLimitError(
+                    f"hitting set enumeration exceeded the output limit of {limit}"
+                )
             return
-        for m in ordered:
-            if not current & m:
-                for e in sorted(m):
-                    descend(current | {e})
-                return
-        found.append(current)
-        if len(found) > limit:
-            raise ResourceLimitError(
-                f"hitting set enumeration exceeded the output limit of {limit}"
-            )
+        member = min(
+            (m for i, m in enumerate(members) if unhit >> i & 1),
+            key=lambda m: len(m & candidates),
+        )
+        branch = sorted(member & candidates)
+        for i, e in enumerate(branch):
+            kept = {f: p & ~hits[e] for f, p in private.items()}
+            if all(kept.values()):
+                kept[e] = unhit & hits[e]
+                descend(kept, unhit & ~hits[e], candidates.difference(branch[: i + 1]))
 
-    descend(frozenset())
-    minimal = [h for h in found if not any(o < h for o in found)]
-    return SetFamily(minimal, universe)
+    descend({}, (1 << len(members)) - 1, universe)
+    return SetFamily(found, universe)
 
 
 def _gate(phi: LcnfFormula, oracle: LcnfOracle | None):

@@ -286,7 +286,7 @@ class Solver:
         return best
 
     def _model(self, free: dict) -> dict:
-        return dict(sorted([*zip(self._names, self._value[::2]), *free.items()]))
+        return dict(zip(self._names, self._value[::2])) | free
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatOutcome:
         """Decide satisfiability of the clause set under unit assumptions."""
@@ -404,7 +404,7 @@ class LcnfOracle:
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
         self.formula = phi
         self._clauses = [(c, phi.labels_of(c)) for c in phi.clauses]
-        base = max((abs(l) for c, _ in self._clauses for l in c.literals), default=0)
+        base = max(phi.variables, default=0)
         # (label, selector variable), by label: the order of every query's assumptions
         self._selectors = [(l, base + 1 + i) for i, l in enumerate(sorted(phi.active_labels))]
         selector = dict(self._selectors)
@@ -426,9 +426,19 @@ class LcnfOracle:
         return self._solver.solve(self._assumptions(labels)).satisfiable
 
     def entails_clause(self, labels: Iterable[int], clause) -> bool:
-        """Whether the subformula induced by ``labels`` entails ``clause``."""
+        """Whether the subformula induced by ``labels`` entails ``clause``.
+
+        A literal on a variable the formula lacks can always be made false,
+        so it stays out of the solve, where its number could be a selector's.
+        """
+        lits = _clause_literals(clause)
+        variables = self.formula.variables
+        if not variables.issuperset(map(abs, lits)):
+            if any(-l in lits for l in lits):
+                return True  # a tautology
+            lits = [l for l in lits if abs(l) in variables]
         asms = self._assumptions(labels)
-        asms.extend(-l for l in _clause_literals(clause))
+        asms.extend(-l for l in lits)
         return not self._solver.solve(asms).satisfiable
 
     def is_equivalent_subformula(

@@ -1,8 +1,14 @@
 """Exhaustive subset classification and the seeded formula generator."""
+import concurrent.futures
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lcnf
 from lcnf import bruteforce
 from lcnf.bruteforce import (
     GenerationProfile,
@@ -91,10 +97,11 @@ def test_label_count_guard():
 
 
 def test_variable_count_guard():
-    clauses = [(i,) for i in range(1, 8)]
-    phi = LcnfFormula.from_clauses(clauses, [(1,)] * 7)
-    with pytest.raises(ResourceLimitError):
-        classify_all(phi, max_variables=6)
+    limit = bruteforce.MAX_VARIABLES
+    clauses = [(i,) for i in range(1, limit + 2)]
+    phi = LcnfFormula.from_clauses(clauses, [(1,)] * (limit + 1))
+    with pytest.raises(ResourceLimitError, match=f"{limit + 1} variables"):
+        classify_all(phi)
 
 
 def test_oracle_fallback_beyond_truth_table_width():
@@ -178,7 +185,7 @@ def test_jobs_is_validated_and_capped_by_ranges_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(bruteforce, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 3)
     one_label = LcnfFormula.from_clauses([(1,), (1, 2)], [(1,), ()])
     four_labels = LcnfFormula.from_clauses(
@@ -197,6 +204,21 @@ def test_jobs_is_validated_and_capped_by_ranges_and_cpus(monkeypatch):
     monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: None)
     assert classify_all(four_labels, jobs=8).statuses == serial.statuses
     assert created == [2, 3, 2]  # one cpu: no pool at all
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported where it starts, so `import lcnf` stays light
+    src = str(Path(lcnf.__file__).resolve().parent.parent)
+    ran = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lcnf; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout == "[]\n"
 
 
 def brute_families(phi):

@@ -248,14 +248,18 @@ def test_one_oracle_answers_a_mixed_query_sequence():
             kind = rng.randrange(3)
             if kind == 0:
                 assert ora.is_sat_induced(labels) == bool(models)
-            elif kind == 1 and phi.variables:
-                # on the formula's own variables: the selector variables are
-                # numbered right above them
-                vs = rng.sample(sorted(phi.variables), rng.randint(1, min(2, len(phi.variables))))
+            elif kind == 1:
+                # goal variables reach past the formula's, where the selector
+                # variables are numbered; a repeated variable may make a tautology
+                vs = rng.choices(range(1, n + 4), k=rng.randint(1, 3))
                 goal = tuple(v if rng.random() < 0.5 else -v for v in vs)
-                index = {v: i for i, v in enumerate(sorted(universe))}
-                expected = all(any(m[index[abs(l)]] == (l > 0) for l in goal) for m in models)
-                assert ora.entails_clause(labels, goal) == expected
+                wide = sorted(universe | set(vs))
+                index = {v: i for i, v in enumerate(wide)}
+                expected = all(
+                    any(m[index[abs(l)]] == (l > 0) for l in goal)
+                    for m in models_of(phi.induced(labels).cnf(), wide)
+                )
+                assert ora.entails_clause(labels, goal) == expected, (labels, goal)
             elif kind == 2:
                 within = labels | {l for l in active if rng.random() < 0.5}
                 wider = models_of(phi.induced(within).cnf(), universe)
