@@ -12,7 +12,8 @@ formula has at most 12 variables: each clause's satisfying assignments are
 packed into one big integer, so a subformula's model set is a bitwise AND
 and equivalence is integer equality.  This path shares nothing with the
 clause-learning oracle, which is the point: the two can check each other.
-Larger formulas fall back to the entailment oracle.
+Larger formulas go to one oracle in one monotone pass: most statuses
+follow from a one-label neighbour's, and each of the others costs one query.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -29,7 +30,7 @@ from .duality import SetFamily
 from .errors import ResourceLimitError
 from .oracle import LcnfOracle
 
-MODEL_ENUMERATION_LIMIT = 12  # variables; beyond this, equivalence uses the oracle
+MODEL_ENUMERATION_LIMIT = 12  # variables; beyond this, statuses come from the oracle
 MAX_VARIABLES = 24  # classify_all refuses formulas with more variables
 
 
@@ -155,6 +156,15 @@ class AnalysisReport:
         return {_subset(active, m): SubsetStatus(*st) for m, st in enumerate(self.statuses)}
 
 
+# AnalysisReport._extremal walks the neighbours inline: calling this once per
+# mask made the truth-table family build about a third slower
+def _has_neighbour(values: list, mask: int, flips: int, value: bool) -> bool:
+    """Whether ``values`` holds ``value`` at ``mask`` with one bit of ``flips`` flipped."""
+    while flips and values[mask ^ (flips & -flips)] != value:
+        flips &= flips - 1
+    return flips != 0
+
+
 def _subset(active, mask: int) -> frozenset:
     """The labels of ``active`` (sorted) selected by the bits of ``mask``."""
     return frozenset(l for i, l in enumerate(active) if mask >> i & 1)
@@ -198,27 +208,50 @@ def _classify_range(phi, active, lo, hi):
             bits |= 1 << positions[l]
         label_bits.append(bits)
 
+    universe = (1 << (1 << len(variables))) - 1
+    clause_masks = _clause_masks(phi, variables)
+    full = universe
+    for m in clause_masks:
+        full &= m
     out = []
-    if len(variables) <= MODEL_ENUMERATION_LIMIT:
-        universe = (1 << (1 << len(variables))) - 1
-        clause_masks = _clause_masks(phi, variables)
-        full = universe
-        for m in clause_masks:
-            full &= m
-        for mask in range(lo, hi):
-            models = universe
-            for bits, cm in zip(label_bits, clause_masks):
-                if bits & ~mask == 0:
-                    models &= cm
-            out.append((models != 0, models == full))
-    else:
-        oracle = LcnfOracle(phi)
-        for mask in range(lo, hi):
-            subset = _subset(active, mask)
-            out.append(
-                (oracle.is_sat_induced(subset), oracle.is_equivalent_subformula(subset))
-            )
+    for mask in range(lo, hi):
+        models = universe
+        for bits, cm in zip(label_bits, clause_masks):
+            if bits & ~mask == 0:
+                models &= cm
+        out.append((models != 0, models == full))
     return out
+
+
+def _classify_monotone(phi, active):
+    """(satisfiable, equivalent) of every subset, by one oracle.
+
+    Satisfiability is downward-closed: when the whole formula is satisfiable
+    every subset is, and otherwise, walking subsets before supersets, a
+    subset with an unsatisfiable one-label subset is unsatisfiable.
+    Equivalence is upward-closed: walking supersets before subsets, a subset
+    with a non-equivalent one-label superset is non-equivalent.  A subset S
+    its neighbours leave open gets one query; for one absent label l,
+    phi|S == phi holds iff phi|S+l == phi (known) and phi|S == phi|S+l,
+    which entails only the clauses that l removes.
+    """
+    oracle = LcnfOracle(phi)
+    full = (1 << len(active)) - 1
+    sat = [True] * (full + 1)
+    if not oracle.is_sat_induced(active):
+        for mask in range(full):
+            decided = _has_neighbour(sat, mask, mask, False)
+            sat[mask] = not decided and oracle.is_sat_induced(_subset(active, mask))
+        sat[full] = False
+    equivalent = [True] * (full + 1)
+    for mask in range(full - 1, -1, -1):
+        absent = full ^ mask
+        decided = _has_neighbour(equivalent, mask, absent, False)
+        within = mask | (absent & -absent)
+        equivalent[mask] = not decided and oracle.is_equivalent_subformula(
+            _subset(active, mask), within=_subset(active, within)
+        )
+    return list(zip(sat, equivalent))
 
 
 def classify_all(
@@ -231,9 +264,16 @@ def classify_all(
 
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
     guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
-    ResourceLimitError).  With ``jobs`` > 1 the subsets are split into ``jobs``
-    ranges, classified by at most min(jobs, ranges, CPU count) worker
-    processes; the result does not depend on ``jobs``, which must be at least 1.
+    ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables the
+    statuses come from truth tables; with ``jobs`` > 1 the subsets are split
+    into ``jobs`` ranges, classified by at most min(jobs, ranges, CPU count)
+    worker processes.  Larger formulas are classified by one oracle in one
+    process, whatever ``jobs`` is, because monotonicity reads most statuses
+    off a one-label neighbour's: a satisfiable formula costs one
+    satisfiability solve, and a subset is queried for equivalence only when
+    every one-label superset is equivalent, and then only on the clauses of
+    one absent label.  The result does not depend on ``jobs``, which must be
+    at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -247,6 +287,8 @@ def classify_all(
         raise ResourceLimitError(
             f"formula has {len(phi.variables)} variables, over the limit of {MAX_VARIABLES}"
         )
+    if len(phi.variables) > MODEL_ENUMERATION_LIMIT:
+        return AnalysisReport(phi, frozenset(active), _classify_monotone(phi, active))
 
     total = 1 << k
     step = -(-total // jobs)

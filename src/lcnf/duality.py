@@ -243,8 +243,10 @@ def verify_duality(phi: LcnfFormula, ground_truth: "AnalysisReport") -> DualityV
     Four checks: dualizing the minimal family yields the complement family;
     dualizing back recovers the minimal family; the union of the minimal
     family equals the active labels minus the intersection of the maximal
-    non-equivalent family; and the complement family is exactly the
-    complements of the maximal non-equivalent family.
+    non-equivalent family; and each member C of the complement family is
+    read against the per-subset statuses, which must say that the active
+    labels minus C are not equivalent while adding back any one label of C
+    makes them equivalent.
     """
     lmes = ground_truth.lmes
     reason = duality_obstacle(
@@ -261,5 +263,21 @@ def verify_duality(phi: LcnfFormula, ground_truth: "AnalysisReport") -> DualityV
     union = frozenset().union(*lmes.members) if lmes.members else frozenset()
     inter = reduce(frozenset.__and__, lmns.members) if lmns.members else active
     c = union == active - inter
-    d = colmns.members == frozenset(active - m for m in lmns.members)
+    d = _complements_consistent(ground_truth)
     return DualityVerdict(True, None, a, b, c, d, union, inter)
+
+
+def _complements_consistent(report: "AnalysisReport") -> bool:
+    """Whether every co-LMNS member complements a maximal non-equivalent set.
+
+    Read off ``report.statuses`` (one (satisfiable, equivalent) pair per
+    bitmask over the sorted active labels), not off the families.
+    """
+    bit = {l: 1 << i for i, l in enumerate(sorted(report.active_labels))}
+    full = (1 << len(bit)) - 1
+    equivalent = [st[1] for st in report.statuses]
+    for member in report.colmns.members:
+        mask = full ^ sum(bit[l] for l in member)
+        if equivalent[mask] or not all(equivalent[mask | bit[l]] for l in member):
+            return False
+    return True

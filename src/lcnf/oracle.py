@@ -403,17 +403,16 @@ class LcnfOracle:
 
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
         self.formula = phi
-        self._clauses = [(c, phi.labels_of(c)) for c in phi.clauses]
+        # (sorted literals, label set) per clause, in formula order
+        self._clauses = [(c.sorted_literals(), phi.labels_of(c)) for c in phi.clauses]
         base = max(phi.variables, default=0)
         # (label, selector variable), by label: the order of every query's assumptions
         self._selectors = [(l, base + 1 + i) for i, l in enumerate(sorted(phi.active_labels))]
         selector = dict(self._selectors)
         self._with_label: dict[int, list[int]] = {l: [] for l in selector}
         self._solver = Solver(conflict_budget=conflict_budget)
-        for i, (c, ls) in enumerate(self._clauses):
-            self._solver.add_clause(
-                [*c.sorted_literals(), *(-selector[l] for l in sorted(ls))]
-            )
+        for i, (lits, ls) in enumerate(self._clauses):
+            self._solver.add_clause([*lits, *(-selector[l] for l in sorted(ls))])
             for l in ls:
                 self._with_label[l].append(i)
 
@@ -437,9 +436,11 @@ class LcnfOracle:
             if any(-l in lits for l in lits):
                 return True  # a tautology
             lits = [l for l in lits if abs(l) in variables]
-        asms = self._assumptions(labels)
-        asms.extend(-l for l in lits)
-        return not self._solver.solve(asms).satisfiable
+        return self._entails(self._assumptions(labels), lits)
+
+    def _entails(self, asms: list[int], lits) -> bool:
+        """Whether the clause set under ``asms`` entails the literals' clause."""
+        return not self._solver.solve([*asms, *(-l for l in lits)]).satisfiable
 
     def is_equivalent_subformula(
         self, labels: Iterable[int], within: Iterable[int] | None = None
@@ -459,8 +460,11 @@ class LcnfOracle:
         if not sub <= sup:
             raise ValueError("labels must be contained in the comparison set")
         removed = sorted({i for l in sup - sub for i in self._with_label[l]})
+        asms = self._assumptions(sub)
+        # the formula's own clauses, sorted at build, need none of the
+        # checks entails_clause makes on a caller's clause
         for i in removed:
-            c, ls = self._clauses[i]
-            if ls <= sup and not self.entails_clause(sub, c):
+            lits, ls = self._clauses[i]
+            if ls <= sup and not self._entails(asms, lits):
                 return False
         return True

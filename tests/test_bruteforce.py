@@ -104,15 +104,52 @@ def test_variable_count_guard():
         classify_all(phi)
 
 
+def thirteen_variables(*extra):
+    """Units 1..13 under label 1, (1 v 2) under label 2, then ``extra``."""
+    clauses = [(i,) for i in range(1, 14)] + [(1, 2)] + [c for c, _ in extra]
+    labelling = [(1,)] * 13 + [(2,)] + [ls for _, ls in extra]
+    return LcnfFormula.from_clauses(clauses, labelling)
+
+
+def truth_table_statuses(phi):
+    active = tuple(sorted(phi.active_labels))
+    return bruteforce._classify_range(phi, active, 0, 1 << len(active))
+
+
 def test_oracle_fallback_beyond_truth_table_width():
     # 13 variables forces the solver-backed path; families must still be right
-    clauses = [(i,) for i in range(1, 14)] + [(1, 2)]
-    labelling = [(1,)] * 13 + [(2,)]
-    phi = LcnfFormula.from_clauses(clauses, labelling)
+    phi = thirteen_variables()
     report = classify_all(phi)
     # (1 v 2) is entailed by the units, so label 2 is redundant
     assert report.lmes == {frozenset({1})}
     assert report.satisfiable
+    assert report.statuses == truth_table_statuses(phi)
+
+    # -1 under label 3 clashes with label 1; -13 v 2 under label 4 needs 2
+    unsat = thirteen_variables(((-1,), (3,)), ((-13, 2), (4,)))
+    report = classify_all(unsat)
+    assert not report.satisfiable
+    assert report.lmus == {frozenset({1, 3})}
+    assert report.lmes == report.lmus
+    assert report.lmss == {frozenset({1, 2, 4}), frozenset({2, 3, 4})}
+    assert report.statuses == truth_table_statuses(unsat)
+
+
+def test_oracle_path_matches_truth_tables(monkeypatch):
+    # a zero limit sends these small formulas down the oracle path; many are
+    # unsatisfiable, so its increasing-order satisfiability pass runs too
+    monkeypatch.setattr(bruteforce, "MODEL_ENUMERATION_LIMIT", 0)
+    free = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
+    group = GenerationProfile(variables=5, clauses=14, labels=6, labelling="group")
+    unsatisfiable = 0
+    for profile in (GenerationProfile(), free, group):
+        for seed in range(300):
+            phi = random_lcnf(seed, profile)
+            report = classify_all(phi)
+            where = f"{profile.labelling}, {profile.labels} labels, seed {seed}"
+            assert report.statuses == truth_table_statuses(phi), where
+            unsatisfiable += not report.satisfiable
+    assert unsatisfiable >= 400
 
 
 def test_random_lcnf_is_deterministic_per_seed():
@@ -199,6 +236,13 @@ def test_jobs_is_validated_and_capped_by_ranges_and_cpus(monkeypatch):
     classify_all(one_label, jobs=64)  # 2 subsets, so 2 ranges
     assert classify_all(four_labels, jobs=64).statuses == serial.statuses
     assert classify_all(four_labels, jobs=2).statuses == serial.statuses
+    assert created == [2, 3, 2]
+
+    # beyond the truth tables the subsets depend on each other: one process
+    phi13 = thirteen_variables(((-1,), (3,)))
+    with pytest.raises(ValueError):
+        classify_all(phi13, jobs=0)
+    assert classify_all(phi13, jobs=2).statuses == classify_all(phi13).statuses
     assert created == [2, 3, 2]
 
     monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: None)

@@ -186,3 +186,19 @@ def test_verify_duality_random_corpus():
             assert verdict.passed, f"seed {seed}"
             passed += 1
     assert passed >= 60
+
+
+def test_complements_consistent_reads_the_statuses(worked_example):
+    report = classify_all(worked_example)
+    lmes, lmns, colmns = report.lmes, report.lmns, report.colmns  # cached from here on
+    assert verify_duality(worked_example, report).complements_consistent
+    active = sorted(report.active_labels)
+    member = next(iter(colmns))
+    mask = sum(1 << i for i, l in enumerate(active) if l not in member)
+    report.statuses[mask] = (report.statuses[mask][0], True)
+    verdict = verify_duality(worked_example, report)
+    assert verdict.applicable
+    assert not verdict.complements_consistent
+    assert not verdict.passed
+    # the families read before the corruption still agree with each other
+    assert colmns == lmns.complements() and report.lmes is lmes
