@@ -10,9 +10,11 @@ maximality are decided against the one-label neighbours of each subset
 alone.  Equivalence is decided by comparing full model sets whenever the
 formula has at most 12 variables: each clause's satisfying assignments are
 packed into one big integer, so a subformula's model set is a bitwise AND
-and equivalence is integer equality.  This path shares nothing with the
-clause-learning oracle, which is the point: the two can check each other.
-Larger formulas go to one oracle in one monotone pass: most statuses
+and equivalence is integer equality.  One subset-AND zeta transform, run
+over bounded chunks of subsets in one process, yields every subset's model
+set from those of its one-label-smaller subsets.  This path shares nothing
+with the clause-learning oracle, which is the point: the two can check each
+other.  Larger formulas go to one oracle in one monotone pass: most statuses
 follow from a one-label neighbour's, and each of the others costs one query.
 
 The module also hosts the seeded random-formula generator used to build test
@@ -20,7 +22,6 @@ corpora.
 """
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +32,7 @@ from .errors import ResourceLimitError
 from .oracle import LcnfOracle
 
 MODEL_ENUMERATION_LIMIT = 12  # variables; beyond this, statuses come from the oracle
+TRUTH_TABLE_CHUNK = 1 << 10  # masks per zeta pass, rounded down to a power of two
 MAX_VARIABLES = 24  # classify_all refuses formulas with more variables
 
 
@@ -68,6 +70,10 @@ class GenerationProfile:
             raise ValueError("profile allows 1 to 6 labels")
         if not (0 <= self.clause_labels <= 3):
             raise ValueError("profile allows 0 to 3 labels per clause")
+        if self.clause_width < 1:
+            raise ValueError("profile needs a clause width of at least 1")
+        if not (0 <= self.unlabelled_probability <= 1):
+            raise ValueError("unlabelled probability lies in [0, 1]")
         if self.labelling not in ("free", "group"):
             raise ValueError("labelling is 'free' or 'group'")
 
@@ -197,29 +203,41 @@ def _clause_masks(phi: LcnfFormula, variables: tuple) -> list[int]:
     return out
 
 
-def _classify_range(phi, active, lo, hi):
-    """(satisfiable, equivalent) of subsets lo..hi-1 (bitmasks over sorted labels)."""
+def _classify_truth_tables(phi, active):
+    """(satisfiable, equivalent) of every subset, by one subset-AND zeta pass.
+
+    The subsets are walked in aligned chunks of ``TRUTH_TABLE_CHUNK`` masks.
+    In the chunk whose high label bits are H, each clause whose high label
+    bits lie inside H is ANDed into the slot of its low label bits; one zeta
+    sweep over the low bits then leaves slot L holding the model set of the
+    subset H + L.
+    """
     variables = tuple(sorted(phi.variables))
-    label_bits = []
     positions = {l: i for i, l in enumerate(active)}
-    for c in phi.clauses:
+    universe = (1 << (1 << len(variables))) - 1
+    clauses = []
+    full = universe
+    for c, models in zip(phi.clauses, _clause_masks(phi, variables)):
         bits = 0
         for l in phi.labels_of(c):
             bits |= 1 << positions[l]
-        label_bits.append(bits)
-
-    universe = (1 << (1 << len(variables))) - 1
-    clause_masks = _clause_masks(phi, variables)
-    full = universe
-    for m in clause_masks:
-        full &= m
+        clauses.append((bits, models))
+        full &= models
+    size = 1 << min(len(active), TRUTH_TABLE_CHUNK.bit_length() - 1)
+    low = size - 1
     out = []
-    for mask in range(lo, hi):
-        models = universe
-        for bits, cm in zip(label_bits, clause_masks):
-            if bits & ~mask == 0:
-                models &= cm
-        out.append((models != 0, models == full))
+    for high in range(0, 1 << len(active), size):
+        table = [universe] * size
+        for bits, models in clauses:
+            if bits & ~(high | low) == 0:
+                table[bits & low] &= models
+        step = 1
+        while step < size:
+            for base in range(step, size, step << 1):
+                for slot in range(base, base + step):
+                    table[slot] &= table[slot ^ step]
+            step <<= 1
+        out.extend((models != 0, models == full) for models in table)
     return out
 
 
@@ -254,29 +272,21 @@ def _classify_monotone(phi, active):
     return list(zip(sat, equivalent))
 
 
-def classify_all(
-    phi: LcnfFormula,
-    max_labels: int = 16,
-    *,
-    jobs: int = 1,
-) -> AnalysisReport:
+def classify_all(phi: LcnfFormula, max_labels: int = 16) -> AnalysisReport:
     """Classify every label subset; the report builds families on first read.
 
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
     guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
     ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables the
-    statuses come from truth tables; with ``jobs`` > 1 the subsets are split
-    into ``jobs`` ranges, classified by at most min(jobs, ranges, CPU count)
-    worker processes.  Larger formulas are classified by one oracle in one
-    process, whatever ``jobs`` is, because monotonicity reads most statuses
-    off a one-label neighbour's: a satisfiable formula costs one
-    satisfiability solve, and a subset is queried for equivalence only when
-    every one-label superset is equivalent, and then only on the clauses of
-    one absent label.  The result does not depend on ``jobs``, which must be
-    at least 1.
+    statuses come from truth tables by a subset-AND zeta transform, run over
+    chunks of at most ``TRUTH_TABLE_CHUNK`` subsets so that memory stays
+    bounded.  Larger formulas are classified by one oracle, because
+    monotonicity reads most statuses off a one-label neighbour's: a
+    satisfiable formula costs one satisfiability solve, and a subset is
+    queried for equivalence only when every one-label superset is
+    equivalent, and then only on the clauses of one absent label.  Both
+    paths run in one process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     active = tuple(sorted(phi.active_labels))
     k = len(active)
     if k > max_labels:
@@ -288,23 +298,7 @@ def classify_all(
             f"formula has {len(phi.variables)} variables, over the limit of {MAX_VARIABLES}"
         )
     if len(phi.variables) > MODEL_ENUMERATION_LIMIT:
-        return AnalysisReport(phi, frozenset(active), _classify_monotone(phi, active))
-
-    total = 1 << k
-    step = -(-total // jobs)
-    ranges = [(phi, active, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    workers = min(jobs, len(ranges), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: multiprocessing is a third of the time `import lcnf` takes
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_classify_chunk, ranges))
+        classify = _classify_monotone
     else:
-        chunks = map(_classify_chunk, ranges)
-    statuses = [st for chunk in chunks for st in chunk]
-    return AnalysisReport(phi, frozenset(active), statuses)
-
-
-def _classify_chunk(args):
-    return _classify_range(*args)
+        classify = _classify_truth_tables
+    return AnalysisReport(phi, frozenset(active), classify(phi, active))

@@ -122,8 +122,11 @@ def enumerate_minimal_hitting_sets(
     of its elements has no private member.  The empty family has the single
     hitting set {} and a family containing the empty set has none.
 
-    Raises ResourceLimitError when more than ``limit`` minimal sets are found.
+    Raises ResourceLimitError when more than ``limit`` minimal sets are found,
+    and ValueError when ``limit`` is negative.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     family = _as_family(family)
     universe = family.universe
     if frozenset() in family.members:

@@ -20,7 +20,7 @@ verified property failed, 2 input error, 3 the request is not applicable to
 this formula, 4 a resource budget was exceeded.  Results go to stdout, one
 label set per line as sorted space-separated integers; diagnostics go to
 stderr.  Output is deterministic for a given input, options and package
-version, including under ``--jobs``.
+version; ``--jobs`` is accepted for old scripts and changes nothing.
 """
 from __future__ import annotations
 
@@ -414,7 +414,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_enum(args) -> int:
     phi = _load_formula(args)
-    report = classify_all(phi, max_labels=args.max_labels, jobs=args.jobs)
+    report = classify_all(phi, max_labels=args.max_labels)
     # a family with no member is refused with the reason the witness has none
     if args.family == "lmus" and report.satisfiable:
         raise PreconditionError(REASON_SATISFIABLE)
@@ -430,7 +430,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_verify_duality(args) -> int:
     phi = _load_formula(args)
-    report = classify_all(phi, max_labels=args.max_labels, jobs=args.jobs)
+    report = classify_all(phi, max_labels=args.max_labels)
     verdict = verify_duality(phi, report)
     if not verdict.applicable:
         raise PreconditionError(f"duality is not applicable: {verdict.reason}")
@@ -493,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"solver conflict budget per query (default ${CONFLICT_BUDGET_ENV})")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--jobs", type=functools.partial(_int_at_least, 1), default=1,
-                        help="worker processes for exhaustive analysis (at least 1; "
-                        "capped at the CPU count and the chunk count)")
+                        help="accepted for compatibility and ignored: analysis runs in "
+                        "one process (at least 1)")
     common.add_argument("file", help="input formula file")
 
     parser = argparse.ArgumentParser(

@@ -1,5 +1,4 @@
 """Exhaustive subset classification and the seeded formula generator."""
-import concurrent.futures
 import itertools
 import os
 import subprocess
@@ -113,7 +112,7 @@ def thirteen_variables(*extra):
 
 def truth_table_statuses(phi):
     active = tuple(sorted(phi.active_labels))
-    return bruteforce._classify_range(phi, active, 0, 1 << len(active))
+    return bruteforce._classify_truth_tables(phi, active)
 
 
 def test_oracle_fallback_beyond_truth_table_width():
@@ -190,68 +189,18 @@ def test_generation_profile_validates():
         GenerationProfile(labels=7)
     with pytest.raises(ValueError):
         GenerationProfile(labelling="stripes")
-
-
-def test_parallel_classification_matches_serial():
-    for seed in (3, 17, 28):
-        phi = random_lcnf(seed)
-        serial = classify_all(phi, jobs=1)
-        parallel = classify_all(phi, jobs=2)
-        assert serial.lmes == parallel.lmes
-        assert serial.lmus == parallel.lmus
-        assert serial.lmns == parallel.lmns
-        assert serial.lmss == parallel.lmss
-        assert serial.classification == parallel.classification
-
-
-def test_jobs_is_validated_and_capped_by_ranges_and_cpus(monkeypatch):
-    created = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: 3)
-    one_label = LcnfFormula.from_clauses([(1,), (1, 2)], [(1,), ()])
-    four_labels = LcnfFormula.from_clauses(
-        [(1,), (1, 2), (-1, 3), (2, -3), (3,)], [(1,), (2,), (3,), (4,), (1, 4)]
-    )
-    serial = classify_all(four_labels)
-    for jobs in (0, -2):
+    for width in (0, -2):
         with pytest.raises(ValueError):
-            classify_all(one_label, jobs=jobs)
-
-    classify_all(one_label, jobs=64)  # 2 subsets, so 2 ranges
-    assert classify_all(four_labels, jobs=64).statuses == serial.statuses
-    assert classify_all(four_labels, jobs=2).statuses == serial.statuses
-    assert created == [2, 3, 2]
-
-    # beyond the truth tables the subsets depend on each other: one process
-    phi13 = thirteen_variables(((-1,), (3,)))
-    with pytest.raises(ValueError):
-        classify_all(phi13, jobs=0)
-    assert classify_all(phi13, jobs=2).statuses == classify_all(phi13).statuses
-    assert created == [2, 3, 2]
-
-    monkeypatch.setattr(bruteforce.os, "cpu_count", lambda: None)
-    assert classify_all(four_labels, jobs=8).statuses == serial.statuses
-    assert created == [2, 3, 2]  # one cpu: no pool at all
+            GenerationProfile(clause_width=width)
+    for probability in (2.0, -1, -0.01, 1.01):
+        with pytest.raises(ValueError):
+            GenerationProfile(unlabelled_probability=probability)
+    GenerationProfile(clause_width=1, unlabelled_probability=0)
+    GenerationProfile(unlabelled_probability=1)
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    # the process pool is imported where it starts, so `import lcnf` stays light
+    # classification runs in one process, so `import lcnf` stays light
     src = str(Path(lcnf.__file__).resolve().parent.parent)
     ran = subprocess.run(
         [sys.executable, "-c",
@@ -296,19 +245,21 @@ def brute_families(phi):
     return lmes, lmus, lmns, lmss
 
 
-def test_classification_matches_independent_model_enumeration():
+def test_classification_matches_independent_model_enumeration(monkeypatch):
+    # chunks of 1 and 4 subsets split the zeta pass over the high label bits;
+    # the default chunk holds every subset of these formulas
     small = GenerationProfile(variables=4, clauses=8, labels=4, clause_labels=2)
     six_labels = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
+    default = bruteforce.TRUTH_TABLE_CHUNK
     for profile in (small, six_labels):
         for seed in range(40):
             phi = random_lcnf(seed, profile)
-            report = classify_all(phi)
-            lmes, lmus, lmns, lmss = brute_families(phi)
-            where = f"{profile.labels} labels, seed {seed}"
-            assert report.lmes == lmes, where
-            assert report.lmus == lmus, where
-            assert report.lmns == lmns, where
-            assert report.lmss == lmss, where
+            expected = brute_families(phi)
+            for chunk in (1, 4, default):
+                monkeypatch.setattr(bruteforce, "TRUTH_TABLE_CHUNK", chunk)
+                report = classify_all(phi)
+                where = f"{profile.labels} labels, seed {seed}, chunk {chunk}"
+                assert (report.lmes, report.lmus, report.lmns, report.lmss) == expected, where
 
 
 def test_irredundant_labels_lie_in_every_minimal_equivalent_subset():

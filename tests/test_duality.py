@@ -95,6 +95,10 @@ def test_minimal_hitting_sets_limit():
     fam = enumerate_minimal_hitting_sets([{1, 2}, {3, 4}], limit=4)
     assert fam == {frozenset({1, 3}), frozenset({1, 4}),
                    frozenset({2, 3}), frozenset({2, 4})}
+    # a negative limit is refused before any search, even with nothing to find
+    for family in ([{1, 2}, {3, 4}], [], [set()]):
+        with pytest.raises(ValueError):
+            enumerate_minimal_hitting_sets(family, limit=-1)
 
 
 def random_family(rng):
