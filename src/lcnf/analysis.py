@@ -19,6 +19,15 @@ is upward-closed over label sets and satisfiability is downward-closed, so a
 label kept while shrinking (or rejected while growing) stays so as the
 current set keeps shrinking (or growing).  Both are deterministic given the
 formula and the label order.
+
+The LMUS, LMSS and LMNS sweeps also skip every step that the latest solve
+already decides, so they return exactly what a sweep solving every step
+returns.  A deletion step for a label outside the latest UNSAT core (the
+oracle's ``core``) drops the label unsolved: the smaller set still contains
+that core.  A grow step adds a label unsolved when the latest model
+satisfies its clauses inside the grown set: the grown subformula is then
+satisfiable, or, for LMNS, still misses the removed clause that the model
+falsifies.
 """
 from __future__ import annotations
 
@@ -108,10 +117,16 @@ def compute_lmus(
     ora = oracle if oracle is not None else LcnfOracle(phi)
     if ora.is_sat_induced(phi.active_labels):
         raise PreconditionError(REASON_SATISFIABLE)
+    core = ora.core()
     current = set(phi.active_labels)
     for l in _normalize_order(phi, order):
-        if not ora.is_sat_induced(current - {l}):
-            current.discard(l)
+        # core <= current holds throughout: a core label leaves only on an
+        # UNSAT answer, which brings a new core inside the smaller set
+        if l in core:
+            if ora.is_sat_induced(current - {l}):
+                continue
+            core = ora.core()
+        current.discard(l)
     return frozenset(current)
 
 
@@ -133,15 +148,9 @@ def compute_lmss(
     seed = frozenset(_active(phi, l) for l in seed)
     if not ora.is_sat_induced(frozenset()):
         raise PreconditionError(REASON_UNSAT_UNLABELLED)
-    if not ora.is_sat_induced(seed):
+    if seed and not ora.is_sat_induced(seed):
         raise PreconditionError("seed labels induce an unsatisfiable subformula")
-    current = set(seed)
-    for l in _normalize_order(phi, order):
-        if l in current:
-            continue
-        if ora.is_sat_induced(current | {l}):
-            current.add(l)
-    return frozenset(current)
+    return _grow(ora, seed, _normalize_order(phi, order), ora.is_sat_induced)
 
 
 def compute_lmns(
@@ -167,12 +176,34 @@ def compute_lmns(
         if seed and not ora.is_equivalent_subformula(frozenset()):
             raise PreconditionError("seed labels induce an equivalent subformula")
         raise PreconditionError(REASON_ALL_REDUNDANT)
+    return _grow(
+        ora, seed, _normalize_order(phi, order),
+        lambda labels: not ora.is_equivalent_subformula(labels),
+    )
+
+
+def _grow(ora: LcnfOracle, seed: frozenset, order: list[int], holds) -> frozenset:
+    """The grow pass from ``seed``: add each label of ``order`` that keeps
+    the subformula satisfiable or non-equivalent, as ``holds`` says.
+
+    The latest query, on ``seed``, held, and its model satisfies the current
+    subformula (falsifying a formula clause when non-equivalence is grown).
+    A label whose clauses inside the grown set the model satisfies as well
+    is added with no query: the model shows the grown subformula is
+    satisfiable, or misses that clause.  Only a query that holds brings a
+    new model.
+    """
+    model = ora.model()
     current = set(seed)
-    for l in _normalize_order(phi, order):
+    for l in order:
         if l in current:
             continue
-        if not ora.is_equivalent_subformula(current | {l}):
+        grown = current | {l}
+        if ora.satisfies(model, l, grown):
             current.add(l)
+        elif holds(grown):
+            current.add(l)
+            model = ora.model()
     return frozenset(current)
 
 

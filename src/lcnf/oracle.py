@@ -8,7 +8,9 @@ forced top-level decisions, one level each.  The trail is kept between
 ``solve`` calls: level-0 facts stay assigned, and a call replays its
 assumptions only from the first one that differs from the previous call's.
 One solver instance thus answers many queries about the same clause set
-without rebuilding anything.
+without rebuilding anything.  After an UNSAT answer ``analyze_final``
+(MiniSat's ``analyzeFinal``) names the assumptions it rests on; it walks the
+trail only when asked, so an answer nobody asks about costs nothing.
 
 ``LcnfOracle`` wraps a labelled formula in the standard selector encoding:
 every active label l gets a fresh selector variable s_l and every clause c
@@ -16,7 +18,12 @@ becomes  c OR (negated selectors of c's labels).  Fixing the selectors by
 assumptions, in label order, then activates exactly the clauses of an
 induced subformula, so satisfiability, entailment and equivalence queries
 about any label subset are single ``solve`` calls against one shared solver.
-Each clause's label set is read once, when the oracle is built.
+Each clause's label set is read once, when the oracle is built.  Selectors
+are assumption-only variables: every query assumes each of them, so
+branching never scans them.  Each query leaves its evidence behind: an
+unsatisfiable core of labels after an unsatisfiable answer, and a model
+after a satisfiable or a non-equivalent one.  An equivalence query checks
+the removed clauses latest first.
 """
 from __future__ import annotations
 
@@ -96,6 +103,11 @@ class Solver:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._asms: list[int] = []  # assumption codes of the open assumption levels
+        self._branch: list[int] = []  # dense variables the decision scan visits, ascending
+        # what the latest UNSAT answer rests on: None if there is none to explain,
+        # the falsified assumption's code until analyze_final walks it, then
+        # the failed assumption literals
+        self._failed: int | list[int] | None = None
         for c in clauses:
             self.add_clause(c)
 
@@ -110,13 +122,25 @@ class Solver:
         self._phase.append(1)
         self._value += (None, None)
         self._watches += ([], [])
+        self._branch.append(i)
         return i
+
+    def set_assumption_only(self, variables: Iterable[int]):
+        """Leave ``variables`` out of the decision scan (MiniSat's ``setDecisionVar``).
+
+        For variables that every ``solve`` assigns by assumption, such as an
+        oracle's selectors; the scan then visits only the other variables.
+        A variable the clauses lack is ignored.
+        """
+        drop = {self._index.get(int(v)) for v in variables}
+        self._branch = [i for i in self._branch if i not in drop]
 
     def add_clause(self, literals: Iterable[int]):
         """Add a clause; duplicate literals collapse, tautologies are dropped."""
         lits = [int(l) for l in literals]
         if 0 in lits:
             raise ValueError("literal 0 is not allowed in a clause")
+        self._failed = None
         self._cancel_until(0)
         index = self._index
         value = self._value  # extended in place by _new_var
@@ -275,25 +299,77 @@ class Solver:
     # -- main search --------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        """The unassigned variable of highest activity, first-seen on ties; -1 if none."""
+        """The unassigned variable of highest activity, first-seen on ties; -1 if none.
+
+        Assumption-only variables are left out of the scan; one the call did
+        not assume is picked only once every other variable is assigned.
+        """
         value = self._value
+        activity = self._activity
         best = -1
         best_act = -1.0
-        for v, act in enumerate(self._activity):
+        for v in self._branch:
+            act = activity[v]
             if act > best_act and value[2 * v] is None:
                 best = v
                 best_act = act
+        if best < 0 and None in value:
+            best = value.index(None) >> 1
         return best
+
+    def analyze_final(self) -> list[int]:
+        """The assumptions the latest UNSAT answer rests on (MiniSat's ``analyzeFinal``).
+
+        A subset of that call's assumptions under which the clauses alone are
+        unsatisfiable; empty when they are unsatisfiable without any.  It is
+        computed on the first request, from the trail the answer left, so an
+        answer nobody asks about costs nothing.  RuntimeError unless the
+        latest ``solve`` answered UNSAT and no clause was added since.
+        """
+        failed = self._failed
+        if failed is None:
+            raise RuntimeError("no UNSAT answer to explain since the latest solve or clause")
+        if isinstance(failed, int):
+            failed = self._failed = self._failed_from(failed)
+        return list(failed)
+
+    def _failed_from(self, asm: int) -> list[int]:
+        """Failed assumptions when assumption code ``asm`` was found false.
+
+        Walks the trail down from its top to the first assumption level,
+        following the reasons of everything that led to ``asm``'s negation;
+        the assumptions met on the way (reasonless literals above level 0)
+        are the ones it rests on.
+        """
+        level = self._level
+        reason = self._reason
+        clauses = self._clauses
+        names = self._names
+        seen = {asm >> 1}
+        failed = [asm]
+        start = self._trail_lim[0] if self._trail_lim else len(self._trail)
+        for p in reversed(self._trail[start:]):
+            v = p >> 1
+            if v not in seen:
+                continue
+            r = reason[v]
+            if r is None:
+                failed.append(p)
+            else:
+                seen.update(q >> 1 for q in clauses[r] if level[q >> 1])
+        return [-names[c >> 1] if c & 1 else names[c >> 1] for c in failed]
 
     def _model(self, free: dict) -> dict:
         return dict(zip(self._names, self._value[::2])) | free
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatOutcome:
         """Decide satisfiability of the clause set under unit assumptions."""
+        self._failed = None
         asms = list(map(int, assumptions))
         if 0 in asms:
             raise ValueError("assumption literals must be nonzero")
         if not self._ok:
+            self._failed = []
             return SatOutcome(False)
         # an assumption on a variable outside the clauses only meets other
         # assumptions on it; it goes straight into the model
@@ -305,6 +381,7 @@ class Solver:
             if i is not None:
                 codes.append(2 * i + (a < 0))
             elif free.setdefault(abs(a), a > 0) != (a > 0):
+                self._failed = [-a, a]
                 return SatOutcome(False)
         shared = 0
         limit = min(len(self._trail_lim), len(self._asms), len(codes))
@@ -322,6 +399,7 @@ class Solver:
             if confl is not None:
                 if not self._trail_lim:
                     self._ok = False
+                    self._failed = []
                     return SatOutcome(False)
                 conflicts += 1
                 since_restart += 1
@@ -345,6 +423,7 @@ class Solver:
                 a = codes[level]
                 v = self._value[a]
                 if v is False:
+                    self._failed = a
                     return SatOutcome(False)
                 self._trail_lim.append(len(self._trail))
                 if v is None:
@@ -409,20 +488,66 @@ class LcnfOracle:
         # (label, selector variable), by label: the order of every query's assumptions
         self._selectors = [(l, base + 1 + i) for i, l in enumerate(sorted(phi.active_labels))]
         selector = dict(self._selectors)
+        self._label_of = {sel: l for l, sel in self._selectors}
         self._with_label: dict[int, list[int]] = {l: [] for l in selector}
         self._solver = Solver(conflict_budget=conflict_budget)
         for i, (lits, ls) in enumerate(self._clauses):
             self._solver.add_clause([*lits, *(-selector[l] for l in sorted(ls))])
             for l in ls:
                 self._with_label[l].append(i)
+        self._solver.set_assumption_only(self._label_of)
+        # (kind, value) of what the latest query proved; see _latest
+        self._evidence: tuple | None = None
 
     def _assumptions(self, labels: Iterable[int]) -> list[int]:
         want = frozenset(map(int, labels))
         return [sel if l in want else -sel for l, sel in self._selectors]
 
     def is_sat_induced(self, labels: Iterable[int]) -> bool:
-        """Satisfiability of the subformula induced by ``labels``."""
-        return self._solver.solve(self._assumptions(labels)).satisfiable
+        """Satisfiability of the subformula induced by ``labels``.
+
+        Afterwards ``model`` or ``core`` holds the evidence for the answer.
+        """
+        self._evidence = None
+        outcome = self._solver.solve(self._assumptions(labels))
+        self._evidence = ("model", outcome.model) if outcome.satisfiable else ("core", None)
+        return outcome.satisfiable
+
+    def _latest(self, kind: str):
+        if self._evidence is None or self._evidence[0] != kind:
+            raise RuntimeError(f"the latest query left no {kind}")
+        return self._evidence[1]
+
+    def model(self) -> dict:
+        """A model of the clauses the latest query kept.
+
+        After ``is_sat_induced`` answered True it satisfies the induced
+        subformula.  After ``is_equivalent_subformula`` answered False it
+        satisfies the subformula induced by ``labels`` and falsifies one of
+        the removed clauses.
+        """
+        return self._latest("model")
+
+    def core(self) -> frozenset:
+        """Labels that induce an unsatisfiable subformula on their own.
+
+        They are the positive selectors among the failed assumptions
+        (``Solver.analyze_final``) of the latest query, an ``is_sat_induced``
+        answering False, so they lie inside the labels it was asked about.
+        """
+        self._latest("core")
+        label_of = self._label_of
+        return frozenset(label_of[a] for a in self._solver.analyze_final() if a in label_of)
+
+    def satisfies(self, model: dict, label: int, within: set | frozenset) -> bool:
+        """Whether ``model`` satisfies every clause of ``label`` whose label
+        set lies inside ``within``."""
+        clauses = self._clauses
+        for i in self._with_label[label]:
+            lits, ls = clauses[i]
+            if ls <= within and not any(model.get(abs(x)) == (x > 0) for x in lits):
+                return False
+        return True
 
     def entails_clause(self, labels: Iterable[int], clause) -> bool:
         """Whether the subformula induced by ``labels`` entails ``clause``.
@@ -436,11 +561,9 @@ class LcnfOracle:
             if any(-l in lits for l in lits):
                 return True  # a tautology
             lits = [l for l in lits if abs(l) in variables]
-        return self._entails(self._assumptions(labels), lits)
-
-    def _entails(self, asms: list[int], lits) -> bool:
-        """Whether the clause set under ``asms`` entails the literals' clause."""
-        return not self._solver.solve([*asms, *(-l for l in lits)]).satisfiable
+        self._evidence = None
+        asms = [*self._assumptions(labels), *(-l for l in lits)]
+        return not self._solver.solve(asms).satisfiable
 
     def is_equivalent_subformula(
         self, labels: Iterable[int], within: Iterable[int] | None = None
@@ -449,22 +572,28 @@ class LcnfOracle:
 
         Compares against the whole formula by default, or against the
         subformula induced by ``within`` (which must contain ``labels``).
-        Checked clause by clause, in formula order: every removed clause, one
-        with a label in the comparison set but not in ``labels``, must be
-        entailed by the kept ones; the first non-entailed clause
-        short-circuits.
+        Checked clause by clause, latest first (reverse formula order): every
+        removed clause, one with a label in the comparison set but not in
+        ``labels``, must be entailed by the kept ones; the first non-entailed
+        clause short-circuits, and ``model`` then holds a model of the kept
+        clauses that falsifies it.  The order changes which clause that is,
+        never the answer.
         """
         active = self.formula.active_labels
         sup = active if within is None else frozenset(map(int, within)) & active
         sub = frozenset(map(int, labels)) & active
         if not sub <= sup:
             raise ValueError("labels must be contained in the comparison set")
-        removed = sorted({i for l in sup - sub for i in self._with_label[l]})
+        self._evidence = None
+        removed = sorted({i for l in sup - sub for i in self._with_label[l]}, reverse=True)
         asms = self._assumptions(sub)
         # the formula's own clauses, sorted at build, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
             lits, ls = self._clauses[i]
-            if ls <= sup and not self._entails(asms, lits):
-                return False
+            if ls <= sup:
+                outcome = self._solver.solve([*asms, *(-l for l in lits)])
+                if outcome.satisfiable:
+                    self._evidence = ("model", outcome.model)
+                    return False
         return True

@@ -11,8 +11,8 @@ from lcnf.analysis import (
     is_label_redundant,
     duality_preconditions,
 )
-from lcnf.bruteforce import classify_all, random_lcnf
-from lcnf.core import LcnfFormula
+from lcnf.bruteforce import GenerationProfile, classify_all, random_lcnf
+from lcnf.core import LcnfFormula, label
 from lcnf.errors import PreconditionError
 from lcnf.oracle import LcnfOracle
 
@@ -178,3 +178,82 @@ def test_compute_results_land_in_bruteforce_families():
             assert compute_lmns(phi, (), order) in report.lmns.members
         checked += 1
     assert checked == 60
+
+
+# Plain sweeps: one solve per step, nothing carried from one solve to the
+# next.  None stands for a failed precondition.
+def _plain_lmus(phi, order, ora):
+    if ora.is_sat_induced(phi.active_labels):
+        return None
+    current = set(phi.active_labels)
+    for l in order:
+        if not ora.is_sat_induced(current - {l}):
+            current.discard(l)
+    return frozenset(current)
+
+
+def _plain_lmss(phi, seed, order, ora):
+    if not ora.is_sat_induced(seed):
+        return None
+    current = set(seed)
+    for l in order:
+        if l not in current and ora.is_sat_induced(current | {l}):
+            current.add(l)
+    return frozenset(current)
+
+
+def _plain_lmns(phi, seed, order, ora):
+    if ora.is_equivalent_subformula(seed):
+        return None
+    current = set(seed)
+    for l in order:
+        if l not in current and not ora.is_equivalent_subformula(current | {l}):
+            current.add(l)
+    return frozenset(current)
+
+
+def _or_none(compute, *args, **kwargs):
+    try:
+        return compute(*args, **kwargs)
+    except PreconditionError:
+        return None
+
+
+_SWEEP_PROFILES = {
+    "free": GenerationProfile(variables=6, clauses=18, labels=6, clause_labels=3),
+    "group": GenerationProfile(variables=6, clauses=18, labels=6, labelling="group"),
+    "clause": GenerationProfile(variables=6, clauses=14, labels=1),
+    "variable": GenerationProfile(variables=6, clauses=18, labels=1),
+}
+
+
+def test_sweeps_that_reuse_evidence_match_plain_sweeps():
+    # cores, models and non-equivalence witnesses only skip solves whose
+    # answer they imply, so every witness equals the plain sweep's, for
+    # every profile, order and seed; one oracle answers every function
+    # under test, so evidence left by one cannot leak into the next
+    rng = random.Random(808)
+    counts = {"lmus": 0, "lmss": 0, "lmns": 0}
+    for i in range(600):
+        scheme = list(_SWEEP_PROFILES)[i % 4]
+        phi = random_lcnf(i, _SWEEP_PROFILES[scheme])
+        if scheme in ("clause", "variable"):
+            phi = label(phi.cnf(), scheme)
+        active = sorted(phi.active_labels)
+        order = rng.sample(active, rng.randint(0, len(active)))
+        full = order + [l for l in active if l not in order]
+        seed = frozenset(l for l in active if rng.random() < 0.25)
+        ora, plain = LcnfOracle(phi), LcnfOracle(phi)
+
+        lmus = _or_none(compute_lmus, phi, order, oracle=ora)
+        assert lmus == _plain_lmus(phi, full, plain), (i, order)
+        lmss = _or_none(compute_lmss, phi, seed, order, oracle=ora)
+        expected = None
+        if plain.is_sat_induced(frozenset()):
+            expected = _plain_lmss(phi, seed, full, plain)
+        assert lmss == expected, (i, seed, order)
+        lmns = _or_none(compute_lmns, phi, seed, order, oracle=ora)
+        assert lmns == _plain_lmns(phi, seed, full, plain), (i, seed, order)
+        for name, got in (("lmus", lmus), ("lmss", lmss), ("lmns", lmns)):
+            counts[name] += got is not None and len(got) > 1
+    assert min(counts.values()) > 100, counts

@@ -442,6 +442,33 @@ def test_cli_exit_4_on_conflict_budget(tmp_path):
     assert run_cli("lmes", "--conflict-budget", "50", str(f)) == (0, "\n")
 
 
+def _pigeonhole_gcnf(pigeons):
+    # one group per pigeon with its at-least-one-hole clause; the
+    # at-most-one-pigeon-per-hole clauses are unlabelled
+    holes = pigeons - 1
+    rows = [(i + 1, [i * holes + j + 1 for j in range(holes)]) for i in range(pigeons)]
+    rows += [
+        (0, [-(i * holes + j + 1), -(k * holes + j + 1)])
+        for j in range(holes)
+        for i in range(pigeons)
+        for k in range(i + 1, pigeons)
+    ]
+    lines = [f"p gcnf {pigeons * holes} {len(rows)} {pigeons}"]
+    lines += ["{%d} %s 0" % (g, " ".join(map(str, c))) for g, c in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_exit_4_when_a_witness_solve_exceeds_its_budget(tmp_path):
+    # the sweeps skip the solves their evidence decides, but a solve that
+    # still runs and exceeds the budget is exit 4, never a partial answer
+    f = tmp_path / "php65.gcnf"
+    f.write_text(_pigeonhole_gcnf(6))
+    expected = {"lmus": "1 2 3 4 5 6\n", "mcs": "6\n", "lmss": "1 2 3 4 5\n"}
+    for command, out in expected.items():
+        assert run_cli(command, "--conflict-budget", "0", str(f)) == (4, ""), command
+        assert run_cli(command, str(f)) == (0, out), command
+
+
 def test_cli_conflict_budget_env_var(tmp_path, monkeypatch):
     f = tmp_path / "tight.lcnf"
     f.write_text("p lcnf 2 3\n{1} 1 0\n{} 1 2 0\n{} 1 -2 0\n")

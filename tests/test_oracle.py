@@ -129,9 +129,12 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
     # one Solver keeps its trail between calls: consecutive assumption lists
     # share prefixes or repeat, clauses (units among them) arrive between
     # solves, and a budget runs out mid-sequence; every answer must match a
-    # fresh solver's and every model must satisfy the clauses and assumptions
+    # fresh solver's, every model must satisfy the clauses and assumptions,
+    # and every UNSAT answer's failed assumptions must be a subset of its
+    # assumptions that a fresh solver also finds unsatisfiable
     rng = random.Random(31)
     budget_trips = 0
+    cores = 0
     for _ in range(40):
         n = rng.randint(5, 9)
         clauses = [
@@ -168,7 +171,76 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
                 if out:
                     assert all(out.model[abs(a)] == (a > 0) for a in asms)
                     assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in clauses)
+            if not expected:
+                failed = s.analyze_final()
+                assert set(failed) <= set(asms)
+                assert not solve(clauses, failed).satisfiable, (asms, failed)
+                cores += len(failed) < len(set(asms))
     assert budget_trips > 0
+    assert cores > 100  # most cores are proper subsets
+
+
+def _unsat_solver():
+    # unsatisfiable under 1 and 2 together, whatever 3 is; under 6 too,
+    # but only after a conflict
+    s = Solver([(-1, -2, 4), (-4, 5), (-4, -5), (1, 3)])
+    for a, b in ((10, 11), (10, -11), (-10, 11), (-10, -11)):
+        s.add_clause((-6, a, b))
+    out = s.solve([1, 2, 3])
+    assert not out and sorted(s.analyze_final()) == [1, 2]
+    return s
+
+
+def test_failed_assumptions_cover_each_kind_of_unsat_answer():
+    s = Solver([(1, 2), (-1, 2)])
+    assert not s.solve([-2, 7]) and sorted(s.analyze_final()) == [-2]
+    # contradicting assumptions on a variable the clauses lack
+    assert not s.solve([9, 3, -9]) and sorted(s.analyze_final()) == [-9, 9]
+    # contradicting assumptions on a clause variable
+    assert not s.solve([1, 3, -1]) and sorted(s.analyze_final()) == [-1, 1]
+    # the clauses alone are unsatisfiable
+    s.add_clause((-2,))
+    assert not s.solve([1]) and s.analyze_final() == []
+    assert not s.solve([1]) and s.analyze_final() == []
+
+
+@pytest.mark.parametrize("after", ["sat answer", "add_clause", "budget", "bad call"])
+def test_failed_assumptions_are_never_stale(after):
+    s = _unsat_solver()
+    if after == "sat answer":
+        assert s.solve([1, 3])
+    elif after == "add_clause":
+        s.add_clause((6, 7))
+    elif after == "budget":
+        s.conflict_budget = 0
+        with pytest.raises(ResourceLimitError):
+            s.solve([6])
+    else:
+        with pytest.raises(ValueError):
+            s.solve([1, 0])
+    with pytest.raises(RuntimeError):
+        s.analyze_final()
+
+
+def test_failed_assumptions_follow_the_latest_solve():
+    s = _unsat_solver()
+    assert not s.solve([4])
+    assert s.analyze_final() == [4]
+    with pytest.raises(RuntimeError):
+        Solver([(1,)]).analyze_final()  # nothing solved yet
+
+
+def test_assumption_only_variables_are_still_assigned():
+    # the scan skips them, yet one the call leaves unassumed still gets a
+    # value, so every model is total and satisfies every clause
+    clauses = [(1, 2), (-1, 3), (2, 3, 4), (5, 6)]
+    s = Solver(clauses)
+    s.set_assumption_only([5, 6, 99])  # 99 is not a clause variable: ignored
+    for asms in ([5, 6], [-6], [], [1]):
+        out = s.solve(asms)
+        assert out and set(out.model) == {1, 2, 3, 4, 5, 6}
+        assert all(out.model[abs(a)] == (a > 0) for a in asms)
+        assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in clauses)
 
 
 def test_entails_basic():
@@ -264,6 +336,62 @@ def test_one_oracle_answers_a_mixed_query_sequence():
                 within = labels | {l for l in active if rng.random() < 0.5}
                 wider = models_of(phi.induced(within).cnf(), universe)
                 assert ora.is_equivalent_subformula(labels, within) == (models == wider)
+
+
+def _satisfied(model, clause):
+    return any(model.get(abs(l)) == (l > 0) for l in clause.literals)
+
+
+def test_oracle_evidence_backs_each_answer():
+    # a model of the induced clauses after SAT, an unsatisfiable core inside
+    # the queried labels after UNSAT, and after non-equivalence a model of
+    # the kept clauses that falsifies a removed one; nothing else is left
+    rng = random.Random(34)
+    answers = {"sat": 0, "unsat": 0, "non-equivalent": 0, "equivalent": 0}
+    for _ in range(120):
+        phi, n = random_lcnf_inputs(rng, max_vars=5, max_clauses=12, max_labels=5)
+        ora = LcnfOracle(phi)
+        active = sorted(phi.active_labels)
+        for _ in range(12):
+            labels = frozenset(l for l in active if rng.random() < 0.6)
+            kept = phi.induced(labels).clauses
+            if rng.random() < 0.5:
+                if ora.is_sat_induced(labels):
+                    answer = "sat"
+                    assert all(_satisfied(ora.model(), c) for c in kept)
+                else:
+                    answer = "unsat"
+                    core = ora.core()
+                    assert core <= labels
+                    assert not models_of(phi.induced(core).cnf(), range(1, n + 1))
+            elif not ora.is_equivalent_subformula(labels):
+                answer = "non-equivalent"
+                model = ora.model()
+                assert all(_satisfied(model, c) for c in kept)
+                assert not all(_satisfied(model, c) for c in phi.clauses)
+            else:
+                answer = "equivalent"
+            answers[answer] += 1
+            if answer != "unsat":
+                with pytest.raises(RuntimeError):
+                    ora.core()
+            if answer in ("unsat", "equivalent"):
+                with pytest.raises(RuntimeError):
+                    ora.model()
+    assert min(answers.values()) > 50, answers
+
+
+def test_oracle_model_check_reads_every_clause_inside_the_set(worked_example):
+    ora = LcnfOracle(worked_example)
+    # all false: clauses {1}: (-2) holds, (2 -4) holds, (3 4) fails
+    model = {1: False, 2: False, 3: False, 4: False}
+    assert not ora.satisfies(model, 1, {1})
+    # label 2: ({1 2}: -1) holds; ({2 3}: -1 2) holds
+    assert ora.satisfies(model, 2, {2})
+    # label 3: ({3}: -2 4) holds; ({2 3}: -1 2) counts only inside {2, 3}
+    model[1] = True
+    assert ora.satisfies(model, 3, {3})
+    assert not ora.satisfies(model, 3, {2, 3})
 
 
 def test_equivalence_requires_containment(worked_example):
