@@ -20,14 +20,21 @@ label kept while shrinking (or rejected while growing) stays so as the
 current set keeps shrinking (or growing).  Both are deterministic given the
 formula and the label order.
 
-The LMUS, LMSS and LMNS sweeps also skip every step that the latest solve
-already decides, so they return exactly what a sweep solving every step
-returns.  A deletion step for a label outside the latest UNSAT core (the
-oracle's ``core``) drops the label unsolved: the smaller set still contains
-that core.  A grow step adds a label unsolved when the latest model
-satisfies its clauses inside the grown set: the grown subformula is then
-satisfiable, or, for LMNS, still misses the removed clause that the model
-falsifies.
+Every sweep also skips the steps that earlier solves already decide, so it
+returns exactly what a sweep solving every step returns.  A deletion step
+for a label outside the latest UNSAT core (the oracle's ``core``) drops
+the label unsolved: the smaller set still contains that core.  A deletion
+step for a label that recursive model rotation (the oracle's ``rotate``)
+proved necessary keeps it unsolved.  After each SAT answer of the LMES and
+LMUS sweeps, rotation derives from the answer's model assignments that
+satisfy every clause of the current set without some label l and falsify
+one with l.  The current set less l is then satisfiable and misses a
+clause of the formula; as satisfiability and non-equivalence are
+downward-closed, so is every smaller set less l, and the sweep keeps l
+wherever it meets it.  A grow step adds a label unsolved when the latest
+model satisfies its clauses inside the grown set: the grown subformula is
+then satisfiable, or, for LMNS, still misses the removed clause that the
+model falsifies.
 """
 from __future__ import annotations
 
@@ -93,13 +100,21 @@ def compute_lmes(
 
     Each label is dropped if it is redundant in the current reduced
     subformula; a label kept irredundant once stays irredundant in every
-    further reduction, so a single pass suffices.
+    further reduction, so a single pass suffices.  After each irredundant
+    answer, model rotation from its model marks further labels irredundant,
+    and their steps make no solve.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
     current = set(phi.active_labels)
+    kept: set = set()
     for l in _normalize_order(phi, order):
+        if l in kept:
+            continue
         if ora.is_equivalent_subformula(current - {l}, current):
             current.discard(l)
+        else:
+            kept.add(l)
+            kept |= ora.rotate(ora.model(), current, kept)
     return frozenset(current)
 
 
@@ -112,18 +127,26 @@ def compute_lmus(
     """One minimal unsatisfiability-preserving label set, by deletion.
 
     The formula must be unsatisfiable.  The result can be empty when the
-    unlabelled clauses are themselves unsatisfiable.
+    unlabelled clauses are themselves unsatisfiable.  A label outside the
+    latest core is dropped with no solve; after each satisfiable answer,
+    model rotation from its model marks further labels necessary, and they
+    are kept with no solve.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
     if ora.is_sat_induced(phi.active_labels):
         raise PreconditionError(REASON_SATISFIABLE)
     core = ora.core()
     current = set(phi.active_labels)
+    kept: set = set()
     for l in _normalize_order(phi, order):
+        if l in kept:
+            continue
         # core <= current holds throughout: a core label leaves only on an
         # UNSAT answer, which brings a new core inside the smaller set
         if l in core:
             if ora.is_sat_induced(current - {l}):
+                kept.add(l)
+                kept |= ora.rotate(ora.model(), current, kept)
                 continue
             core = ora.core()
         current.discard(l)

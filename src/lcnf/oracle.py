@@ -23,7 +23,10 @@ are assumption-only variables: every query assumes each of them, so
 branching never scans them.  Each query leaves its evidence behind: an
 unsatisfiable core of labels after an unsatisfiable answer, and a model
 after a satisfiable or a non-equivalent one.  An equivalence query checks
-the removed clauses latest first.
+the removed clauses latest first.  ``rotate`` turns one model into many
+necessary labels by recursive model rotation, with no solve; the
+per-literal clause index it reads is built on its first call, so an oracle
+that never rotates never pays for it.
 """
 from __future__ import annotations
 
@@ -477,7 +480,7 @@ class LcnfOracle:
     Builds the selector encoding once; every query about an induced
     subformula is then a ``solve`` under assumptions against the same solver,
     so learned clauses carry over between queries.  Instances are not
-    thread-safe; build one per worker when sharding.
+    thread-safe.
     """
 
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
@@ -498,6 +501,10 @@ class LcnfOracle:
         self._solver.set_assumption_only(self._label_of)
         # (kind, value) of what the latest query proved; see _latest
         self._evidence: tuple | None = None
+        # the clauses per literal and the variables, sorted, built by the
+        # first rotate
+        self._occurs: dict[int, list[tuple]] | None = None
+        self._variables: list[int] = []
 
     def _assumptions(self, labels: Iterable[int]) -> list[int]:
         want = frozenset(map(int, labels))
@@ -548,6 +555,72 @@ class LcnfOracle:
             if ls <= within and not any(model.get(abs(x)) == (x > 0) for x in lits):
                 return False
         return True
+
+    def rotate(self, model: dict, within: set | frozenset, known: Iterable[int] = ()) -> set:
+        """Labels necessary in ``within`` that recursive model rotation proves.
+
+        An assignment that satisfies every clause inside ``within`` (label
+        set a subset of it) without label l and falsifies one with l proves
+        l necessary: ``within - {l}`` is satisfiable and misses a clause of
+        ``within``.  A deletion sweep whose current set stays equivalent or
+        unsatisfiable keeps such an l with no solve, as the smaller sets it
+        reaches are induced by fewer labels still.
+
+        From ``model``, each variable of the clauses it falsifies inside
+        ``within`` is flipped in turn and flipped back.  When the clauses the
+        flipped assignment falsifies there share labels outside ``known`` and
+        outside those found so far, it proves them, and rotation recurses
+        from it (Marques-Silva & Lynce, SAT 2011; Belov & Marques-Silva,
+        FMCAD 2011).  From the first model of ``within`` met, ``model``
+        itself or a flip that falsifies nothing there, every variable is
+        flipped once.  ``model`` is a total assignment, as ``model()`` hands
+        out, and is left as it was.  Returns the labels proven, less
+        ``known``; no solve is made.
+        """
+        if self._occurs is None:
+            occurs: dict[int, list[tuple]] = {}
+            for clause in self._clauses:
+                for x in clause[0]:
+                    occurs.setdefault(x, []).append(clause)
+            self._occurs = occurs
+            self._variables = sorted({abs(x) for x in occurs})
+        occurs = self._occurs
+        known = frozenset(known)
+        proven = set(known)
+        # the assignment as its set of true literals: a clause is falsified
+        # exactly when it shares none of them
+        true = {v if model[v] else -v for v in self._variables}
+        falsified = [c for c in self._clauses if true.isdisjoint(c[0]) and c[1] <= within]
+        stack = [(true, falsified)]
+        whole = bool(falsified)  # no model of ``within`` has been met yet
+        while stack:
+            true, falsified = stack.pop()
+            if falsified:
+                flips = dict.fromkeys(abs(x) for c in falsified for x in c[0])
+            else:
+                flips = self._variables
+            for v in flips:
+                lit = v if v in true else -v
+                true.remove(lit)
+                true.add(-lit)
+                # the falsified clauses without v, and those lit alone satisfied
+                now = [c for c in falsified if -lit not in c[0]] if falsified else []
+                for c in occurs.get(lit, ()):
+                    if true.isdisjoint(c[0]) and c[1] <= within:
+                        now.append(c)
+                if now:
+                    shared = now[0][1] - proven
+                    for c in now[1:]:
+                        shared &= c[1]
+                    if shared:
+                        proven |= shared
+                        stack.append((set(true), now))
+                elif whole:
+                    whole = False
+                    stack.append((set(true), now))
+                true.remove(-lit)
+                true.add(lit)
+        return proven - known
 
     def entails_clause(self, labels: Iterable[int], clause) -> bool:
         """Whether the subformula induced by ``labels`` entails ``clause``.

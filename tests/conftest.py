@@ -10,7 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from lcnf.core import LcnfFormula
+from lcnf.bruteforce import GenerationProfile, random_lcnf
+from lcnf.core import LcnfFormula, label
 from lcnf.interface import main
 
 # Running example used throughout: variables x,y,z,t as 1,2,3,4; eight
@@ -113,6 +114,23 @@ def models_of(clauses, variables):
         if ok:
             out.add(bits)
     return frozenset(out)
+
+
+SWEEP_PROFILES = {
+    "free": GenerationProfile(variables=6, clauses=18, labels=6, clause_labels=3),
+    "group": GenerationProfile(variables=6, clauses=18, labels=6, labelling="group"),
+    "clause": GenerationProfile(variables=6, clauses=14, labels=1),
+    "variable": GenerationProfile(variables=6, clauses=18, labels=1),
+}
+
+
+def sweep_formula(i):
+    """Seeded formula ``i``: free-, group-, clause- and variable-labelled in turn."""
+    scheme = list(SWEEP_PROFILES)[i % 4]
+    phi = random_lcnf(i, SWEEP_PROFILES[scheme])
+    if scheme in ("clause", "variable"):
+        phi = label(phi.cnf(), scheme)
+    return phi
 
 
 def variables_of(clauses):

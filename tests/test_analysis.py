@@ -11,12 +11,12 @@ from lcnf.analysis import (
     is_label_redundant,
     duality_preconditions,
 )
-from lcnf.bruteforce import GenerationProfile, classify_all, random_lcnf
-from lcnf.core import LcnfFormula, label
+from lcnf.bruteforce import classify_all, random_lcnf
+from lcnf.core import LcnfFormula
 from lcnf.errors import PreconditionError
 from lcnf.oracle import LcnfOracle
 
-from conftest import WORKED_LMES, WORKED_LMNS, PHI_U_LMSS, PHI_U_LMUS
+from conftest import WORKED_LMES, WORKED_LMNS, PHI_U_LMSS, PHI_U_LMUS, sweep_formula
 
 
 def test_lmes_default_order(worked_example):
@@ -180,8 +180,16 @@ def test_compute_results_land_in_bruteforce_families():
     assert checked == 60
 
 
-# Plain sweeps: one solve per step, nothing carried from one solve to the
+# Plain sweeps: one query per step, nothing carried from one query to the
 # next.  None stands for a failed precondition.
+def _plain_lmes(phi, order, ora):
+    current = set(phi.active_labels)
+    for l in order:
+        if ora.is_equivalent_subformula(current - {l}, current):
+            current.discard(l)
+    return frozenset(current)
+
+
 def _plain_lmus(phi, order, ora):
     if ora.is_sat_induced(phi.active_labels):
         return None
@@ -219,32 +227,24 @@ def _or_none(compute, *args, **kwargs):
         return None
 
 
-_SWEEP_PROFILES = {
-    "free": GenerationProfile(variables=6, clauses=18, labels=6, clause_labels=3),
-    "group": GenerationProfile(variables=6, clauses=18, labels=6, labelling="group"),
-    "clause": GenerationProfile(variables=6, clauses=14, labels=1),
-    "variable": GenerationProfile(variables=6, clauses=18, labels=1),
-}
-
-
 def test_sweeps_that_reuse_evidence_match_plain_sweeps():
-    # cores, models and non-equivalence witnesses only skip solves whose
-    # answer they imply, so every witness equals the plain sweep's, for
-    # every profile, order and seed; one oracle answers every function
-    # under test, so evidence left by one cannot leak into the next
+    # cores, models, non-equivalence witnesses and the labels model
+    # rotation proves only skip solves whose answer they imply, so every
+    # witness equals the plain sweep's, for every profile, order and seed;
+    # one oracle answers every function under test, so evidence left by one
+    # cannot leak into the next
     rng = random.Random(808)
-    counts = {"lmus": 0, "lmss": 0, "lmns": 0}
+    counts = {"lmes": 0, "lmus": 0, "lmss": 0, "lmns": 0}
     for i in range(600):
-        scheme = list(_SWEEP_PROFILES)[i % 4]
-        phi = random_lcnf(i, _SWEEP_PROFILES[scheme])
-        if scheme in ("clause", "variable"):
-            phi = label(phi.cnf(), scheme)
+        phi = sweep_formula(i)
         active = sorted(phi.active_labels)
         order = rng.sample(active, rng.randint(0, len(active)))
         full = order + [l for l in active if l not in order]
         seed = frozenset(l for l in active if rng.random() < 0.25)
         ora, plain = LcnfOracle(phi), LcnfOracle(phi)
 
+        lmes = compute_lmes(phi, order, oracle=ora)
+        assert lmes == _plain_lmes(phi, full, plain), (i, order)
         lmus = _or_none(compute_lmus, phi, order, oracle=ora)
         assert lmus == _plain_lmus(phi, full, plain), (i, order)
         lmss = _or_none(compute_lmss, phi, seed, order, oracle=ora)
@@ -254,6 +254,6 @@ def test_sweeps_that_reuse_evidence_match_plain_sweeps():
         assert lmss == expected, (i, seed, order)
         lmns = _or_none(compute_lmns, phi, seed, order, oracle=ora)
         assert lmns == _plain_lmns(phi, seed, full, plain), (i, seed, order)
-        for name, got in (("lmus", lmus), ("lmss", lmss), ("lmns", lmns)):
+        for name, got in (("lmes", lmes), ("lmus", lmus), ("lmss", lmss), ("lmns", lmns)):
             counts[name] += got is not None and len(got) > 1
     assert min(counts.values()) > 100, counts
