@@ -15,19 +15,23 @@ warn; structural problems (missing terminator, bad tokens, complementary
 literals in one clause) are errors with line numbers.
 
 The ``lcnf`` command exposes the analysis operations over these files, the
-five single-witness commands from one table.  Exit codes: 0 success, 1 a
-verified property failed, 2 input error, 3 the request is not applicable to
-this formula, 4 a resource budget was exceeded.  Results go to stdout, one
-label set per line as sorted space-separated integers; diagnostics go to
-stderr.  Output is deterministic for a given input, options and package
-version; ``--jobs`` is accepted for old scripts and changes nothing.
+five single-witness commands from one table.  Each command takes only the
+options it reads: ``--format``, ``--labelling``, ``--json`` and ``--jobs``
+everywhere; ``--max-labels`` on the exhaustive ``enum`` and
+``verify-duality``; ``--conflict-budget`` on the other seven, which build
+one oracle and spend at most that many solver conflicts over the whole
+command.  Exit codes: 0 success, 1 a verified property failed, 2 input
+error, 3 the request is not applicable to this formula, 4 a resource budget
+was exceeded.  Results go to stdout, one label set per line as sorted
+space-separated integers; diagnostics go to stderr.  Output is
+deterministic for a given input, options and package version; ``--jobs`` is
+accepted for old scripts and changes nothing.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import sys
 import warnings
 from itertools import repeat
@@ -50,8 +54,6 @@ from .core import LcnfFormula, label
 from .duality import verify_duality
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .oracle import LcnfOracle
-
-CONFLICT_BUDGET_ENV = "LCNF_CONFLICT_BUDGET"
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -337,18 +339,6 @@ def _int_at_least(low: int, text: str) -> int:
     return value
 
 
-def _oracle(args, phi: LcnfFormula) -> LcnfOracle:
-    """An oracle for ``phi`` with the conflict budget of ``--conflict-budget``,
-    else of the environment."""
-    budget, env = args.conflict_budget, os.environ.get(CONFLICT_BUDGET_ENV)
-    if budget is None and env:
-        try:
-            budget = _int_at_least(0, env)
-        except argparse.ArgumentTypeError as e:
-            raise ParseError(f"{CONFLICT_BUDGET_ENV}: {e}") from None
-    return LcnfOracle(phi, conflict_budget=budget)
-
-
 def _formula_info(phi: LcnfFormula, path: str) -> dict:
     return {
         "path": path,
@@ -376,7 +366,7 @@ def _emit_sets(args, phi, family_name: str, sets: Iterable) -> None:
 
 def _cmd_check_redundant(args) -> int:
     phi = _load_formula(args)
-    oracle = _oracle(args, phi)
+    oracle = LcnfOracle(phi, conflict_budget=args.conflict_budget)
     redundant = is_label_redundant(phi, args.label, oracle=oracle)
     checks = {"label": args.label, "redundant": redundant}
     _emit(args, phi, {"checks": checks}, ["redundant" if redundant else "irredundant"])
@@ -407,7 +397,7 @@ def _cmd_witness(args) -> int:
     seed = _parse_label_list(args.seed_labels) or ()
     order = _parse_label_list(args.order)
     phi = _load_formula(args)
-    oracle = _oracle(args, phi)
+    oracle = LcnfOracle(phi, conflict_budget=args.conflict_budget)
     _emit_sets(args, phi, family_name, [compute(phi, seed, order, oracle)])
     return EXIT_OK
 
@@ -450,7 +440,7 @@ def _cmd_verify_duality(args) -> int:
 
 def _cmd_stats(args) -> int:
     phi = _load_formula(args)
-    oracle = _oracle(args, phi)
+    oracle = LcnfOracle(phi, conflict_budget=args.conflict_budget)
     satisfiable = oracle.is_sat_induced(phi.active_labels)
     per_label = {l: len(phi.clauses_with_label(l)) for l in sorted(phi.active_labels)}
     stats = {
@@ -486,16 +476,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="labelling scheme; defaults to clause for dimacs, file otherwise",
     )
-    common.add_argument("--max-labels", type=functools.partial(_int_at_least, 0), default=16,
-                        help="refuse exhaustive analysis beyond this many labels")
-    common.add_argument("--conflict-budget", type=functools.partial(_int_at_least, 0),
-                        default=None,
-                        help=f"solver conflict budget per query (default ${CONFLICT_BUDGET_ENV})")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--jobs", type=functools.partial(_int_at_least, 1), default=1,
                         help="accepted for compatibility and ignored: analysis runs in "
                         "one process (at least 1)")
     common.add_argument("file", help="input formula file")
+    # the commands that build an oracle, and the two exhaustive ones
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--conflict-budget", type=functools.partial(_int_at_least, 0),
+                          help="solver conflicts the whole command may spend "
+                          "(default: no limit)")
+    exhaustive = argparse.ArgumentParser(add_help=False, parents=[common])
+    exhaustive.add_argument("--max-labels", type=functools.partial(_int_at_least, 0),
+                            default=16,
+                            help="refuse exhaustive analysis beyond this many labels")
 
     parser = argparse.ArgumentParser(
         prog="lcnf",
@@ -503,28 +497,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-redundant", parents=[common],
+    p = sub.add_parser("check-redundant", parents=[budgeted],
                        help="decide whether one label is redundant")
     p.add_argument("--label", type=int, required=True)
     p.set_defaults(handler=_cmd_check_redundant)
 
     for command, (_, help_text, seed_help, _) in _WITNESSES.items():
-        p = sub.add_parser(command, parents=[common], help=help_text)
+        p = sub.add_parser(command, parents=[budgeted], help=help_text)
         if seed_help is not None:
             p.add_argument("--seed-labels", help=seed_help)
         p.add_argument("--order", help="comma-separated label order")
         p.set_defaults(handler=_cmd_witness, seed_labels=None)
 
-    p = sub.add_parser("enum", parents=[common],
+    p = sub.add_parser("enum", parents=[exhaustive],
                        help="enumerate a complete witness family exhaustively")
     p.add_argument("--family", choices=list(_FAMILY_ATTRS), required=True)
     p.set_defaults(handler=_cmd_enum)
 
-    p = sub.add_parser("verify-duality", parents=[common],
+    p = sub.add_parser("verify-duality", parents=[exhaustive],
                        help="check the hitting-set duality on this formula")
     p.set_defaults(handler=_cmd_verify_duality)
 
-    p = sub.add_parser("stats", parents=[common], help="formula statistics")
+    p = sub.add_parser("stats", parents=[budgeted], help="formula statistics")
     p.set_defaults(handler=_cmd_stats)
 
     return parser

@@ -75,8 +75,9 @@ def _luby(x: int) -> int:
 class Solver:
     """Incremental CDCL SAT solver with solving under assumptions.
 
-    ``conflict_budget`` bounds the number of conflicts a single ``solve`` may
-    spend; exceeding it raises ResourceLimitError rather than guessing.
+    ``conflict_budget`` bounds ``conflicts``, the number of conflicts spent
+    over every ``solve`` of the solver's life (MiniSat's ``setConfBudget``);
+    exceeding it raises ResourceLimitError rather than guessing.
 
     Variables are numbered densely in first-seen order; literal ``v`` of
     dense variable ``i`` has code ``2i`` and its negation ``2i + 1``.  The
@@ -89,6 +90,7 @@ class Solver:
 
     def __init__(self, clauses: Iterable = (), *, conflict_budget: int | None = None):
         self.conflict_budget = conflict_budget
+        self.conflicts = 0
         self._ok = True  # False once the clauses are refuted at level 0
         self._clauses: list[list[int]] = []  # literal codes, watching [0] and [1]
         self._index: dict[int, int] = {}  # variable -> dense index
@@ -393,7 +395,6 @@ class Solver:
         self._cancel_until(shared)
         self._asms = codes
 
-        conflicts = 0
         restart_count = 0
         restart_limit = self._RESTART_BASE * _luby(restart_count)
         since_restart = 0
@@ -404,9 +405,9 @@ class Solver:
                     self._ok = False
                     self._failed = []
                     return SatOutcome(False)
-                conflicts += 1
+                self.conflicts += 1
                 since_restart += 1
-                if self.conflict_budget is not None and conflicts > self.conflict_budget:
+                if self.conflict_budget is not None and self.conflicts > self.conflict_budget:
                     self._cancel_until(0)
                     raise ResourceLimitError(
                         f"conflict budget of {self.conflict_budget} exceeded"
@@ -479,7 +480,8 @@ class LcnfOracle:
 
     Builds the selector encoding once; every query about an induced
     subformula is then a ``solve`` under assumptions against the same solver,
-    so learned clauses carry over between queries.  Instances are not
+    so learned clauses carry over between queries, and ``conflict_budget``
+    bounds the conflicts over every solve of every query.  Instances are not
     thread-safe.
     """
 

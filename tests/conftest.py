@@ -137,13 +137,18 @@ def variables_of(clauses):
     return {abs(l) for c in clauses for l in c}
 
 
-def run_cli(*argv):
-    """Run the command line in-process; returns (exit code, stdout text)."""
+def run_cli_streams(*argv):
+    """Run the command line in-process; returns (exit code, stdout, stderr)."""
     out = io.StringIO()
     err = io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv):
+    """Run the command line in-process; returns (exit code, stdout text)."""
+    return run_cli_streams(*argv)[:2]
 
 
 # One line per acceptance criterion, echoed after the test summary so the

@@ -69,6 +69,15 @@ def test_labels_of_rejects_foreign_clause(worked_example):
         worked_example.labels_of(other.clauses[0])
 
 
+def test_labels_of_rejects_clause_outside_induced_subformula(worked_example):
+    sub = worked_example.induced({4})
+    assert sub.labels_of(7) == frozenset({4})
+    with pytest.raises(ValueError, match="clause 0 is not part of this formula"):
+        sub.labels_of(0)
+    with pytest.raises(ValueError, match="clause 0 is not part of this formula"):
+        sub.labels_of(worked_example.clauses[0])
+
+
 def test_variables(worked_example):
     assert worked_example.variables == frozenset({1, 2, 3, 4})
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from lcnf.analysis import REASON_SATISFIABLE
 from lcnf.bruteforce import GenerationProfile, random_lcnf
 from lcnf.core import LcnfFormula, label
 from lcnf.errors import ParseError
@@ -27,6 +28,7 @@ from conftest import (
     WORKED_LCNF,
     PHI_U_GCNF,
     run_cli,
+    run_cli_streams,
 )
 
 
@@ -469,16 +471,83 @@ def test_cli_exit_4_when_a_witness_solve_exceeds_its_budget(tmp_path):
         assert run_cli(command, str(f)) == (0, out), command
 
 
-def test_cli_conflict_budget_env_var(tmp_path, monkeypatch):
-    f = tmp_path / "tight.lcnf"
-    f.write_text("p lcnf 2 3\n{1} 1 0\n{} 1 2 0\n{} 1 -2 0\n")
-    monkeypatch.setenv("LCNF_CONFLICT_BUDGET", "0")
-    assert run_cli("lmes", str(f))[0] == 4
-    for bad in ("notanumber", "-5"):
-        monkeypatch.setenv("LCNF_CONFLICT_BUDGET", bad)
-        assert run_cli("lmes", str(f)) == (2, ""), bad
-    monkeypatch.setenv("LCNF_CONFLICT_BUDGET", "100")
-    assert run_cli("lmes", str(f))[0] == 0
+def test_cli_conflict_budget_covers_the_whole_command(tmp_path):
+    # no single solve of lmus on PHP(6,5) takes 150 conflicts, but all of
+    # them together take 193
+    f = tmp_path / "php65.gcnf"
+    f.write_text(_pigeonhole_gcnf(6))
+    assert run_cli_streams("lmus", "--conflict-budget", "150", str(f)) == (
+        4,
+        "",
+        "resource limit: conflict budget of 150 exceeded\n",
+    )
+    assert run_cli("lmus", "--conflict-budget", "193", str(f)) == (0, "1 2 3 4 5 6\n")
+
+
+_BUDGETED = ("check-redundant", "lmes", "lmus", "lmss", "mcs", "lmns", "stats")
+_EXHAUSTIVE = ("enum", "verify-duality")
+
+
+def test_cli_each_command_takes_only_the_options_it_reads(worked_example_path, phi_u_path):
+    required = {"check-redundant": ("--label", "1"), "enum": ("--family", "lmes")}
+    for command in _BUDGETED + _EXHAUSTIVE:
+        path = phi_u_path if command == "lmus" else worked_example_path
+        argv = (command, *required.get(command, ()))
+        base = run_cli(*argv, path)
+        assert base[0] == 0, command
+        for option in (("--format", "auto"), ("--labelling", "file"), ("--jobs", "2")):
+            assert run_cli(*argv, *option, path) == base, (command, option)
+        assert run_cli(*argv, "--json", path)[0] == 0, command
+        for option, takers in (("--conflict-budget", _BUDGETED), ("--max-labels", _EXHAUSTIVE)):
+            code, out, err = run_cli_streams(*argv, option, "1000", path)
+            if command in takers:
+                assert (code, out, err) == (*base, ""), (command, option)
+            else:
+                assert (code, out) == (2, ""), (command, option)
+                assert f"unrecognized arguments: {option}" in err, (command, option)
+    assert run_cli("lmes", "--max-labels", "3", worked_example_path) == (2, "")
+    assert run_cli(
+        "enum", "--family", "lmes", "--conflict-budget", "0", worked_example_path
+    ) == (2, "")
+
+
+def test_cli_relabels_labelled_files(worked_example_path, phi_u_path):
+    # a labelling scheme other than file replaces the labels the file carries
+    expected = {
+        ("lmes", "clause"): "5 6 7 8\n",
+        ("lmes", "variable"): "1 2 3 4\n",
+        ("lmes", "literal"): "3 5 6 8 9\n",
+        ("lmus", "clause"): "3 4\n",
+        ("lmus", "variable"): "2\n",
+        ("lmus", "literal"): "4 5\n",
+    }
+    for (command, scheme), out in expected.items():
+        path = worked_example_path if command == "lmes" else phi_u_path
+        assert run_cli_streams(command, "--labelling", scheme, path) == (0, out, ""), (
+            command,
+            scheme,
+        )
+
+
+def test_cli_refusals_pin_their_message(worked_example_path, tmp_path):
+    assert run_cli_streams("enum", "--family", "lmus", worked_example_path) == (
+        3,
+        "",
+        f"not applicable: {REASON_SATISFIABLE}\n",
+    )
+    redundant = tmp_path / "redundant.lcnf"
+    redundant.write_text("p lcnf 1 2\n{} 1 0\n{1} 1 0\n")
+    assert run_cli_streams("verify-duality", str(redundant)) == (
+        3,
+        "",
+        "not applicable: duality is not applicable: unlabelled clauses are "
+        "present and every label is redundant\n",
+    )
+    assert run_cli_streams("lmes", "--order", "1,x", worked_example_path) == (
+        2,
+        "",
+        "error: malformed label list '1,x'\n",
+    )
 
 
 def test_cli_labelling_variable_matches_clause_variables(tmp_path):
@@ -512,11 +581,19 @@ def test_cli_jobs_output_identical(worked_example_path):
 
 
 def test_cli_rejects_bounded_knobs_below_their_minimum(worked_example_path, tmp_path):
-    below = [("--jobs", "0"), ("--jobs", "-1"), ("--conflict-budget", "-1"), ("--max-labels", "-1")]
-    for option, value in below:
-        for command in (("enum", "--family", "lmes"), ("lmes",), ("lmus",)):
-            code, out = run_cli(*command, option, value, worked_example_path)
+    # each option on the commands that take it, so the bound rejects the value
+    enum = ("enum", "--family", "lmes")
+    below = [
+        ("--jobs", "0", (enum, ("lmes",), ("lmus",))),
+        ("--jobs", "-1", (enum, ("lmes",), ("lmus",))),
+        ("--conflict-budget", "-1", (("lmes",), ("lmus",), ("stats",))),
+        ("--max-labels", "-1", (enum, ("verify-duality",))),
+    ]
+    for option, value, commands in below:
+        for command in commands:
+            code, out, err = run_cli_streams(*command, option, value, worked_example_path)
             assert (code, out) == (2, ""), (command, option, value)
+            assert "must be at least" in err, (command, option, value)
     # rejected even where the bound could not be reached: no labels at all
     unlabelled = tmp_path / "none.lcnf"
     unlabelled.write_text("p lcnf 1 1\n{} 1 0\n")

@@ -90,6 +90,22 @@ def test_conflict_budget_zero_raises_on_search():
         solve([(1, 2), (1, -2), (-1, 2), (-1, -2)], conflict_budget=0)
 
 
+def test_conflict_budget_bounds_the_solver_life():
+    # under 10 the clauses forbid every value of (1, 2), under 11 every value
+    # of (3, 4): each refutation takes 2 conflicts, both together take 4
+    clauses = [
+        (-a, s * x, t * y)
+        for a, x, y in ((10, 1, 2), (11, 3, 4))
+        for s in (1, -1)
+        for t in (1, -1)
+    ]
+    s = Solver(clauses, conflict_budget=2)
+    assert not s.solve([10]) and s.conflicts == 2
+    with pytest.raises(ResourceLimitError, match="conflict budget of 2 exceeded"):
+        s.solve([11])
+    assert not Solver(clauses, conflict_budget=2).solve([11])
+
+
 def test_conflict_budget_generous_enough_succeeds():
     out = solve([(1, 2), (1, -2), (-1, 2), (-1, -2)], conflict_budget=100)
     assert not out.satisfiable
