@@ -20,7 +20,8 @@ options it reads: ``--format``, ``--labelling``, ``--json`` and ``--jobs``
 everywhere; ``--max-labels`` on the exhaustive ``enum`` and
 ``verify-duality``; ``--conflict-budget`` on the other seven, which build
 one oracle and spend at most that many solver conflicts over the whole
-command.  Exit codes: 0 success, 1 a verified property failed, 2 input
+command.  An option that only other commands take is an input error that
+names it.  Exit codes: 0 success, 1 a verified property failed, 2 input
 error, 3 the request is not applicable to this formula, 4 a resource budget
 was exceeded.  Results go to stdout, one label set per line as sorted
 space-separated integers; diagnostics go to stderr.  Output is
@@ -460,6 +461,22 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+class _OtherCommandsOption(argparse.Action):
+    """An option that only other commands take: naming it is the error,
+    so argparse cannot bind the value after it to FILE instead."""
+
+    def __init__(self, option_strings, dest, takers, **kwargs):
+        super().__init__(option_strings, dest, nargs="?", default=argparse.SUPPRESS,
+                         help=argparse.SUPPRESS, **kwargs)
+        self.takers = takers
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        command = parser.prog.rsplit(" ", 1)[-1]
+        raise argparse.ArgumentError(
+            self, f"{command} does not take this option; only {', '.join(self.takers)} do"
+        )
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``lcnf`` argument parser, built once per process."""
@@ -496,31 +513,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Redundancy analysis of labelled CNF formulas.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parents = {}  # command -> the parser of its placed option
 
-    p = sub.add_parser("check-redundant", parents=[budgeted],
-                       help="decide whether one label is redundant")
+    def add(command, parent, **kwargs):
+        parents[command] = parent
+        return sub.add_parser(command, parents=[parent], **kwargs)
+
+    p = add("check-redundant", budgeted, help="decide whether one label is redundant")
     p.add_argument("--label", type=int, required=True)
     p.set_defaults(handler=_cmd_check_redundant)
 
     for command, (_, help_text, seed_help, _) in _WITNESSES.items():
-        p = sub.add_parser(command, parents=[budgeted], help=help_text)
+        p = add(command, budgeted, help=help_text)
         if seed_help is not None:
             p.add_argument("--seed-labels", help=seed_help)
         p.add_argument("--order", help="comma-separated label order")
         p.set_defaults(handler=_cmd_witness, seed_labels=None)
 
-    p = sub.add_parser("enum", parents=[exhaustive],
-                       help="enumerate a complete witness family exhaustively")
+    p = add("enum", exhaustive, help="enumerate a complete witness family exhaustively")
     p.add_argument("--family", choices=list(_FAMILY_ATTRS), required=True)
     p.set_defaults(handler=_cmd_enum)
 
-    p = sub.add_parser("verify-duality", parents=[exhaustive],
-                       help="check the hitting-set duality on this formula")
+    p = add("verify-duality", exhaustive, help="check the hitting-set duality on this formula")
     p.set_defaults(handler=_cmd_verify_duality)
 
-    p = sub.add_parser("stats", parents=[budgeted], help="formula statistics")
+    p = add("stats", budgeted, help="formula statistics")
     p.set_defaults(handler=_cmd_stats)
 
+    for option, owner in (("--conflict-budget", budgeted), ("--max-labels", exhaustive)):
+        takers = [c for c, parent in parents.items() if parent is owner]
+        for command, parent in parents.items():
+            if parent is not owner:
+                sub.choices[command].add_argument(
+                    option, action=_OtherCommandsOption, takers=takers
+                )
     return parser
 
 

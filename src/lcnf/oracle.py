@@ -5,22 +5,28 @@ literals per clause, first-UIP conflict analysis, activity-based branching
 with phase saving, and Luby restarts.  Its state lives in lists indexed by a
 dense variable number or a literal code, MiniSat style.  Assumptions are
 forced top-level decisions, one level each.  The trail is kept between
-``solve`` calls: level-0 facts stay assigned, and a call replays its
-assumptions only from the first one that differs from the previous call's.
-One solver instance thus answers many queries about the same clause set
-without rebuilding anything.  After an UNSAT answer ``analyze_final``
+``solve`` calls: level-0 facts stay assigned, a call keeps the longest run
+of the previous call's assumption levels whose literals it also makes, and
+opens the rest in the order given (Nadel & Ryvchin, SAT 2012, measure what
+re-opening them costs).  One solver instance thus answers many queries
+about the same clause set without rebuilding anything.  Assumption-only
+variables are activation literals (Een & Sorensson, 2003): they occur only
+negated, are never decided, and one a call does not assume is false in its
+model.  After an UNSAT answer ``analyze_final``
 (MiniSat's ``analyzeFinal``) names the assumptions it rests on; it walks the
 trail only when asked, so an answer nobody asks about costs nothing.
 
 ``LcnfOracle`` wraps a labelled formula in the standard selector encoding:
 every active label l gets a fresh selector variable s_l and every clause c
-becomes  c OR (negated selectors of c's labels).  Fixing the selectors by
-assumptions, in label order, then activates exactly the clauses of an
-induced subformula, so satisfiability, entailment and equivalence queries
-about any label subset are single ``solve`` calls against one shared solver.
-Each clause's label set is read once, when the oracle is built.  Selectors
-are assumption-only variables: every query assumes each of them, so
-branching never scans them.  Each query leaves its evidence behind: an
+becomes  c OR (negated selectors of c's labels).  Assuming the selectors of
+the labels in a set, in one fixed order (label descending), then activates
+exactly the clauses of the induced subformula: a selector left unassumed is
+false, which satisfies its clauses.  Satisfiability, entailment and
+equivalence queries about any label subset are thus single ``solve`` calls
+against one shared solver, and a query pays for the labels it keeps, not
+for every label.  Each clause's label set and negated literals are computed
+once, when the oracle is built.  Selectors are assumption-only variables,
+so branching never scans them.  Each query leaves its evidence behind: an
 unsatisfiable core of labels after an unsatisfiable answer, and a model
 after a satisfiable or a non-equivalent one.  An equivalence query checks
 the removed clauses latest first.  ``rotate`` turns one model into many
@@ -82,8 +88,13 @@ class Solver:
     Variables are numbered densely in first-seen order; literal ``v`` of
     dense variable ``i`` has code ``2i`` and its negation ``2i + 1``.  The
     trail survives ``solve``: level-0 facts stay assigned, and assumption
-    ``k`` owns decision level ``k + 1``, so the levels of the previous
-    call's longest common assumption prefix are kept as they are.
+    ``k`` owns decision level ``k + 1``.  A call keeps the longest run of
+    the previous call's open assumption levels whose literals it also makes,
+    in their old order, and opens its other assumptions after them, in one
+    loop that stops to propagate only where a literal's negation is watched.
+    Variables marked by ``set_assumption_only`` must occur only negated in
+    the clauses added; the answer is SAT once every other variable is
+    assigned.
     """
 
     _RESTART_BASE = 100
@@ -93,7 +104,7 @@ class Solver:
         self.conflicts = 0
         self._ok = True  # False once the clauses are refuted at level 0
         self._clauses: list[list[int]] = []  # literal codes, watching [0] and [1]
-        self._index: dict[int, int] = {}  # variable -> dense index
+        self._code: dict[int, int] = {}  # literal -> literal code
         self._names: list[int] = []  # dense index -> variable
         # per dense variable
         self._level: list[int] = []
@@ -109,6 +120,8 @@ class Solver:
         self._qhead = 0
         self._asms: list[int] = []  # assumption codes of the open assumption levels
         self._branch: list[int] = []  # dense variables the decision scan visits, ascending
+        self._only: set[int] = set()  # assumption-only dense variables
+        self._positive: set[int] = set()  # dense variables with a positive occurrence
         # what the latest UNSAT answer rests on: None if there is none to explain,
         # the falsified assumption's code until analyze_final walks it, then
         # the failed assumption literals
@@ -119,7 +132,9 @@ class Solver:
     # -- clause database ----------------------------------------------------
 
     def _new_var(self, var: int) -> int:
-        i = self._index[var] = len(self._names)
+        i = len(self._names)
+        self._code[var] = 2 * i
+        self._code[-var] = 2 * i + 1
         self._names.append(var)
         self._level.append(0)
         self._reason.append(None)
@@ -133,11 +148,19 @@ class Solver:
     def set_assumption_only(self, variables: Iterable[int]):
         """Leave ``variables`` out of the decision scan (MiniSat's ``setDecisionVar``).
 
-        For variables that every ``solve`` assigns by assumption, such as an
-        oracle's selectors; the scan then visits only the other variables.
+        For activation literals such as an oracle's selectors, which occur
+        only negated in the clauses: a ValueError is raised if one of
+        ``variables`` occurs positively in a clause added before or after.
+        A ``solve`` that does not assume such a variable leaves it free;
+        the answer is SAT once every other variable is assigned, and the
+        model reports it false, which satisfies each clause it occurs in.
         A variable the clauses lack is ignored.
         """
-        drop = {self._index.get(int(v)) for v in variables}
+        code = self._code
+        drop = {code[int(v)] >> 1 for v in variables if int(v) in code}
+        if not drop.isdisjoint(self._positive):
+            raise ValueError("an assumption-only variable occurs positively in a clause")
+        self._only |= drop
         self._branch = [i for i in self._branch if i not in drop]
 
     def add_clause(self, literals: Iterable[int]):
@@ -147,15 +170,18 @@ class Solver:
             raise ValueError("literal 0 is not allowed in a clause")
         self._failed = None
         self._cancel_until(0)
-        index = self._index
+        code_of = self._code
         value = self._value  # extended in place by _new_var
         clause: list[int] = []
         dropped = False  # a tautology, or satisfied at level 0
         for l in lits:
-            i = index.get(abs(l))
-            if i is None:
-                i = self._new_var(abs(l))
-            code = 2 * i + (l < 0)
+            code = code_of.get(l)
+            if code is None:
+                code = 2 * self._new_var(abs(l)) + (l < 0)
+            if not code & 1:
+                if code >> 1 in self._only:
+                    raise ValueError(f"assumption-only variable {l} occurs positively")
+                self._positive.add(code >> 1)
             if value[code] or code ^ 1 in clause:
                 dropped = True
             elif value[code] is None and code not in clause:
@@ -306,8 +332,7 @@ class Solver:
     def _pick_branch(self) -> int:
         """The unassigned variable of highest activity, first-seen on ties; -1 if none.
 
-        Assumption-only variables are left out of the scan; one the call did
-        not assume is picked only once every other variable is assigned.
+        Assumption-only variables are never picked.
         """
         value = self._value
         activity = self._activity
@@ -318,8 +343,6 @@ class Solver:
             if act > best_act and value[2 * v] is None:
                 best = v
                 best_act = act
-        if best < 0 and None in value:
-            best = value.index(None) >> 1
         return best
 
     def analyze_final(self) -> list[int]:
@@ -365,35 +388,56 @@ class Solver:
         return [-names[c >> 1] if c & 1 else names[c >> 1] for c in failed]
 
     def _model(self, free: dict) -> dict:
-        return dict(zip(self._names, self._value[::2])) | free
+        # only an assumption-only variable the call left free is unassigned
+        return dict(zip(self._names, map(bool, self._value[::2]))) | free
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatOutcome:
-        """Decide satisfiability of the clause set under unit assumptions."""
+        """Decide satisfiability of the clause set under unit assumptions.
+
+        The longest run of the previous call's open assumption levels whose
+        literals this call also makes is kept; the other assumptions follow
+        it in the order given.
+        """
         self._failed = None
-        asms = list(map(int, assumptions))
-        if 0 in asms:
-            raise ValueError("assumption literals must be nonzero")
+        asms = list(assumptions)
+        code_of = self._code
+        codes = list(map(code_of.get, asms))
+        free: dict[int, bool] = {}
+        clash = 0
+        if None in codes:
+            # an assumption on a variable outside the clauses only meets other
+            # assumptions on it; it goes straight into the model
+            asms = list(map(int, asms))
+            if 0 in asms:
+                raise ValueError("assumption literals must be nonzero")
+            codes = []
+            for a in asms:
+                c = code_of.get(a)
+                if c is not None:
+                    codes.append(c)
+                elif free.setdefault(abs(a), a > 0) != (a > 0):
+                    clash = a
+                    break
         if not self._ok:
             self._failed = []
             return SatOutcome(False)
-        # an assumption on a variable outside the clauses only meets other
-        # assumptions on it; it goes straight into the model
-        codes = []
-        free: dict[int, bool] = {}
-        index = self._index
-        for a in asms:
-            i = index.get(abs(a))
-            if i is not None:
-                codes.append(2 * i + (a < 0))
-            elif free.setdefault(abs(a), a > 0) != (a > 0):
-                self._failed = [-a, a]
-                return SatOutcome(False)
-        shared = 0
-        limit = min(len(self._trail_lim), len(self._asms), len(codes))
-        while shared < limit and self._asms[shared] == codes[shared]:
-            shared += 1
-        self._cancel_until(shared)
+        if clash:
+            self._failed = [-clash, clash]
+            return SatOutcome(False)
+        old = self._asms
+        keep = 0
+        limit = min(len(self._trail_lim), len(old))
+        if limit:
+            want = set(codes)
+            while keep < limit and old[keep] in want:
+                keep += 1
+        self._cancel_until(keep)
+        if keep:
+            head = old[:keep]
+            kept = set(head)
+            codes = head + [c for c in codes if c not in kept]
         self._asms = codes
+        n = len(codes)
 
         restart_count = 0
         restart_limit = self._RESTART_BASE * _luby(restart_count)
@@ -423,15 +467,24 @@ class Solver:
                     self._cancel_until(0)
                 continue
             level = len(self._trail_lim)
-            if level < len(codes):
-                a = codes[level]
-                v = self._value[a]
-                if v is False:
-                    self._failed = a
-                    return SatOutcome(False)
-                self._trail_lim.append(len(self._trail))
-                if v is None:
-                    self._enqueue(a, None)
+            if level < n:
+                # open assumption levels until one needs propagating
+                value = self._value
+                watches = self._watches
+                trail = self._trail
+                trail_lim = self._trail_lim
+                while level < n:
+                    a = codes[level]
+                    v = value[a]
+                    if v is False:
+                        self._failed = a
+                        return SatOutcome(False)
+                    trail_lim.append(len(trail))
+                    level += 1
+                    if v is None:
+                        self._enqueue(a, None)
+                        if watches[a ^ 1]:
+                            break
                 continue
             var = self._pick_branch()
             if var < 0:
@@ -489,11 +542,15 @@ class LcnfOracle:
         self.formula = phi
         # (sorted literals, label set) per clause, in formula order
         self._clauses = [(c.sorted_literals(), phi.labels_of(c)) for c in phi.clauses]
+        # the negated literals of each clause, assumed to test its entailment
+        self._negated = [[-x for x in lits] for lits, _ in self._clauses]
         base = max(phi.variables, default=0)
-        # (label, selector variable), by label: the order of every query's assumptions
-        self._selectors = [(l, base + 1 + i) for i, l in enumerate(sorted(phi.active_labels))]
-        selector = dict(self._selectors)
-        self._label_of = {sel: l for l, sel in self._selectors}
+        labels = sorted(phi.active_labels)
+        selector = {l: base + 1 + i for i, l in enumerate(labels)}
+        # (label, selector variable), label descending: the order a query
+        # assumes the selectors of the labels it keeps in
+        self._selectors = [(l, selector[l]) for l in reversed(labels)]
+        self._label_of = {sel: l for l, sel in selector.items()}
         self._with_label: dict[int, list[int]] = {l: [] for l in selector}
         self._solver = Solver(conflict_budget=conflict_budget)
         for i, (lits, ls) in enumerate(self._clauses):
@@ -509,8 +566,9 @@ class LcnfOracle:
         self._variables: list[int] = []
 
     def _assumptions(self, labels: Iterable[int]) -> list[int]:
+        # a selector left unassumed is false, so its clauses stay out
         want = frozenset(map(int, labels))
-        return [sel if l in want else -sel for l, sel in self._selectors]
+        return [sel for l, sel in self._selectors if l in want]
 
     def is_sat_induced(self, labels: Iterable[int]) -> bool:
         """Satisfiability of the subformula induced by ``labels``.
@@ -665,9 +723,8 @@ class LcnfOracle:
         # the formula's own clauses, sorted at build, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
-            lits, ls = self._clauses[i]
-            if ls <= sup:
-                outcome = self._solver.solve([*asms, *(-l for l in lits)])
+            if self._clauses[i][1] <= sup:
+                outcome = self._solver.solve(asms + self._negated[i])
                 if outcome.satisfiable:
                     self._evidence = ("model", outcome.model)
                     return False

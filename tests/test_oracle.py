@@ -142,8 +142,9 @@ def test_solver_agrees_under_assumptions():
 
 
 def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
-    # one Solver keeps its trail between calls: consecutive assumption lists
-    # share prefixes or repeat, clauses (units among them) arrive between
+    # one Solver keeps its trail between calls: each assumption list shares a
+    # prefix with the previous one, reorders it, drops some of its literals
+    # or inserts new ones anywhere, clauses (units among them) arrive between
     # solves, and a budget runs out mid-sequence; every answer must match a
     # fresh solver's, every model must satisfy the clauses and assumptions,
     # and every UNSAT answer's failed assumptions must be a subset of its
@@ -151,6 +152,7 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
     rng = random.Random(31)
     budget_trips = 0
     cores = 0
+    steps = [0, 0, 0, 0]
     for _ in range(40):
         n = rng.randint(5, 9)
         clauses = [
@@ -167,9 +169,18 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
                 s.add_clause(c)
                 clauses.append(c)
                 continue
-            asms = asms[: rng.randint(0, len(asms))]
-            for v in rng.sample(range(1, n + 3), rng.randint(0, 5)):
-                asms.append(v if rng.random() < 0.5 else -v)
+            step = rng.randrange(4)
+            steps[step] += 1
+            new = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 3), rng.randint(0, 5))]
+            if step == 0:  # a shared prefix, then new literals
+                asms = asms[: rng.randint(0, len(asms))] + new
+            elif step == 1:  # the same literals in another order
+                rng.shuffle(asms)
+            elif step == 2:  # a subset, in the same order
+                asms = [a for a in asms if rng.random() < 0.7]
+            else:  # a superset, new literals anywhere
+                for a in new:
+                    asms.insert(rng.randint(0, len(asms)), a)
             outcomes = []
             if r < 0.2:
                 # the query that exceeds its budget is asked again without one
@@ -194,6 +205,7 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
                 cores += len(failed) < len(set(asms))
     assert budget_trips > 0
     assert cores > 100  # most cores are proper subsets
+    assert min(steps) > 400, steps
 
 
 def _unsat_solver():
@@ -247,15 +259,27 @@ def test_failed_assumptions_follow_the_latest_solve():
 
 
 def test_assumption_only_variables_are_still_assigned():
-    # the scan skips them, yet one the call leaves unassumed still gets a
-    # value, so every model is total and satisfies every clause
-    clauses = [(1, 2), (-1, 3), (2, 3, 4), (5, 6)]
+    # 5 and 6 are activation literals: they may occur only negated, and one
+    # the call leaves unassumed reads false, which satisfies its clauses;
+    # every model is total and satisfies every clause
+    clauses = [(1, 2), (-1, 3), (2, 3, 4), (-5, 1), (-5, -6, -2), (-6, 4, -3)]
+    with pytest.raises(ValueError):
+        Solver([*clauses, (6, 2)]).set_assumption_only([5, 6])
     s = Solver(clauses)
     s.set_assumption_only([5, 6, 99])  # 99 is not a clause variable: ignored
-    for asms in ([5, 6], [-6], [], [1]):
+    with pytest.raises(ValueError):
+        s.add_clause((3, 5))
+    s.add_clause((-6, 1, -4))
+    clauses.append((-6, 1, -4))
+    for asms in ([5, 6], [6], [5], [], [1], [-1], [6, -5], [5, -1], [6, -1, 2]):
         out = s.solve(asms)
-        assert out and set(out.model) == {1, 2, 3, 4, 5, 6}
+        expected = solve(clauses, asms).satisfiable
+        assert out.satisfiable == expected, asms
+        if not out:
+            continue
+        assert set(out.model) == {1, 2, 3, 4, 5, 6}
         assert all(out.model[abs(a)] == (a > 0) for a in asms)
+        assert all(out.model[v] is False for v in (5, 6) if v not in map(abs, asms))
         assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in clauses)
 
 
@@ -320,18 +344,33 @@ def test_equivalence_matches_model_sets_over_parent_universe():
 
 
 def test_one_oracle_answers_a_mixed_query_sequence():
-    # consecutive label sets differ in at most one label, so the selector
-    # assumptions of neighbouring queries share prefixes or repeat
+    # consecutive label sets differ in one label, in several at once, or
+    # shrink to a subset that the next step grows back from; the solver keeps
+    # what the selector assumptions of neighbouring queries share
     rng = random.Random(32)
+    steps = {"one": 0, "several": 0, "shrink": 0, "grow back": 0}
     for _ in range(60):
         phi, n = random_lcnf_inputs(rng, max_vars=5, max_clauses=10, max_labels=5)
         ora = LcnfOracle(phi)
         active = sorted(phi.active_labels)
         universe = set(range(1, n + 1))
         labels = set(active)
+        before = None  # the set a shrink step left, to grow back to
         for _ in range(30):
-            if active and rng.random() < 0.8:
+            r = rng.random()
+            if before is not None:
+                labels, before = before, None
+                steps["grow back"] += 1
+            elif len(active) > 1 and r < 0.25:
+                labels ^= set(rng.sample(active, rng.randint(2, len(active))))
+                steps["several"] += 1
+            elif labels and r < 0.45:
+                before = set(labels)
+                labels = {l for l in labels if rng.random() < 0.5}
+                steps["shrink"] += 1
+            elif active and r < 0.85:
                 labels ^= {rng.choice(active)}
+                steps["one"] += 1
             models = models_of(phi.induced(labels).cnf(), universe)
             kind = rng.randrange(3)
             if kind == 0:
@@ -352,6 +391,7 @@ def test_one_oracle_answers_a_mixed_query_sequence():
                 within = labels | {l for l in active if rng.random() < 0.5}
                 wider = models_of(phi.induced(within).cnf(), universe)
                 assert ora.is_equivalent_subformula(labels, within) == (models == wider)
+    assert min(steps.values()) > 200, steps
 
 
 def _satisfied(model, clause):
