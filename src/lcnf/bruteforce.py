@@ -15,7 +15,9 @@ over bounded chunks of subsets in one process, yields every subset's model
 set from those of its one-label-smaller subsets.  This path shares nothing
 with the clause-learning oracle, which is the point: the two can check each
 other.  Larger formulas go to one oracle in one monotone pass: most statuses
-follow from a one-label neighbour's, and each of the others costs one query.
+follow from a one-label neighbour's, and each of the others costs one query,
+whose clause checks the oracle settles without a solve when an earlier
+query's entailment already decides them.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import and_
 
 from .core import LcnfFormula
 from .duality import SetFamily
@@ -233,11 +236,19 @@ def _classify_truth_tables(phi, active):
                 table[bits & low] &= models
         step = 1
         while step < size:
-            for base in range(step, size, step << 1):
-                for slot in range(base, base + step):
-                    table[slot] &= table[slot ^ step]
-            step <<= 1
-        out.extend((models != 0, models == full) for models in table)
+            span = step << 1
+            if step * step <= size:
+                # at most twice as many offsets as blocks: one strided slice per offset
+                for offset in range(step):
+                    upper = slice(step + offset, size, span)
+                    table[upper] = map(and_, table[upper], table[offset:size:span])
+            else:
+                # more offsets than that: one contiguous slice per block
+                for base in range(step, size, span):
+                    upper = slice(base, base + step)
+                    table[upper] = map(and_, table[upper], table[base - step : base])
+            step = span
+        out.extend(zip(map(bool, table), map(full.__eq__, table)))
     return out
 
 
@@ -251,7 +262,10 @@ def _classify_monotone(phi, active):
     with a non-equivalent one-label superset is non-equivalent.  A subset S
     its neighbours leave open gets one query; for one absent label l,
     phi|S == phi holds iff phi|S+l == phi (known) and phi|S == phi|S+l,
-    which entails only the clauses that l removes.
+    which entails only the clauses that l removes.  The walk asks about the
+    same clauses again and again, so the oracle's recorded entailments
+    (``LcnfOracle.is_equivalent_subformula``) settle most of those checks
+    with no solve.
     """
     oracle = LcnfOracle(phi)
     full = (1 << len(active)) - 1
@@ -284,8 +298,9 @@ def classify_all(phi: LcnfFormula, max_labels: int = 16) -> AnalysisReport:
     monotonicity reads most statuses off a one-label neighbour's: a
     satisfiable formula costs one satisfiability solve, and a subset is
     queried for equivalence only when every one-label superset is
-    equivalent, and then only on the clauses of one absent label.  Both
-    paths run in one process.
+    equivalent, and then only on the clauses of one absent label; a clause
+    that an earlier query's entailment answer already decides costs no
+    solve.  Both paths run in one process.
     """
     active = tuple(sorted(phi.active_labels))
     k = len(active)

@@ -29,7 +29,11 @@ once, when the oracle is built.  Selectors are assumption-only variables,
 so branching never scans them.  Each query leaves its evidence behind: an
 unsatisfiable core of labels after an unsatisfiable answer, and a model
 after a satisfiable or a non-equivalent one.  An equivalence query checks
-the removed clauses latest first.  ``rotate`` turns one model into many
+the removed clauses latest first, and its entailment answers settle later
+queries: entailment is upward-closed over label sets, so a clause proven
+entailed by the labels of a core stays entailed by every set that keeps
+them, and the oracle records such cores per clause and skips the solves
+they decide.  ``rotate`` turns one model into many
 necessary labels by recursive model rotation, with no solve; the
 per-literal clause index it reads is built on its first call, so an oracle
 that never rotates never pays for it.
@@ -558,6 +562,10 @@ class LcnfOracle:
             for l in ls:
                 self._with_label[l].append(i)
         self._solver.set_assumption_only(self._label_of)
+        # per clause: None until an entailment solve of is_equivalent_subformula
+        # first proves it, then the label sets K that later ones proved
+        # phi|K to entail it with, none inside another
+        self._entailed_by: list[list[frozenset] | None] = [None] * len(self._clauses)
         # (kind, value) of what the latest query proved; see _latest
         self._evidence: tuple | None = None
         # the clauses per literal and the variables, sorted, built by the
@@ -603,6 +611,10 @@ class LcnfOracle:
         answering False, so they lie inside the labels it was asked about.
         """
         self._latest("core")
+        return self._failed_labels()
+
+    def _failed_labels(self) -> frozenset:
+        # the labels of the selectors among the latest UNSAT answer's failed assumptions
         label_of = self._label_of
         return frozenset(label_of[a] for a in self._solver.analyze_final() if a in label_of)
 
@@ -711,6 +723,15 @@ class LcnfOracle:
         clause short-circuits, and ``model`` then holds a model of the kept
         clauses that falsifies it.  The order changes which clause that is,
         never the answer.
+
+        Entailment is upward-closed over label sets, so an answer settles
+        later queries: from the second time an entailment solve proves a
+        clause on, the labels of the selectors among its failed assumptions
+        (``Solver.analyze_final``) are recorded as a set K with phi|K
+        entailing the clause, and a later query whose ``labels`` contain a
+        recorded K skips that clause's solve.  The first proof only marks
+        the clause, so a sweep that asks about each clause once pays for no
+        core.
         """
         active = self.formula.active_labels
         sup = active if within is None else frozenset(map(int, within)) & active
@@ -719,13 +740,25 @@ class LcnfOracle:
             raise ValueError("labels must be contained in the comparison set")
         self._evidence = None
         removed = sorted({i for l in sup - sub for i in self._with_label[l]}, reverse=True)
-        asms = self._assumptions(sub)
+        entailed_by = self._entailed_by
+        asms = None
         # the formula's own clauses, sorted at build, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
             if self._clauses[i][1] <= sup:
+                known = entailed_by[i]
+                if known and any(k <= sub for k in known):
+                    continue
+                if asms is None:
+                    asms = self._assumptions(sub)
                 outcome = self._solver.solve(asms + self._negated[i])
                 if outcome.satisfiable:
                     self._evidence = ("model", outcome.model)
                     return False
+                if known is None:
+                    entailed_by[i] = []
+                else:
+                    # no recorded K lies inside the core, as none lies inside sub
+                    core = self._failed_labels()
+                    entailed_by[i] = [k for k in known if not core <= k] + [core]
         return True

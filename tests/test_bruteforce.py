@@ -246,8 +246,10 @@ def brute_families(phi):
 
 
 def test_classification_matches_independent_model_enumeration(monkeypatch):
-    # chunks of 1 and 4 subsets split the zeta pass over the high label bits;
-    # the default chunk holds every subset of these formulas
+    # chunks of 1, 4 and 16 subsets split the zeta pass over the high label
+    # bits; the default chunk holds every subset of these formulas.  A sweep
+    # step s slices by offset while s * s fits in the chunk and by block
+    # above that, so a chunk of 16 subsets or more meets both kinds
     small = GenerationProfile(variables=4, clauses=8, labels=4, clause_labels=2)
     six_labels = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
     default = bruteforce.TRUTH_TABLE_CHUNK
@@ -255,7 +257,7 @@ def test_classification_matches_independent_model_enumeration(monkeypatch):
         for seed in range(40):
             phi = random_lcnf(seed, profile)
             expected = brute_families(phi)
-            for chunk in (1, 4, default):
+            for chunk in (1, 4, 16, default):
                 monkeypatch.setattr(bruteforce, "TRUTH_TABLE_CHUNK", chunk)
                 report = classify_all(phi)
                 where = f"{profile.labels} labels, seed {seed}, chunk {chunk}"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lcnf.bruteforce import _subset
 from lcnf.core import LcnfFormula
 from lcnf.errors import ResourceLimitError
 from lcnf.oracle import (
@@ -435,6 +436,55 @@ def test_oracle_evidence_backs_each_answer():
                 with pytest.raises(RuntimeError):
                     ora.model()
     assert min(answers.values()) > 50, answers
+
+
+def test_entailment_answers_settle_later_queries(monkeypatch):
+    # one oracle per formula answers a superset-before-subset walk, as
+    # classify_all's monotone pass makes, then random queries that re-ask
+    # about the same clauses; every answer matches the model sets, and the
+    # entailments recorded along the way settle clause checks with no solve:
+    # checking each removed clause by its own solve needs `checks` solves,
+    # and the oracle must save at least a quarter of them
+    solves = 0
+    real_solve = Solver.solve
+
+    def counted_solve(self, assumptions=()):
+        nonlocal solves
+        solves += 1
+        return real_solve(self, assumptions)
+
+    monkeypatch.setattr(Solver, "solve", counted_solve)
+    rng = random.Random(36)
+    checks = 0
+    answers = {True: 0, False: 0}
+    for _ in range(80):
+        phi, n = random_lcnf_inputs(rng, max_vars=5, max_clauses=12, max_labels=5)
+        ora = LcnfOracle(phi)
+        active = sorted(phi.active_labels)
+        universe = range(1, n + 1)
+        full = (1 << len(active)) - 1
+        queries = []
+        for mask in range(full - 1, -1, -1):
+            absent = full ^ mask
+            queries.append((_subset(active, mask), _subset(active, mask | (absent & -absent))))
+        for _ in range(20):
+            within = frozenset(l for l in active if rng.random() < 0.8)
+            queries.append((frozenset(l for l in within if rng.random() < 0.6), within))
+        for labels, within in queries:
+            models = models_of(phi.induced(labels).cnf(), universe)
+            expected = models == models_of(phi.induced(within).cnf(), universe)
+            answer = ora.is_equivalent_subformula(labels, within)
+            assert answer == expected, (labels, within)
+            answers[answer] += 1
+            # the solves a check of every removed clause, latest first, makes
+            for c in reversed(phi.clauses):
+                ls = phi.labels_of(c)
+                if ls <= within and not ls <= labels:
+                    checks += 1
+                    if any(not _satisfied(dict(zip(universe, m)), c) for m in models):
+                        break
+    assert min(answers.values()) > 200, answers
+    assert 4 * solves < 3 * checks, (solves, checks)
 
 
 def test_rotation_proves_only_necessary_labels():
