@@ -1,8 +1,9 @@
 """Brute-force ground truth: exhaustive classification of all label subsets.
 
-``classify_all`` walks every subset of a formula's active labels and decides
-satisfiability and equivalence of each induced subformula.  The report it
-returns builds each witness family from those statuses when the family is
+``classify_all`` decides, for every subset of a formula's active labels,
+whether the induced subformula is satisfiable and whether it is equivalent
+to the whole: two per-subset status lists, one per kind.  The report it
+returns builds each witness family from one of them when the family is
 first read, by one rule: the four families are the minimal or maximal label
 sets on which one status has one value.  Since equivalence is upward-closed
 over label sets and satisfiability is downward-closed, minimality and
@@ -12,12 +13,14 @@ formula has at most 12 variables: each clause's satisfying assignments are
 packed into one big integer, so a subformula's model set is a bitwise AND
 and equivalence is integer equality.  One subset-AND zeta transform, run
 over bounded chunks of subsets in one process, yields every subset's model
-set from those of its one-label-smaller subsets.  This path shares nothing
-with the clause-learning oracle, which is the point: the two can check each
-other.  Larger formulas go to one oracle in one monotone pass: most statuses
-follow from a one-label neighbour's, and each of the others costs one query,
-whose clause checks the oracle settles without a solve when an earlier
-query's entailment already decides them.
+set from those of its one-label-smaller subsets, and both lists with it.
+This path shares nothing with the clause-learning oracle, which is the
+point: the two can check each other.  Larger formulas go to one oracle, in
+one monotone pass per status kind, run only when a reader of the report
+first asks for that kind: most statuses follow from a one-label
+neighbour's, and each of the others costs one query, whose clause checks
+the oracle settles without a solve when an earlier query's entailment
+already decides them.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -104,15 +107,15 @@ def random_lcnf(seed: int, profile: GenerationProfile | None = None) -> LcnfForm
     return LcnfFormula.from_clauses(clauses, labelling)
 
 
-# family -> (status index, wanted value, minimal): the members are the label
-# sets whose status (0 satisfiable, 1 equivalent) has the wanted value while no
-# one-label neighbour below (minimal) or above (maximal) has it.  Equivalence
-# is upward-closed and satisfiability downward-closed, so the neighbours decide.
+# family -> (status list, wanted value, minimal): the members are the label
+# sets whose status has the wanted value while no one-label neighbour below
+# (minimal) or above (maximal) has it.  Equivalence is upward-closed and
+# satisfiability downward-closed, so the neighbours decide.
 _FAMILIES = {
-    "lmes": (1, True, True),
-    "lmus": (0, False, True),
-    "lmns": (1, False, False),
-    "lmss": (0, True, False),
+    "lmes": ("equivalent_statuses", True, True),
+    "lmus": ("sat_statuses", False, True),
+    "lmns": ("equivalent_statuses", False, False),
+    "lmss": ("sat_statuses", True, False),
 }
 
 
@@ -120,22 +123,44 @@ _FAMILIES = {
 class AnalysisReport:
     """Complete subset classification of one formula.
 
-    ``statuses`` holds one (satisfiable, equivalent) pair per bitmask over the
-    sorted active labels; the rest is read off it.  The witness families, their
-    complements (within the active labels) and ``classification`` (label
-    subset -> status) are built when first read.  Maximal non-equivalent sets
-    exist unless every subformula is equivalent, maximal satisfiable sets
-    unless the unlabelled clauses are unsatisfiable; ``empty_lmes`` says the
-    empty subformula is already equivalent, so the minimal family is {{}}.
+    ``sat_statuses`` and ``equivalent_statuses`` hold one bool per bitmask
+    over the sorted active labels: is that subset's subformula satisfiable,
+    is it equivalent to the whole.  LMUS, LMSS, co-LMSS and ``satisfiable``
+    read only the first; LMES, LMNS, co-LMNS and ``empty_lmes`` only the
+    second; ``classification`` (label subset -> status) both.  The truth
+    tables give both lists at once (``tables``); on the oracle path each is
+    computed by its own monotone pass on the shared ``oracle`` when first
+    read, so a command pays only for the kind it reads.  Everything else
+    is also built when first read.  Maximal non-equivalent sets exist
+    unless every subformula is equivalent, maximal satisfiable sets unless
+    the unlabelled clauses are unsatisfiable; ``empty_lmes`` says the empty
+    subformula is already equivalent, so the minimal family is {{}}.
     """
 
     formula: LcnfFormula
     active_labels: frozenset
-    statuses: list = field(repr=False)
+    # (sat_statuses, equivalent_statuses) from truth tables; None on the oracle path
+    tables: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def oracle(self) -> LcnfOracle:
+        return LcnfOracle(self.formula)
+
+    @cached_property
+    def sat_statuses(self) -> list:
+        if self.tables is not None:
+            return self.tables[0]
+        return _monotone_sat(self.oracle, sorted(self.active_labels))
+
+    @cached_property
+    def equivalent_statuses(self) -> list:
+        if self.tables is not None:
+            return self.tables[1]
+        return _monotone_equivalent(self.oracle, sorted(self.active_labels))
 
     def _extremal(self, name: str) -> SetFamily:
-        index, wanted, minimal = _FAMILIES[name]
-        has = [st[index] == wanted for st in self.statuses]
+        statuses, wanted, minimal = _FAMILIES[name]
+        has = [st == wanted for st in getattr(self, statuses)]
         full = len(has) - 1
         active = sorted(self.active_labels)
         members = []
@@ -154,15 +179,16 @@ class AnalysisReport:
     lmss = cached_property(lambda self: self._extremal("lmss"))
     colmns = cached_property(lambda self: self.lmns.complements())
     colmss = cached_property(lambda self: self.lmss.complements())
-    satisfiable = property(lambda self: self.statuses[-1][0])
-    empty_lmes = property(lambda self: self.statuses[0][1])
+    satisfiable = property(lambda self: self.sat_statuses[-1])
+    empty_lmes = property(lambda self: self.equivalent_statuses[0])
     lmns_exists = property(lambda self: bool(self.lmns))
     lmss_exists = property(lambda self: bool(self.lmss))
 
     @cached_property
     def classification(self) -> dict:
         active = sorted(self.active_labels)
-        return {_subset(active, m): SubsetStatus(*st) for m, st in enumerate(self.statuses)}
+        statuses = zip(self.sat_statuses, self.equivalent_statuses)
+        return {_subset(active, m): SubsetStatus(*st) for m, st in enumerate(statuses)}
 
 
 # AnalysisReport._extremal walks the neighbours inline: calling this once per
@@ -207,13 +233,13 @@ def _clause_masks(phi: LcnfFormula, variables: tuple) -> list[int]:
 
 
 def _classify_truth_tables(phi, active):
-    """(satisfiable, equivalent) of every subset, by one subset-AND zeta pass.
+    """Both status lists of every subset, by one subset-AND zeta pass.
 
     The subsets are walked in aligned chunks of ``TRUTH_TABLE_CHUNK`` masks.
     In the chunk whose high label bits are H, each clause whose high label
     bits lie inside H is ANDed into the slot of its low label bits; one zeta
     sweep over the low bits then leaves slot L holding the model set of the
-    subset H + L.
+    subset H + L, whose statuses are read straight off that slot.
     """
     variables = tuple(sorted(phi.variables))
     positions = {l: i for i, l in enumerate(active)}
@@ -228,7 +254,7 @@ def _classify_truth_tables(phi, active):
         full &= models
     size = 1 << min(len(active), TRUTH_TABLE_CHUNK.bit_length() - 1)
     low = size - 1
-    out = []
+    sat, equivalent = [], []
     for high in range(0, 1 << len(active), size):
         table = [universe] * size
         for bits, models in clauses:
@@ -248,16 +274,32 @@ def _classify_truth_tables(phi, active):
                     upper = slice(base, base + step)
                     table[upper] = map(and_, table[upper], table[base - step : base])
             step = span
-        out.extend(zip(map(bool, table), map(full.__eq__, table)))
-    return out
+        sat.extend(map(bool, table))
+        equivalent.extend(map(full.__eq__, table))
+    return sat, equivalent
 
 
-def _classify_monotone(phi, active):
-    """(satisfiable, equivalent) of every subset, by one oracle.
+def _monotone_sat(oracle, active):
+    """Whether each subset is satisfiable, by monotonicity and ``oracle``.
 
     Satisfiability is downward-closed: when the whole formula is satisfiable
     every subset is, and otherwise, walking subsets before supersets, a
-    subset with an unsatisfiable one-label subset is unsatisfiable.
+    subset with an unsatisfiable one-label subset is unsatisfiable.  Each
+    subset its neighbours leave open gets one query.
+    """
+    full = (1 << len(active)) - 1
+    sat = [True] * (full + 1)
+    if not oracle.is_sat_induced(active):
+        for mask in range(full):
+            decided = _has_neighbour(sat, mask, mask, False)
+            sat[mask] = not decided and oracle.is_sat_induced(_subset(active, mask))
+        sat[full] = False
+    return sat
+
+
+def _monotone_equivalent(oracle, active):
+    """Whether each subset is equivalent to the whole, by monotonicity and ``oracle``.
+
     Equivalence is upward-closed: walking supersets before subsets, a subset
     with a non-equivalent one-label superset is non-equivalent.  A subset S
     its neighbours leave open gets one query; for one absent label l,
@@ -267,14 +309,7 @@ def _classify_monotone(phi, active):
     (``LcnfOracle.is_equivalent_subformula``) settle most of those checks
     with no solve.
     """
-    oracle = LcnfOracle(phi)
     full = (1 << len(active)) - 1
-    sat = [True] * (full + 1)
-    if not oracle.is_sat_induced(active):
-        for mask in range(full):
-            decided = _has_neighbour(sat, mask, mask, False)
-            sat[mask] = not decided and oracle.is_sat_induced(_subset(active, mask))
-        sat[full] = False
     equivalent = [True] * (full + 1)
     for mask in range(full - 1, -1, -1):
         absent = full ^ mask
@@ -283,21 +318,24 @@ def _classify_monotone(phi, active):
         equivalent[mask] = not decided and oracle.is_equivalent_subformula(
             _subset(active, mask), within=_subset(active, within)
         )
-    return list(zip(sat, equivalent))
+    return equivalent
 
 
 def classify_all(phi: LcnfFormula, max_labels: int = 16) -> AnalysisReport:
-    """Classify every label subset; the report builds families on first read.
+    """Classify every label subset; the report computes what it is asked on first read.
 
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
     guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
-    ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables the
-    statuses come from truth tables by a subset-AND zeta transform, run over
-    chunks of at most ``TRUTH_TABLE_CHUNK`` subsets so that memory stays
-    bounded.  Larger formulas are classified by one oracle, because
-    monotonicity reads most statuses off a one-label neighbour's: a
-    satisfiable formula costs one satisfiability solve, and a subset is
-    queried for equivalence only when every one-label superset is
+    ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables both
+    status lists come from truth tables before this returns, by a
+    subset-AND zeta transform run over chunks of at most
+    ``TRUTH_TABLE_CHUNK`` subsets so that memory stays bounded.  Larger
+    formulas are classified by one oracle, and each status kind only when a
+    reader of the report first asks for it (``AnalysisReport``): LMUS and
+    LMSS need only satisfiability, LMES, LMNS and the duality check only
+    equivalence.  Monotonicity reads most statuses off a one-label
+    neighbour's: a satisfiable formula costs one satisfiability solve, and a
+    subset is queried for equivalence only when every one-label superset is
     equivalent, and then only on the clauses of one absent label; a clause
     that an earlier query's entailment answer already decides costs no
     solve.  Both paths run in one process.
@@ -313,7 +351,5 @@ def classify_all(phi: LcnfFormula, max_labels: int = 16) -> AnalysisReport:
             f"formula has {len(phi.variables)} variables, over the limit of {MAX_VARIABLES}"
         )
     if len(phi.variables) > MODEL_ENUMERATION_LIMIT:
-        classify = _classify_monotone
-    else:
-        classify = _classify_truth_tables
-    return AnalysisReport(phi, frozenset(active), classify(phi, active))
+        return AnalysisReport(phi, frozenset(active))
+    return AnalysisReport(phi, frozenset(active), _classify_truth_tables(phi, active))

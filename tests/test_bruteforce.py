@@ -9,6 +9,7 @@ import pytest
 
 import lcnf
 from lcnf import bruteforce
+from lcnf.analysis import REASON_SATISFIABLE
 from lcnf.bruteforce import (
     GenerationProfile,
     SubsetStatus,
@@ -16,7 +17,10 @@ from lcnf.bruteforce import (
     random_lcnf,
 )
 from lcnf.core import LcnfFormula
+from lcnf.duality import verify_duality
 from lcnf.errors import ResourceLimitError
+from lcnf.interface import serialize_lcnf
+from lcnf.oracle import LcnfOracle, Solver
 
 from conftest import (
     WORKED_COLMNS,
@@ -26,6 +30,7 @@ from conftest import (
     PHI_U_LMSS,
     PHI_U_LMUS,
     models_of,
+    run_cli_streams,
 )
 
 
@@ -111,8 +116,13 @@ def thirteen_variables(*extra):
 
 
 def truth_table_statuses(phi):
+    """(sat_statuses, equivalent_statuses) of ``phi`` from its truth tables."""
     active = tuple(sorted(phi.active_labels))
     return bruteforce._classify_truth_tables(phi, active)
+
+
+def statuses(report):
+    return report.sat_statuses, report.equivalent_statuses
 
 
 def test_oracle_fallback_beyond_truth_table_width():
@@ -122,7 +132,7 @@ def test_oracle_fallback_beyond_truth_table_width():
     # (1 v 2) is entailed by the units, so label 2 is redundant
     assert report.lmes == {frozenset({1})}
     assert report.satisfiable
-    assert report.statuses == truth_table_statuses(phi)
+    assert statuses(report) == truth_table_statuses(phi)
 
     # -1 under label 3 clashes with label 1; -13 v 2 under label 4 needs 2
     unsat = thirteen_variables(((-1,), (3,)), ((-13, 2), (4,)))
@@ -131,7 +141,7 @@ def test_oracle_fallback_beyond_truth_table_width():
     assert report.lmus == {frozenset({1, 3})}
     assert report.lmes == report.lmus
     assert report.lmss == {frozenset({1, 2, 4}), frozenset({2, 3, 4})}
-    assert report.statuses == truth_table_statuses(unsat)
+    assert statuses(report) == truth_table_statuses(unsat)
 
 
 def test_oracle_path_matches_truth_tables(monkeypatch):
@@ -146,9 +156,68 @@ def test_oracle_path_matches_truth_tables(monkeypatch):
             phi = random_lcnf(seed, profile)
             report = classify_all(phi)
             where = f"{profile.labelling}, {profile.labels} labels, seed {seed}"
-            assert report.statuses == truth_table_statuses(phi), where
+            assert statuses(report) == truth_table_statuses(phi), where
             unsatisfiable += not report.satisfiable
     assert unsatisfiable >= 400
+
+
+def test_each_read_runs_only_its_own_pass(monkeypatch):
+    # on the oracle path a fresh report computes a status kind only when it
+    # is read: the satisfiability reads make no equivalence query and the
+    # equivalence reads (the duality check among them) no satisfiability
+    # query, and the list each computes still matches the truth tables
+    monkeypatch.setattr(bruteforce, "MODEL_ENUMERATION_LIMIT", 0)
+    queries = {}
+    for kind, name in (("sat", "is_sat_induced"), ("equivalent", "is_equivalent_subformula")):
+        real = getattr(LcnfOracle, name)
+
+        def counted(self, *args, _real=real, _kind=kind, **kwargs):
+            queries[_kind] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(LcnfOracle, name, counted)
+    reads = {
+        "sat": ["lmss", "colmss", "lmus", "satisfiable"],
+        "equivalent": ["lmes", "lmns", "colmns", "empty_lmes", verify_duality],
+    }
+    profile = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
+    for seed in range(40):
+        phi = random_lcnf(seed, profile)
+        truth = dict(zip(("sat", "equivalent"), truth_table_statuses(phi)))
+        for kind, other in (("sat", "equivalent"), ("equivalent", "sat")):
+            for read in reads[kind]:
+                queries.update(sat=0, equivalent=0)
+                report = classify_all(phi)
+                if callable(read):
+                    read(phi, report)
+                else:
+                    getattr(report, read)
+                where = f"seed {seed}, {getattr(read, '__name__', read)}"
+                assert queries[other] == 0, where
+                assert queries[kind] > 0 or not phi.active_labels, where
+                assert getattr(report, f"{kind}_statuses") == truth[kind], where
+
+
+def test_cli_lmus_refusal_on_the_oracle_path_costs_one_solve(tmp_path, monkeypatch):
+    # a satisfiable formula has no LMUS: one satisfiability solve decides
+    # that, and no equivalence pass runs before the refusal
+    solves = 0
+    real_solve = Solver.solve
+
+    def counted_solve(self, assumptions=()):
+        nonlocal solves
+        solves += 1
+        return real_solve(self, assumptions)
+
+    monkeypatch.setattr(Solver, "solve", counted_solve)
+    f = tmp_path / "thirteen.lcnf"
+    f.write_text(serialize_lcnf(thirteen_variables()))
+    assert run_cli_streams("enum", "--family", "lmus", str(f)) == (
+        3,
+        "",
+        f"not applicable: {REASON_SATISFIABLE}\n",
+    )
+    assert solves == 1
 
 
 def test_random_lcnf_is_deterministic_per_seed():

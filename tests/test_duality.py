@@ -199,7 +199,7 @@ def test_complements_consistent_reads_the_statuses(worked_example):
     active = sorted(report.active_labels)
     member = next(iter(colmns))
     mask = sum(1 << i for i, l in enumerate(active) if l not in member)
-    report.statuses[mask] = (report.statuses[mask][0], True)
+    report.equivalent_statuses[mask] = True
     verdict = verify_duality(worked_example, report)
     assert verdict.applicable
     assert not verdict.complements_consistent
