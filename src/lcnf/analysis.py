@@ -17,15 +17,21 @@ redundancy against the current reduced formula; maximal sets by a single grow
 pass from a seed.  One pass suffices both ways: equivalence with the formula
 is upward-closed over label sets and satisfiability is downward-closed, so a
 label kept while shrinking (or rejected while growing) stays so as the
-current set keeps shrinking (or growing).  Both are deterministic given the
-formula and the label order.
+current set keeps shrinking (or growing).  Each is deterministic given the
+formula, the label order and, for the LMUS, the oracle's earlier queries.
 
-Every sweep also skips the steps that earlier solves already decide, so it
-returns exactly what a sweep solving every step returns.  A deletion step
-for a label outside the latest UNSAT core (the oracle's ``core``) drops
-the label unsolved: the smaller set still contains that core.  A deletion
-step for a label that recursive model rotation (the oracle's ``rotate``)
-proved necessary keeps it unsolved.  After each SAT answer of the LMES and
+Every sweep also skips the steps that earlier solves already decide, so the
+LMES, LMSS and LMNS sweeps return exactly what a sweep solving every step
+returns.  A deletion step for a label outside the latest UNSAT core (the
+oracle's ``core``) drops the label unsolved: the smaller set still contains
+that core.  The LMUS sweep goes further (clause-set refinement,
+Marques-Silva & Lynce, SAT 2011): after a deletion step answers UNSAT it
+continues inside that answer's core, so every label outside it goes at
+once and later queries ask about fewer labels.  Its result is still an
+LMUS, but which one depends on the cores the solver returns, and so, on a
+shared oracle, on the oracle's earlier queries.  A deletion step for a
+label that recursive model rotation (the oracle's ``rotate``) proved
+necessary keeps it unsolved.  After each SAT answer of the LMES and
 LMUS sweeps, rotation derives from the answer's model assignments that
 satisfy every clause of the current set without some label l and falsify
 one with l.  The current set less l is then satisfiable and misses a
@@ -128,9 +134,14 @@ def compute_lmus(
 
     The formula must be unsatisfiable.  The result can be empty when the
     unlabelled clauses are themselves unsatisfiable.  A label outside the
-    latest core is dropped with no solve; after each satisfiable answer,
-    model rotation from its model marks further labels necessary, and they
-    are kept with no solve.
+    latest core is dropped with no solve, and after a deletion step answers
+    UNSAT the sweep continues inside that answer's core (clause-set
+    refinement).  After each satisfiable answer, model rotation from its
+    model marks further labels necessary, and they are kept with no solve.
+    ``order`` decides every step up to and including the first UNSAT one;
+    later steps test, in that order, the labels of the latest core, so the
+    result depends on the cores the solver returns, which on a passed
+    ``oracle`` depend on its earlier queries too.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
     if ora.is_sat_induced(phi.active_labels):
@@ -141,14 +152,16 @@ def compute_lmus(
     for l in _normalize_order(phi, order):
         if l in kept:
             continue
-        # core <= current holds throughout: a core label leaves only on an
-        # UNSAT answer, which brings a new core inside the smaller set
+        # kept <= core <= current holds throughout: a core label leaves only
+        # on an UNSAT answer, whose core, unsatisfiable on its own, becomes
+        # the current set and holds every label proven necessary so far
         if l in core:
             if ora.is_sat_induced(current - {l}):
                 kept.add(l)
                 kept |= ora.rotate(ora.model(), current, kept)
                 continue
             core = ora.core()
+            current &= core
         current.discard(l)
     return frozenset(current)
 

@@ -293,6 +293,7 @@ class Solver:
         deepest remaining literal at position 1, ready for watching.
         """
         level = self._level
+        only = self._only
         cur_level = len(self._trail_lim)
         seen: set[int] = set()
         learned: list[int] = [0]
@@ -306,7 +307,8 @@ class Solver:
                 if v in seen or level[v] == 0:
                     continue
                 seen.add(v)
-                self._bump(v)
+                if v not in only:  # the decision scan never reads their activity
+                    self._bump(v)
                 if level[v] == cur_level:
                     counter += 1
                 else:

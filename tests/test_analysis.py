@@ -12,7 +12,7 @@ from lcnf.analysis import (
     duality_preconditions,
 )
 from lcnf.bruteforce import classify_all, random_lcnf
-from lcnf.core import LcnfFormula
+from lcnf.core import LcnfFormula, label
 from lcnf.errors import PreconditionError
 from lcnf.oracle import LcnfOracle
 
@@ -190,16 +190,6 @@ def _plain_lmes(phi, order, ora):
     return frozenset(current)
 
 
-def _plain_lmus(phi, order, ora):
-    if ora.is_sat_induced(phi.active_labels):
-        return None
-    current = set(phi.active_labels)
-    for l in order:
-        if not ora.is_sat_induced(current - {l}):
-            current.discard(l)
-    return frozenset(current)
-
-
 def _plain_lmss(phi, seed, order, ora):
     if not ora.is_sat_induced(seed):
         return None
@@ -228,11 +218,12 @@ def _or_none(compute, *args, **kwargs):
 
 
 def test_sweeps_that_reuse_evidence_match_plain_sweeps():
-    # cores, models, non-equivalence witnesses and the labels model
-    # rotation proves only skip solves whose answer they imply, so every
-    # witness equals the plain sweep's, for every profile, order and seed;
-    # one oracle answers every function under test, so evidence left by one
-    # cannot leak into the next
+    # models, non-equivalence witnesses and the labels model rotation proves
+    # only skip solves whose answer they imply, so every LMES, LMSS and LMNS
+    # equals the plain sweep's, for every profile, order and seed; the LMUS
+    # sweep continues inside each core, so it returns some LMUS, which a
+    # wrongly skipped solve would miss; one oracle answers every function
+    # under test, so evidence left by one cannot leak into the next
     rng = random.Random(808)
     counts = {"lmes": 0, "lmus": 0, "lmss": 0, "lmns": 0}
     for i in range(600):
@@ -246,7 +237,10 @@ def test_sweeps_that_reuse_evidence_match_plain_sweeps():
         lmes = compute_lmes(phi, order, oracle=ora)
         assert lmes == _plain_lmes(phi, full, plain), (i, order)
         lmus = _or_none(compute_lmus, phi, order, oracle=ora)
-        assert lmus == _plain_lmus(phi, full, plain), (i, order)
+        if plain.is_sat_induced(phi.active_labels):
+            assert lmus is None, (i, order)
+        else:
+            assert lmus in classify_all(phi).lmus.members, (i, order)
         lmss = _or_none(compute_lmss, phi, seed, order, oracle=ora)
         expected = None
         if plain.is_sat_induced(frozenset()):
@@ -257,3 +251,63 @@ def test_sweeps_that_reuse_evidence_match_plain_sweeps():
         for name, got in (("lmes", lmes), ("lmus", lmus), ("lmss", lmss), ("lmns", lmns)):
             counts[name] += got is not None and len(got) > 1
     assert min(counts.values()) > 100, counts
+
+
+class _RecordingOracle(LcnfOracle):
+    """An oracle that records each satisfiability query: the label set it
+    asked about, its answer and, for a False answer, its core."""
+
+    def __init__(self, phi):
+        super().__init__(phi)
+        self.queries = []
+
+    def is_sat_induced(self, labels):
+        labels = frozenset(labels)
+        sat = super().is_sat_induced(labels)
+        self.queries.append((labels, sat, None if sat else self.core()))
+        return sat
+
+
+def _random_3sat(seed, variables):
+    """Clause-labelled random 3-SAT at ratio 5.5: each clause on three
+    distinct variables."""
+    rng = random.Random(seed)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, variables + 1), 3)]
+        for _ in range(round(5.5 * variables))
+    ]
+    return label(clauses, "clause")
+
+
+def test_lmus_sweep_continues_inside_each_core():
+    # clause-set refinement: once a deletion step answers UNSAT, every later
+    # query of the sweep asks about a subset of that answer's core, and the
+    # result is still an LMUS; the first query asks about every label, and
+    # a satisfiable formula has no LMUS
+    rng = random.Random(1414)
+    small = [sweep_formula(i) for i in range(600)]
+    large = [_random_3sat(seed, 15 + seed % 6) for seed in range(8)]
+    bounded = 0
+    unsat = [0, 0]  # small, large
+    for i, phi in enumerate(small + large):
+        order = sorted(phi.active_labels)
+        rng.shuffle(order)
+        ora = _RecordingOracle(phi)
+        lmus = _or_none(compute_lmus, phi, order, oracle=ora)
+        if lmus is None:
+            continue
+        unsat[i >= len(small)] += 1
+        core = None
+        for labels, sat, answer_core in ora.queries[1:]:
+            if core is not None:
+                assert labels <= core, (i, order)
+                bounded += 1
+            if not sat:
+                core = answer_core
+        if i < len(small):
+            assert lmus in classify_all(phi).lmus.members, (i, order)
+        else:
+            check = LcnfOracle(phi)
+            assert not check.is_sat_induced(lmus), i
+            assert all(check.is_sat_induced(lmus - {l}) for l in lmus), i
+    assert unsat[0] > 100 and unsat[1] >= 6 and bounded > 200, (unsat, bounded)
