@@ -1,32 +1,30 @@
-"""SAT oracle: an embedded CDCL solver plus an assumption-based formula oracle.
+"""SAT oracle: an embedded CDCL solver over labelled clauses, and a formula oracle.
 
 The solver is a conventional conflict-driven clause learner: two watched
 literals per clause, first-UIP conflict analysis, activity-based branching
 with phase saving, and Luby restarts.  Its state lives in lists indexed by a
-dense variable number or a literal code, MiniSat style.  Assumptions are
-forced top-level decisions, one level each.  The trail is kept between
-``solve`` calls: level-0 facts stay assigned, a call keeps the longest run
-of the previous call's assumption levels whose literals it also makes, and
-opens the rest in the order given (Nadel & Ryvchin, SAT 2012, measure what
-re-opening them costs).  One solver instance thus answers many queries
-about the same clause set without rebuilding anything.  Assumption-only
-variables are activation literals (Een & Sorensson, 2003): they occur only
-negated, are never decided, and one a call does not assume is false in its
-model.  After an UNSAT answer ``analyze_final``
-(MiniSat's ``analyzeFinal``) names the assumptions it rests on; it walks the
-trail only when asked, so an answer nobody asks about costs nothing.
+dense variable number or a literal code, MiniSat style.  A clause may carry
+a set of labels, and each ``solve`` names the labels switched on: a clause
+takes part exactly when all its labels are, so one solver instance answers
+queries about every subformula a label set induces without rebuilding
+anything.  A learned clause carries the union of the labels of the clauses
+it was resolved from, in place of the negated selector literals of the
+usual encoding (Lagniez & Biere, SAT 2013, factor such assumptions out of
+MUS extraction), so learned clauses stay short and take part wherever they
+still hold.  Level 0 keeps only facts that no label conditions; what the
+switched-on clauses imply without a decision sits on the activation level
+above it, rebuilt by each solve.  Assumptions are forced decisions, one
+level each.  After an UNSAT answer ``analyze_final`` (MiniSat's
+``analyzeFinal``) names the assumptions and the labels it rests on; it
+walks the trail only when asked, so an answer nobody asks about costs
+nothing.
 
-``LcnfOracle`` wraps a labelled formula in the standard selector encoding:
-every active label l gets a fresh selector variable s_l and every clause c
-becomes  c OR (negated selectors of c's labels).  Assuming the selectors of
-the labels in a set, in one fixed order (label descending), then activates
-exactly the clauses of the induced subformula: a selector left unassumed is
-false, which satisfies its clauses.  Satisfiability, entailment and
-equivalence queries about any label subset are thus single ``solve`` calls
-against one shared solver, and a query pays for the labels it keeps, not
-for every label.  Each clause's label set and negated literals are computed
-once, when the oracle is built.  Selectors are assumption-only variables,
-so branching never scans them.  Each query leaves its evidence behind: an
+``LcnfOracle`` gives the solver each clause of a labelled formula with its
+label set, once.  Satisfiability, entailment and equivalence queries about
+any label subset are then single ``solve`` calls with that subset switched
+on, against one shared solver; only a clause under test enters as
+assumptions, its negated literals, computed once when the oracle is built.
+Each query leaves its evidence behind: an
 unsatisfiable core of labels after an unsatisfiable answer, and a model
 after a satisfiable or a non-equivalent one.  An equivalence query checks
 the removed clauses latest first, and its entailment answers settle later
@@ -83,22 +81,34 @@ def _luby(x: int) -> int:
 
 
 class Solver:
-    """Incremental CDCL SAT solver with solving under assumptions.
+    """Incremental CDCL SAT solver over label-conditioned clauses.
 
-    ``conflict_budget`` bounds ``conflicts``, the number of conflicts spent
-    over every ``solve`` of the solver's life (MiniSat's ``setConfBudget``);
-    exceeding it raises ResourceLimitError rather than guessing.
+    A clause may carry a set of labels, and ``solve`` takes the set of
+    labels switched on: a clause takes part in a solve exactly when all its
+    labels are on.  Unlabelled clauses always do.  A learned clause carries
+    the union of the labels of the clauses it was resolved from, so it holds
+    whenever they do, and takes part in exactly the solves where they all
+    would.
 
     Variables are numbered densely in first-seen order; literal ``v`` of
-    dense variable ``i`` has code ``2i`` and its negation ``2i + 1``.  The
-    trail survives ``solve``: level-0 facts stay assigned, and assumption
-    ``k`` owns decision level ``k + 1``.  A call keeps the longest run of
-    the previous call's open assumption levels whose literals it also makes,
-    in their old order, and opens its other assumptions after them, in one
-    loop that stops to propagate only where a literal's negation is watched.
-    Variables marked by ``set_assumption_only`` must occur only negated in
-    the clauses added; the answer is SAT once every other variable is
-    assigned.
+    dense variable ``i`` has code ``2i`` and its negation ``2i + 1``.  Each
+    solve starts from level 0, which holds only facts that no label
+    conditions: propagation there treats every labelled clause as off.
+    Level 1 is the activation level.  It holds what the switched-on
+    labelled clauses imply without any decision, starting from those of
+    fewer than two literals, which are enqueued or refuted there.
+    Assumption ``k`` owns level ``k + 2``, and decisions follow.  A clause
+    switched off leaves the watch lists the first time propagation meets
+    it; one switched on again goes back in before the activation level is
+    opened, checked against the level-0 facts that arrived meanwhile.
+
+    ``conflicts`` counts, over every ``solve`` of the solver's life, each
+    conflict found above level 0: one at the activation level, which
+    answers UNSAT at once, and each one the search analyses and learns
+    from.  A conflict at level 0 refutes the unlabelled clauses for good
+    and is not counted.  ``conflict_budget`` bounds ``conflicts`` (MiniSat's
+    ``setConfBudget``); exceeding it raises ResourceLimitError rather than
+    guessing.
     """
 
     _RESTART_BASE = 100
@@ -106,8 +116,18 @@ class Solver:
     def __init__(self, clauses: Iterable = (), *, conflict_budget: int | None = None):
         self.conflict_budget = conflict_budget
         self.conflicts = 0
-        self._ok = True  # False once the clauses are refuted at level 0
-        self._clauses: list[list[int]] = []  # literal codes, watching [0] and [1]
+        self._ok = True  # False once the unlabelled clauses are refuted
+        # per clause: literal codes, watching [0] and [1] when it has two or more
+        self._clauses: list[list[int]] = []
+        self._labels: list[tuple] = []  # per clause: its labels, () if none
+        self._off: list[int] = []  # per clause: how many of its labels are off
+        self._watched: list[bool] = []  # per clause: in the watch lists of [0] and [1]
+        self._with_label: dict[int, list[int]] = {}  # label -> the clauses that carry it
+        self._on: frozenset = frozenset()  # the labels switched on
+        self._short: list[int] = []  # labelled clauses of fewer than two literals
+        # clauses out of the watch lists to put back when the activation level
+        # opens, if they are switched on then
+        self._pending: list[int] = []
         self._code: dict[int, int] = {}  # literal -> literal code
         self._names: list[int] = []  # dense index -> variable
         # per dense variable
@@ -122,14 +142,12 @@ class Solver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._asms: list[int] = []  # assumption codes of the open assumption levels
-        self._branch: list[int] = []  # dense variables the decision scan visits, ascending
-        self._only: set[int] = set()  # assumption-only dense variables
-        self._positive: set[int] = set()  # dense variables with a positive occurrence
-        # what the latest UNSAT answer rests on: None if there is none to explain,
-        # the falsified assumption's code until analyze_final walks it, then
-        # the failed assumption literals
-        self._failed: int | list[int] | None = None
+        # what the latest UNSAT answer rests on: None if there is none to
+        # explain; ("assumption", code) or ("clause", index) for the
+        # assumption found false or the clause found false at the activation
+        # level, until analyze_final walks it; then (failed assumption
+        # literals, labels)
+        self._failed: tuple | None = None
         for c in clauses:
             self.add_clause(c)
 
@@ -146,29 +164,13 @@ class Solver:
         self._phase.append(1)
         self._value += (None, None)
         self._watches += ([], [])
-        self._branch.append(i)
         return i
 
-    def set_assumption_only(self, variables: Iterable[int]):
-        """Leave ``variables`` out of the decision scan (MiniSat's ``setDecisionVar``).
+    def add_clause(self, literals: Iterable[int], labels: Iterable[int] = ()):
+        """Add a clause that takes part in a solve when all its ``labels`` are on.
 
-        For activation literals such as an oracle's selectors, which occur
-        only negated in the clauses: a ValueError is raised if one of
-        ``variables`` occurs positively in a clause added before or after.
-        A ``solve`` that does not assume such a variable leaves it free;
-        the answer is SAT once every other variable is assigned, and the
-        model reports it false, which satisfies each clause it occurs in.
-        A variable the clauses lack is ignored.
+        Duplicate literals collapse, and tautologies are dropped.
         """
-        code = self._code
-        drop = {code[int(v)] >> 1 for v in variables if int(v) in code}
-        if not drop.isdisjoint(self._positive):
-            raise ValueError("an assumption-only variable occurs positively in a clause")
-        self._only |= drop
-        self._branch = [i for i in self._branch if i not in drop]
-
-    def add_clause(self, literals: Iterable[int]):
-        """Add a clause; duplicate literals collapse, tautologies are dropped."""
         lits = [int(l) for l in literals]
         if 0 in lits:
             raise ValueError("literal 0 is not allowed in a clause")
@@ -182,29 +184,113 @@ class Solver:
             code = code_of.get(l)
             if code is None:
                 code = 2 * self._new_var(abs(l)) + (l < 0)
-            if not code & 1:
-                if code >> 1 in self._only:
-                    raise ValueError(f"assumption-only variable {l} occurs positively")
-                self._positive.add(code >> 1)
             if value[code] or code ^ 1 in clause:
                 dropped = True
             elif value[code] is None and code not in clause:
                 clause.append(code)
         if dropped:
             return
-        if not clause:
-            self._ok = False
-        elif len(clause) == 1:
+        labels = tuple({int(l) for l in labels})
+        if labels or len(clause) > 1:
+            self._store(clause, labels)
+        elif clause:
             self._enqueue(clause[0], None)
         else:
-            self._attach(clause)
+            self._ok = False
 
-    def _attach(self, lits: list[int]) -> int:
+    def _store(self, lits: list[int], labels: tuple) -> int:
+        """Keep a clause of literal codes that is labelled or has two or more.
+
+        One of fewer than two literals becomes short; a longer one goes in
+        the watch lists if it is switched on.
+        """
         ci = len(self._clauses)
         self._clauses.append(lits)
+        self._labels.append(labels)
+        self._off.append(len(labels) - len(self._on.intersection(labels)))
+        self._watched.append(False)
+        with_label = self._with_label
+        for l in labels:
+            if l in with_label:
+                with_label[l].append(ci)
+            else:
+                with_label[l] = [ci]
+        if len(lits) < 2:
+            self._short.append(ci)
+        elif not self._off[ci]:
+            self._attach(ci)
+        return ci
+
+    def _attach(self, ci: int):
+        lits = self._clauses[ci]
         self._watches[lits[0]].append(ci)
         self._watches[lits[1]].append(ci)
-        return ci
+        self._watched[ci] = True
+
+    def _switch(self, labels: frozenset):
+        """Switch on exactly ``labels``; clauses switched on and out of the
+        watch lists become pending."""
+        old = self._on
+        if labels is old:
+            return
+        with_label = self._with_label
+        off = self._off
+        for l in old - labels:
+            for ci in with_label.get(l, ()):
+                off[ci] += 1
+        watched = self._watched
+        pending = self._pending
+        for l in labels - old:
+            for ci in with_label.get(l, ()):
+                off[ci] -= 1
+                if not off[ci] and not watched[ci]:
+                    pending.append(ci)
+        self._on = labels
+
+    def _activate(self) -> int | None:
+        """Open the activation level; returns a clause it finds false, or None.
+
+        First each pending clause that is switched on goes back in the watch
+        lists.  Where the level-0 facts that arrived while it was out
+        falsify a watched literal, a clause they satisfy watches its true
+        literal, and any other loses the literals they falsify, becoming
+        short if fewer than two are left.  Then each switched-on short
+        clause is enqueued, or found false.
+        """
+        value = self._value
+        clauses = self._clauses
+        off = self._off
+        watched = self._watched
+        for ci in self._pending:
+            lits = clauses[ci]
+            if off[ci] or watched[ci] or len(lits) < 2:
+                continue
+            if value[lits[0]] is not False and value[lits[1]] is not False:
+                self._attach(ci)
+                continue
+            true = [q for q in lits if value[q]]
+            if true:
+                # satisfied for good: watch the true literal, which never goes
+                q = true[0]
+                lits.remove(q)
+                lits.insert(0, q)
+            else:
+                lits[:] = [q for q in lits if value[q] is None]
+                if len(lits) < 2:
+                    self._short.append(ci)
+                    continue
+            self._attach(ci)
+        self._pending = []
+        self._trail_lim.append(len(self._trail))
+        for ci in self._short:
+            if off[ci]:
+                continue
+            lits = clauses[ci]
+            if not lits or value[lits[0]] is False:
+                return ci
+            if value[lits[0]] is None:
+                self._enqueue(lits[0], ci)
+        return None
 
     # -- assignment ---------------------------------------------------------
 
@@ -230,12 +316,19 @@ class Solver:
     # -- propagation --------------------------------------------------------
 
     def _propagate(self) -> int | None:
-        """Unit propagation; returns a conflicting clause index or None."""
+        """Unit propagation; returns a conflicting clause index or None.
+
+        A clause that is off here leaves both its watch lists when met: at
+        level 0 that is every labelled clause, and one switched on becomes
+        pending.
+        """
         value = self._value
         watches = self._watches
         clauses = self._clauses
         trail = self._trail
         level = len(self._trail_lim)
+        off = self._off
+        gate = off if level else self._labels
         qhead = self._qhead
         while qhead < len(trail):
             false_lit = trail[qhead] ^ 1
@@ -246,6 +339,12 @@ class Solver:
             kept: list[int] = []
             for wi, ci in enumerate(watchlist):
                 lits = clauses[ci]
+                if gate[ci]:
+                    watches[lits[1] if lits[0] == false_lit else lits[0]].remove(ci)
+                    self._watched[ci] = False
+                    if not off[ci]:
+                        self._pending.append(ci)
+                    continue
                 if lits[0] == false_lit:
                     lits[0] = first = lits[1]
                     lits[1] = false_lit
@@ -286,17 +385,21 @@ class Solver:
             self._activity = [a * 1e-100 for a in self._activity]
             self._var_inc *= 1e-100
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
-        """First-UIP learning; returns (learned clause, backjump level).
+    def _analyze(self, confl: int) -> tuple[list[int], tuple, int]:
+        """First-UIP learning above the activation level.
 
-        The asserting literal sits at position 0 of the learned clause and a
-        deepest remaining literal at position 1, ready for watching.
+        Returns the learned clause, the union of the labels of the clauses
+        resolved, and the backjump level.  The asserting literal sits at
+        position 0 of the learned clause and a deepest remaining literal at
+        position 1, ready for watching.  A labelled unit goes back to the
+        activation level, an unlabelled one to level 0.
         """
         level = self._level
-        only = self._only
+        labels = self._labels
         cur_level = len(self._trail_lim)
         seen: set[int] = set()
         learned: list[int] = [0]
+        used = set(labels[confl])
         counter = 0
         index = len(self._trail)
         reason_lits = self._clauses[confl]
@@ -307,8 +410,7 @@ class Solver:
                 if v in seen or level[v] == 0:
                     continue
                 seen.add(v)
-                if v not in only:  # the decision scan never reads their activity
-                    self._bump(v)
+                self._bump(v)
                 if level[v] == cur_level:
                     counter += 1
                 else:
@@ -321,68 +423,69 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason_lits = self._clauses[self._reason[p >> 1]]
+            r = self._reason[p >> 1]
+            used.update(labels[r])
+            reason_lits = self._clauses[r]
         learned[0] = p ^ 1
         if len(learned) == 1:
-            return learned, 0
+            return learned, tuple(used), 1 if used else 0
         # place a literal from the backjump level at position 1
         max_i = 1
         for i in range(2, len(learned)):
             if level[learned[i] >> 1] > level[learned[max_i] >> 1]:
                 max_i = i
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, level[learned[1] >> 1]
+        return learned, tuple(used), level[learned[1] >> 1]
 
     # -- main search --------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        """The unassigned variable of highest activity, first-seen on ties; -1 if none.
-
-        Assumption-only variables are never picked.
-        """
+        """The unassigned variable of highest activity, first-seen on ties; -1 if none."""
         value = self._value
-        activity = self._activity
         best = -1
         best_act = -1.0
-        for v in self._branch:
-            act = activity[v]
+        for v, act in enumerate(self._activity):
             if act > best_act and value[2 * v] is None:
                 best = v
                 best_act = act
         return best
 
-    def analyze_final(self) -> list[int]:
-        """The assumptions the latest UNSAT answer rests on (MiniSat's ``analyzeFinal``).
+    def analyze_final(self) -> tuple[list[int], frozenset]:
+        """What the latest UNSAT answer rests on (MiniSat's ``analyzeFinal``).
 
-        A subset of that call's assumptions under which the clauses alone are
-        unsatisfiable; empty when they are unsatisfiable without any.  It is
-        computed on the first request, from the trail the answer left, so an
-        answer nobody asks about costs nothing.  RuntimeError unless the
-        latest ``solve`` answered UNSAT and no clause was added since.
+        A pair: a subset of that call's assumptions, and the labels of the
+        clauses the refutation used, a subset of the labels that were on.
+        The clauses those labels switch on, with the unlabelled ones, are
+        unsatisfiable under those assumptions.  It is computed on the first
+        request, from the trail the answer left, so an answer nobody asks
+        about costs nothing.  RuntimeError unless the latest ``solve``
+        answered UNSAT and no clause was added since.
         """
         failed = self._failed
         if failed is None:
             raise RuntimeError("no UNSAT answer to explain since the latest solve or clause")
-        if isinstance(failed, int):
-            failed = self._failed = self._failed_from(failed)
-        return list(failed)
+        if failed[0] == "assumption":
+            failed = self._failed = self._failed_from([failed[1]], [failed[1]], ())
+        elif failed[0] == "clause":
+            ci = failed[1]
+            failed = self._failed = self._failed_from(self._clauses[ci], [], self._labels[ci])
+        return list(failed[0]), failed[1]
 
-    def _failed_from(self, asm: int) -> list[int]:
-        """Failed assumptions when assumption code ``asm`` was found false.
+    def _failed_from(self, start: list[int], failed: list[int], labels: tuple) -> tuple:
+        """Failed assumptions and labels behind the falsity of literals ``start``.
 
-        Walks the trail down from its top to the first assumption level,
-        following the reasons of everything that led to ``asm``'s negation;
-        the assumptions met on the way (reasonless literals above level 0)
-        are the ones it rests on.
+        Walks the trail down from its top to the activation level, following
+        the reasons of every literal above level 0 that led to ``start``'s
+        falsity; the assumptions met on the way (reasonless literals) are
+        the ones it rests on, and the reasons' labels are the ones it uses.
         """
         level = self._level
         reason = self._reason
         clauses = self._clauses
         names = self._names
-        seen = {asm >> 1}
-        failed = [asm]
-        start = self._trail_lim[0] if self._trail_lim else len(self._trail)
-        for p in reversed(self._trail[start:]):
+        used = set(labels)
+        seen = {q >> 1 for q in start if level[q >> 1]}
+        for p in reversed(self._trail[self._trail_lim[0] :]):
             v = p >> 1
             if v not in seen:
                 continue
@@ -390,19 +493,19 @@ class Solver:
             if r is None:
                 failed.append(p)
             else:
+                used.update(self._labels[r])
                 seen.update(q >> 1 for q in clauses[r] if level[q >> 1])
-        return [-names[c >> 1] if c & 1 else names[c >> 1] for c in failed]
+        return [-names[c >> 1] if c & 1 else names[c >> 1] for c in failed], frozenset(used)
 
     def _model(self, free: dict) -> dict:
-        # only an assumption-only variable the call left free is unassigned
         return dict(zip(self._names, map(bool, self._value[::2]))) | free
 
-    def solve(self, assumptions: Iterable[int] = ()) -> SatOutcome:
-        """Decide satisfiability of the clause set under unit assumptions.
+    def solve(self, assumptions: Iterable[int] = (), labels: Iterable[int] = ()) -> SatOutcome:
+        """Decide satisfiability under unit assumptions, with ``labels`` on.
 
-        The longest run of the previous call's open assumption levels whose
-        literals this call also makes is kept; the other assumptions follow
-        it in the order given.
+        The clauses that take part are the unlabelled ones and those whose
+        labels all lie in ``labels``; the assumptions are opened in the
+        order given.
         """
         self._failed = None
         asms = list(assumptions)
@@ -425,35 +528,29 @@ class Solver:
                     clash = a
                     break
         if not self._ok:
-            self._failed = []
+            self._failed = ((), frozenset())
             return SatOutcome(False)
         if clash:
-            self._failed = [-clash, clash]
+            self._failed = ([-clash, clash], frozenset())
             return SatOutcome(False)
-        old = self._asms
-        keep = 0
-        limit = min(len(self._trail_lim), len(old))
-        if limit:
-            want = set(codes)
-            while keep < limit and old[keep] in want:
-                keep += 1
-        self._cancel_until(keep)
-        if keep:
-            head = old[:keep]
-            kept = set(head)
-            codes = head + [c for c in codes if c not in kept]
-        self._asms = codes
-        n = len(codes)
+        self._cancel_until(0)
+        self._switch(frozenset(labels))
+        n = len(codes) + 1  # the activation level, then one level per assumption
 
         restart_count = 0
         restart_limit = self._RESTART_BASE * _luby(restart_count)
         since_restart = 0
         while True:
             confl = self._propagate()
+            if confl is None and not self._trail_lim:
+                confl = self._activate()
+                if confl is None:
+                    continue
             if confl is not None:
-                if not self._trail_lim:
+                level = len(self._trail_lim)
+                if not level:
                     self._ok = False
-                    self._failed = []
+                    self._failed = ((), frozenset())
                     return SatOutcome(False)
                 self.conflicts += 1
                 since_restart += 1
@@ -462,15 +559,19 @@ class Solver:
                     raise ResourceLimitError(
                         f"conflict budget of {self.conflict_budget} exceeded"
                     )
-                learned, back_level = self._analyze(confl)
+                if level == 1:
+                    self._failed = ("clause", confl)
+                    return SatOutcome(False)
+                learned, used, back_level = self._analyze(confl)
                 self._cancel_until(back_level)
-                self._enqueue(learned[0], self._attach(learned) if len(learned) > 1 else None)
+                reason = self._store(learned, used) if used or len(learned) > 1 else None
+                self._enqueue(learned[0], reason)
                 self._var_inc /= 0.95
                 if since_restart >= restart_limit:
                     restart_count += 1
                     restart_limit = self._RESTART_BASE * _luby(restart_count)
                     since_restart = 0
-                    self._cancel_until(0)
+                    self._cancel_until(1)
                 continue
             level = len(self._trail_lim)
             if level < n:
@@ -480,10 +581,10 @@ class Solver:
                 trail = self._trail
                 trail_lim = self._trail_lim
                 while level < n:
-                    a = codes[level]
+                    a = codes[level - 1]
                     v = value[a]
                     if v is False:
-                        self._failed = a
+                        self._failed = ("assumption", a)
                         return SatOutcome(False)
                     trail_lim.append(len(trail))
                     level += 1
@@ -535,13 +636,15 @@ def entails(
 
 
 class LcnfOracle:
-    """Assumption-based query engine for one labelled formula.
+    """Query engine for one labelled formula over one labelled solver.
 
-    Builds the selector encoding once; every query about an induced
-    subformula is then a ``solve`` under assumptions against the same solver,
-    so learned clauses carry over between queries, and ``conflict_budget``
-    bounds the conflicts over every solve of every query.  Instances are not
-    thread-safe.
+    Gives the solver each clause with its label set once; every query about
+    an induced subformula is then a ``solve`` with the query's labels on,
+    and only a clause under test enters as assumptions, its negated
+    literals.  Learned clauses carry over between queries, each taking part
+    wherever the labels it was resolved from are on, and
+    ``conflict_budget`` bounds the conflicts over every solve of every
+    query.  Instances are not thread-safe.
     """
 
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
@@ -550,20 +653,12 @@ class LcnfOracle:
         self._clauses = [(c.sorted_literals(), phi.labels_of(c)) for c in phi.clauses]
         # the negated literals of each clause, assumed to test its entailment
         self._negated = [[-x for x in lits] for lits, _ in self._clauses]
-        base = max(phi.variables, default=0)
-        labels = sorted(phi.active_labels)
-        selector = {l: base + 1 + i for i, l in enumerate(labels)}
-        # (label, selector variable), label descending: the order a query
-        # assumes the selectors of the labels it keeps in
-        self._selectors = [(l, selector[l]) for l in reversed(labels)]
-        self._label_of = {sel: l for l, sel in selector.items()}
-        self._with_label: dict[int, list[int]] = {l: [] for l in selector}
+        self._with_label: dict[int, list[int]] = {l: [] for l in phi.active_labels}
         self._solver = Solver(conflict_budget=conflict_budget)
         for i, (lits, ls) in enumerate(self._clauses):
-            self._solver.add_clause([*lits, *(-selector[l] for l in sorted(ls))])
+            self._solver.add_clause(lits, ls)
             for l in ls:
                 self._with_label[l].append(i)
-        self._solver.set_assumption_only(self._label_of)
         # per clause: None until an entailment solve of is_equivalent_subformula
         # first proves it, then the label sets K that later ones proved
         # phi|K to entail it with, none inside another
@@ -575,18 +670,13 @@ class LcnfOracle:
         self._occurs: dict[int, list[tuple]] | None = None
         self._variables: list[int] = []
 
-    def _assumptions(self, labels: Iterable[int]) -> list[int]:
-        # a selector left unassumed is false, so its clauses stay out
-        want = frozenset(map(int, labels))
-        return [sel for l, sel in self._selectors if l in want]
-
     def is_sat_induced(self, labels: Iterable[int]) -> bool:
         """Satisfiability of the subformula induced by ``labels``.
 
         Afterwards ``model`` or ``core`` holds the evidence for the answer.
         """
         self._evidence = None
-        outcome = self._solver.solve(self._assumptions(labels))
+        outcome = self._solver.solve((), frozenset(map(int, labels)))
         self._evidence = ("model", outcome.model) if outcome.satisfiable else ("core", None)
         return outcome.satisfiable
 
@@ -608,17 +698,13 @@ class LcnfOracle:
     def core(self) -> frozenset:
         """Labels that induce an unsatisfiable subformula on their own.
 
-        They are the positive selectors among the failed assumptions
-        (``Solver.analyze_final``) of the latest query, an ``is_sat_induced``
-        answering False, so they lie inside the labels it was asked about.
+        They are the labels of the clauses that the refutation of the latest
+        query, an ``is_sat_induced`` answering False, used
+        (``Solver.analyze_final``), so they lie inside the labels it was
+        asked about.
         """
         self._latest("core")
-        return self._failed_labels()
-
-    def _failed_labels(self) -> frozenset:
-        # the labels of the selectors among the latest UNSAT answer's failed assumptions
-        label_of = self._label_of
-        return frozenset(label_of[a] for a in self._solver.analyze_final() if a in label_of)
+        return self._solver.analyze_final()[1]
 
     def satisfies(self, model: dict, label: int, within: set | frozenset) -> bool:
         """Whether ``model`` satisfies every clause of ``label`` whose label
@@ -700,7 +786,7 @@ class LcnfOracle:
         """Whether the subformula induced by ``labels`` entails ``clause``.
 
         A literal on a variable the formula lacks can always be made false,
-        so it stays out of the solve, where its number could be a selector's.
+        so it stays out of the solve.
         """
         lits = _clause_literals(clause)
         variables = self.formula.variables
@@ -709,8 +795,7 @@ class LcnfOracle:
                 return True  # a tautology
             lits = [l for l in lits if abs(l) in variables]
         self._evidence = None
-        asms = [*self._assumptions(labels), *(-l for l in lits)]
-        return not self._solver.solve(asms).satisfiable
+        return not self._solver.solve([-l for l in lits], frozenset(map(int, labels))).satisfiable
 
     def is_equivalent_subformula(
         self, labels: Iterable[int], within: Iterable[int] | None = None
@@ -728,9 +813,8 @@ class LcnfOracle:
 
         Entailment is upward-closed over label sets, so an answer settles
         later queries: from the second time an entailment solve proves a
-        clause on, the labels of the selectors among its failed assumptions
-        (``Solver.analyze_final``) are recorded as a set K with phi|K
-        entailing the clause, and a later query whose ``labels`` contain a
+        clause on, the labels its refutation used (``Solver.analyze_final``)
+        are recorded as a set K with phi|K entailing the clause, and a later query whose ``labels`` contain a
         recorded K skips that clause's solve.  The first proof only marks
         the clause, so a sweep that asks about each clause once pays for no
         core.
@@ -743,7 +827,6 @@ class LcnfOracle:
         self._evidence = None
         removed = sorted({i for l in sup - sub for i in self._with_label[l]}, reverse=True)
         entailed_by = self._entailed_by
-        asms = None
         # the formula's own clauses, sorted at build, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
@@ -751,9 +834,7 @@ class LcnfOracle:
                 known = entailed_by[i]
                 if known and any(k <= sub for k in known):
                     continue
-                if asms is None:
-                    asms = self._assumptions(sub)
-                outcome = self._solver.solve(asms + self._negated[i])
+                outcome = self._solver.solve(self._negated[i], sub)
                 if outcome.satisfiable:
                     self._evidence = ("model", outcome.model)
                     return False
@@ -761,6 +842,6 @@ class LcnfOracle:
                     entailed_by[i] = []
                 else:
                     # no recorded K lies inside the core, as none lies inside sub
-                    core = self._failed_labels()
+                    core = self._solver.analyze_final()[1]
                     entailed_by[i] = [k for k in known if not core <= k] + [core]
         return True

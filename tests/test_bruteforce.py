@@ -204,10 +204,10 @@ def test_cli_lmus_refusal_on_the_oracle_path_costs_one_solve(tmp_path, monkeypat
     solves = 0
     real_solve = Solver.solve
 
-    def counted_solve(self, assumptions=()):
+    def counted_solve(self, *args, **kwargs):
         nonlocal solves
         solves += 1
-        return real_solve(self, assumptions)
+        return real_solve(self, *args, **kwargs)
 
     monkeypatch.setattr(Solver, "solve", counted_solve)
     f = tmp_path / "thirteen.lcnf"

@@ -473,7 +473,7 @@ def test_cli_exit_4_when_a_witness_solve_exceeds_its_budget(tmp_path):
 
 def test_cli_conflict_budget_covers_the_whole_command(tmp_path):
     # no single solve of lmus on PHP(6,5) takes 150 conflicts, but all of
-    # them together take 193
+    # them together take 202
     f = tmp_path / "php65.gcnf"
     f.write_text(_pigeonhole_gcnf(6))
     assert run_cli_streams("lmus", "--conflict-budget", "150", str(f)) == (
@@ -481,7 +481,7 @@ def test_cli_conflict_budget_covers_the_whole_command(tmp_path):
         "",
         "resource limit: conflict budget of 150 exceeded\n",
     )
-    assert run_cli("lmus", "--conflict-budget", "193", str(f)) == (0, "1 2 3 4 5 6\n")
+    assert run_cli("lmus", "--conflict-budget", "202", str(f)) == (0, "1 2 3 4 5 6\n")
 
 
 _BUDGETED = ("check-redundant", "lmes", "lmus", "lmss", "mcs", "lmns", "stats")

@@ -143,36 +143,55 @@ def test_solver_agrees_under_assumptions():
 
 
 def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
-    # one Solver keeps its trail between calls: each assumption list shares a
+    # one Solver answers a sequence of solves: each assumption list shares a
     # prefix with the previous one, reorders it, drops some of its literals
-    # or inserts new ones anywhere, clauses (units among them) arrive between
-    # solves, and a budget runs out mid-sequence; every answer must match a
-    # fresh solver's, every model must satisfy the clauses and assumptions,
-    # and every UNSAT answer's failed assumptions must be a subset of its
-    # assumptions that a fresh solver also finds unsatisfiable
+    # or inserts new ones anywhere; the labels switched on go up and down
+    # between solves; clauses, labelled or not and units among them, arrive
+    # between solves, unlabelled units among them while labelled clauses are
+    # off; and a budget runs out mid-sequence.  Every answer must match a
+    # fresh solver's on the clauses the labels switch on, every model must
+    # satisfy them and the assumptions and assign every variable, and every
+    # UNSAT answer's failed assumptions and labels must lie inside the
+    # solve's and, together, refute the clauses those labels switch on
     rng = random.Random(31)
     budget_trips = 0
     cores = 0
+    label_cores = 0
+    units_while_off = 0
     steps = [0, 0, 0, 0]
+    moves = {"up": 0, "down": 0}
+
+    def labels_for():
+        return () if rng.random() < 0.3 else tuple(rng.sample(range(1, 7), rng.randint(1, 2)))
+
+    def induced(labels):
+        return [c for c, ls in clauses if set(ls) <= labels]
+
     for _ in range(40):
         n = rng.randint(5, 9)
         clauses = [
-            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            (tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)), labels_for())
             for _ in range(rng.randint(3 * n, 5 * n))
         ]
-        s = Solver(clauses)
+        s = Solver()
+        for c, ls in clauses:
+            s.add_clause(c, ls)
         asms = []
+        on = set()
         for _ in range(60):
             r = rng.random()
-            if r < 0.08:
+            if r < 0.1:
                 width = rng.randint(1, 2)
                 c = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width))
-                s.add_clause(c)
-                clauses.append(c)
+                ls = labels_for() if rng.random() < 0.5 else ()
+                s.add_clause(c, ls)
+                clauses.append((c, ls))
+                if width == 1 and not ls and any(not set(l) <= on for _, l in clauses):
+                    units_while_off += 1
                 continue
             step = rng.randrange(4)
             steps[step] += 1
-            new = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 3), rng.randint(0, 5))]
+            new = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 3), rng.randint(0, 3))]
             if step == 0:  # a shared prefix, then new literals
                 asms = asms[: rng.randint(0, len(asms))] + new
             elif step == 1:  # the same literals in another order
@@ -182,31 +201,50 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
             else:  # a superset, new literals anywhere
                 for a in new:
                     asms.insert(rng.randint(0, len(asms)), a)
+            if rng.random() < 0.5:
+                moves["up"] += 1
+                on |= set(rng.sample(range(1, 8), rng.randint(1, 3)))
+            elif on:
+                moves["down"] += 1
+                on -= set(rng.sample(sorted(on), rng.randint(1, len(on))))
             outcomes = []
             if r < 0.2:
                 # the query that exceeds its budget is asked again without one
                 s.conflict_budget = 0
                 try:
-                    outcomes.append(s.solve(asms))
+                    outcomes.append(s.solve(asms, on))
                 except ResourceLimitError:
                     budget_trips += 1
                 finally:
                     s.conflict_budget = None
-            outcomes.append(s.solve(asms))
-            expected = solve(clauses, asms).satisfiable
+            outcomes.append(s.solve(asms, on))
+            kept = induced(on)
+            expected = solve(kept, asms).satisfiable
+            variables = {abs(l) for c, _ in clauses for l in c} | {abs(a) for a in asms}
             for out in outcomes:
                 assert out.satisfiable == expected
                 if out:
+                    assert set(out.model) == variables
                     assert all(out.model[abs(a)] == (a > 0) for a in asms)
-                    assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in clauses)
+                    assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in kept)
             if not expected:
-                failed = s.analyze_final()
+                failed, labels = s.analyze_final()
                 assert set(failed) <= set(asms)
-                assert not solve(clauses, failed).satisfiable, (asms, failed)
+                assert labels <= on
+                assert not solve(induced(labels), failed).satisfiable, (asms, failed, on, labels)
                 cores += len(failed) < len(set(asms))
+                label_cores += labels < on
     assert budget_trips > 0
     assert cores > 100  # most cores are proper subsets
+    assert label_cores > 400, label_cores
+    assert units_while_off > 50, units_while_off
     assert min(steps) > 400, steps
+    assert min(moves.values()) > 600, moves
+
+
+def _final(s):
+    failed, labels = s.analyze_final()
+    return sorted(failed), labels
 
 
 def _unsat_solver():
@@ -216,21 +254,21 @@ def _unsat_solver():
     for a, b in ((10, 11), (10, -11), (-10, 11), (-10, -11)):
         s.add_clause((-6, a, b))
     out = s.solve([1, 2, 3])
-    assert not out and sorted(s.analyze_final()) == [1, 2]
+    assert not out and _final(s) == ([1, 2], frozenset())
     return s
 
 
 def test_failed_assumptions_cover_each_kind_of_unsat_answer():
     s = Solver([(1, 2), (-1, 2)])
-    assert not s.solve([-2, 7]) and sorted(s.analyze_final()) == [-2]
+    assert not s.solve([-2, 7]) and _final(s) == ([-2], frozenset())
     # contradicting assumptions on a variable the clauses lack
-    assert not s.solve([9, 3, -9]) and sorted(s.analyze_final()) == [-9, 9]
+    assert not s.solve([9, 3, -9]) and _final(s) == ([-9, 9], frozenset())
     # contradicting assumptions on a clause variable
-    assert not s.solve([1, 3, -1]) and sorted(s.analyze_final()) == [-1, 1]
+    assert not s.solve([1, 3, -1]) and _final(s) == ([-1, 1], frozenset())
     # the clauses alone are unsatisfiable
     s.add_clause((-2,))
-    assert not s.solve([1]) and s.analyze_final() == []
-    assert not s.solve([1]) and s.analyze_final() == []
+    assert not s.solve([1]) and _final(s) == ([], frozenset())
+    assert not s.solve([1]) and _final(s) == ([], frozenset())
 
 
 @pytest.mark.parametrize("after", ["sat answer", "add_clause", "budget", "bad call"])
@@ -254,34 +292,38 @@ def test_failed_assumptions_are_never_stale(after):
 def test_failed_assumptions_follow_the_latest_solve():
     s = _unsat_solver()
     assert not s.solve([4])
-    assert s.analyze_final() == [4]
+    assert s.analyze_final() == ([4], frozenset())
     with pytest.raises(RuntimeError):
         Solver([(1,)]).analyze_final()  # nothing solved yet
 
 
-def test_assumption_only_variables_are_still_assigned():
-    # 5 and 6 are activation literals: they may occur only negated, and one
-    # the call leaves unassumed reads false, which satisfies its clauses;
-    # every model is total and satisfies every clause
-    clauses = [(1, 2), (-1, 3), (2, 3, 4), (-5, 1), (-5, -6, -2), (-6, 4, -3)]
-    with pytest.raises(ValueError):
-        Solver([*clauses, (6, 2)]).set_assumption_only([5, 6])
-    s = Solver(clauses)
-    s.set_assumption_only([5, 6, 99])  # 99 is not a clause variable: ignored
-    with pytest.raises(ValueError):
-        s.add_clause((3, 5))
-    s.add_clause((-6, 1, -4))
-    clauses.append((-6, 1, -4))
-    for asms in ([5, 6], [6], [5], [], [1], [-1], [6, -5], [5, -1], [6, -1, 2]):
-        out = s.solve(asms)
-        expected = solve(clauses, asms).satisfiable
-        assert out.satisfiable == expected, asms
+def test_switched_off_clauses_still_have_their_variables_assigned():
+    # labels 5 and 6 switch clauses on; a clause takes part only when all its
+    # labels are on, a label no clause carries is ignored, and every model is
+    # total, over exactly the clause variables, even those only switched-off
+    # clauses have (7), and satisfies every clause switched on
+    clauses = [((1, 2), ()), ((-1, 3), ()), ((2, 3, 4), ()), ((1,), (5,)), ((-2,), (5, 6)), ((4, -3), (6,))]
+    s = Solver()
+    for c, ls in clauses:
+        s.add_clause(c, ls)
+    s.add_clause((1, -4, 7), (6,))
+    clauses.append(((1, -4, 7), (6,)))
+    for labels, asms in (
+        ({5, 6}, []), ({6}, []), ({5}, []), (set(), []), (set(), [1]), (set(), [-1]),
+        ({6, 99}, []), ({5}, [-1]), ({6}, [-1, 2]), ({5, 6}, [-7]), ({6}, [-1, -7]),
+    ):
+        kept = [c for c, ls in clauses if set(ls) <= labels]
+        out = s.solve(asms, labels)
+        expected = solve(kept, asms).satisfiable
+        assert out.satisfiable == expected, (labels, asms)
         if not out:
+            failed, core = s.analyze_final()
+            assert core <= labels and set(failed) <= set(asms)
+            assert not solve([c for c, ls in clauses if set(ls) <= core], failed)
             continue
-        assert set(out.model) == {1, 2, 3, 4, 5, 6}
+        assert set(out.model) == {1, 2, 3, 4, 7}
         assert all(out.model[abs(a)] == (a > 0) for a in asms)
-        assert all(out.model[v] is False for v in (5, 6) if v not in map(abs, asms))
-        assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in clauses)
+        assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in kept)
 
 
 def test_entails_basic():
@@ -346,8 +388,8 @@ def test_equivalence_matches_model_sets_over_parent_universe():
 
 def test_one_oracle_answers_a_mixed_query_sequence():
     # consecutive label sets differ in one label, in several at once, or
-    # shrink to a subset that the next step grows back from; the solver keeps
-    # what the selector assumptions of neighbouring queries share
+    # shrink to a subset that the next step grows back from; the solver
+    # switches clauses off and back on between neighbouring queries
     rng = random.Random(32)
     steps = {"one": 0, "several": 0, "shrink": 0, "grow back": 0}
     for _ in range(60):
@@ -377,8 +419,8 @@ def test_one_oracle_answers_a_mixed_query_sequence():
             if kind == 0:
                 assert ora.is_sat_induced(labels) == bool(models)
             elif kind == 1:
-                # goal variables reach past the formula's, where the selector
-                # variables are numbered; a repeated variable may make a tautology
+                # goal variables reach past the formula's; a repeated variable
+                # may make a tautology
                 vs = rng.choices(range(1, n + 4), k=rng.randint(1, 3))
                 goal = tuple(v if rng.random() < 0.5 else -v for v in vs)
                 wide = sorted(universe | set(vs))
@@ -393,6 +435,34 @@ def test_one_oracle_answers_a_mixed_query_sequence():
                 wider = models_of(phi.induced(within).cnf(), universe)
                 assert ora.is_equivalent_subformula(labels, within) == (models == wider)
     assert min(steps.values()) > 200, steps
+
+
+def test_oracle_models_range_over_exactly_the_formula_variables():
+    # whatever queries came before, a model the oracle hands out assigns
+    # each variable of the formula and nothing else: no helper variable,
+    # and no variable of an entailment goal the formula lacks
+    rng = random.Random(35)
+    models = {"sat": 0, "non-equivalent": 0}
+    for _ in range(100):
+        phi, n = random_lcnf_inputs(rng, max_vars=5, max_clauses=10, max_labels=5)
+        ora = LcnfOracle(phi)
+        active = sorted(phi.active_labels)
+        for _ in range(15):
+            labels = frozenset(l for l in active if rng.random() < 0.6)
+            kind = rng.randrange(3)
+            if kind == 0:
+                if ora.is_sat_induced(labels):
+                    assert set(ora.model()) == phi.variables
+                    models["sat"] += 1
+            elif kind == 1:
+                goal = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 4), 2))
+                ora.entails_clause(labels, goal)
+                with pytest.raises(RuntimeError):
+                    ora.model()
+            elif not ora.is_equivalent_subformula(labels):
+                assert set(ora.model()) == phi.variables
+                models["non-equivalent"] += 1
+    assert min(models.values()) > 100, models
 
 
 def _satisfied(model, clause):
@@ -448,10 +518,10 @@ def test_entailment_answers_settle_later_queries(monkeypatch):
     solves = 0
     real_solve = Solver.solve
 
-    def counted_solve(self, assumptions=()):
+    def counted_solve(self, *args, **kwargs):
         nonlocal solves
         solves += 1
-        return real_solve(self, assumptions)
+        return real_solve(self, *args, **kwargs)
 
     monkeypatch.setattr(Solver, "solve", counted_solve)
     rng = random.Random(36)
