@@ -224,9 +224,9 @@ def _clause_masks(phi: LcnfFormula, variables: tuple) -> list[int]:
     lit_masks = _literal_masks(variables)
     universe = (1 << (1 << len(variables))) - 1
     out = []
-    for c in phi.clauses:
+    for lits, _ in phi.rows:
         m = 0
-        for l in c.literals:
+        for l in lits:
             m |= lit_masks[abs(l)] if l > 0 else (universe & ~lit_masks[abs(l)])
         out.append(m)
     return out
@@ -246,9 +246,9 @@ def _classify_truth_tables(phi, active):
     universe = (1 << (1 << len(variables))) - 1
     clauses = []
     full = universe
-    for c, models in zip(phi.clauses, _clause_masks(phi, variables)):
+    for (_, labels), models in zip(phi.rows, _clause_masks(phi, variables)):
         bits = 0
-        for l in phi.labels_of(c):
+        for l in labels:
             bits |= 1 << positions[l]
         clauses.append((bits, models))
         full &= models

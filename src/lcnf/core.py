@@ -7,6 +7,12 @@ clauses: the subformula induced by a label set L keeps exactly the clauses
 whose labels all lie in L.  Clauses with an empty label set are unlabelled and
 survive in every subformula.
 
+A formula stores one row per clause: its literals as a tuple, distinct and
+in the canonical order of ``sort_literals`` (by variable, the positive one
+first), and its labels as a frozenset.  A clause is checked once, when its
+row is made (literal 0, a complementary pair, a negative label); the
+oracle, the truth tables and ``label`` read rows as they are.
+
 The labelling generalises several classical ways of carving up a CNF formula;
 ``label`` builds a formula from a plain clause list under one of five schemes
 (per-clause, per-group, per-variable, per-literal, or explicit label sets).
@@ -15,12 +21,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import neg
+from typing import Iterable
 
 Label = int
 LabelSet = frozenset  # frozenset[int]
 
 _SCHEMES = ("clause", "group", "variable", "literal", "explicit")
+
+
+def sort_literals(literals: Iterable[int]) -> tuple:
+    """``literals`` in the canonical order: by variable, the positive one first."""
+    # descending puts l before -l, and the stable sort by variable keeps that
+    return tuple(sorted(sorted(literals, reverse=True), key=abs))
+
+
+def _checked_literals(literals: Iterable[int], index: int) -> frozenset:
+    """The literals of clause ``index`` as a set of ints; ValueError for a
+    literal 0 or a complementary pair."""
+    lits = frozenset(map(int, literals))
+    if 0 in lits:
+        raise ValueError("literal 0 is not allowed in a clause")
+    if not lits.isdisjoint(map(neg, lits)):
+        v = next(abs(l) for l in lits if -l in lits)
+        raise ValueError(f"clause {index} contains both {v} and its negation")
+    return lits
 
 
 @dataclass(frozen=True)
@@ -36,26 +61,31 @@ class Clause:
     index: int
 
     def __post_init__(self):
-        lits = frozenset(int(l) for l in self.literals)
-        object.__setattr__(self, "literals", lits)
-        for l in lits:
-            if l == 0:
-                raise ValueError("literal 0 is not allowed in a clause")
-            if -l in lits:
-                raise ValueError(
-                    f"clause {self.index} contains both {abs(l)} and its negation"
-                )
+        object.__setattr__(self, "literals", _checked_literals(self.literals, self.index))
+
+    @classmethod
+    def _of_row(cls, literals: tuple, index: int) -> "Clause":
+        """The clause of a formula row's literals, which are already checked."""
+        clause = object.__new__(cls)
+        object.__setattr__(clause, "literals", frozenset(literals))
+        object.__setattr__(clause, "index", index)
+        return clause
 
     @property
     def variables(self) -> frozenset:
         return frozenset(abs(l) for l in self.literals)
 
     def sorted_literals(self) -> tuple:
-        return tuple(sorted(self.literals, key=lambda l: (abs(l), l < 0)))
+        return sort_literals(self.literals)
 
     def __repr__(self):
         body = " ".join(str(l) for l in self.sorted_literals())
         return f"Clause({self.index}: {body})"
+
+
+def _canonical(clauses: Iterable[Iterable[int]]) -> list[tuple]:
+    """The sorted literal tuple of each clause, checked."""
+    return [sort_literals(_checked_literals(c, i)) for i, c in enumerate(clauses)]
 
 
 def _as_label_set(labels) -> frozenset:
@@ -69,24 +99,20 @@ def _as_label_set(labels) -> frozenset:
 class LcnfFormula:
     """A labelled CNF formula.
 
+    It keeps the rows of its clauses (see the module docstring), and makes
+    ``Clause`` objects from them when first asked for.
+
     Instances are immutable.  ``induced`` returns a view sharing the parent's
-    clause storage, so clause identity (the ``index`` field) is stable across
+    rows, so clause identity (the ``index`` field) is stable across
     subformulas.
     """
 
-    def __init__(
-        self,
-        clauses: Sequence[Clause],
-        labelling: Sequence[frozenset],
-        *,
-        _indices: tuple | None = None,
-    ):
-        if len(clauses) != len(labelling):
-            raise ValueError("labelling must assign a label set to every clause")
-        self._all_clauses = tuple(clauses)
-        self._all_labels = tuple(labelling)
+    def __init__(self, rows: Iterable[tuple], *, _indices: tuple | None = None):
+        """A formula of checked ``(sorted literal tuple, label frozenset)``
+        rows; build one from unchecked input with ``from_clauses``."""
+        self._all_rows = tuple(rows)
         if _indices is None:
-            _indices = tuple(range(len(self._all_clauses)))
+            _indices = tuple(range(len(self._all_rows)))
         self._indices = _indices
 
     @classmethod
@@ -100,14 +126,29 @@ class LcnfFormula:
         ``labelling`` defaults to all-unlabelled.  Use ``label`` to apply one
         of the standard labelling schemes instead.
         """
-        clause_objs = [Clause(frozenset(c), i) for i, c in enumerate(clauses)]
+        literals = _canonical(clauses)
         if labelling is None:
-            labels = [frozenset()] * len(clause_objs)
+            labels = [frozenset()] * len(literals)
         else:
             labels = [_as_label_set(ls) for ls in labelling]
-        return cls(clause_objs, labels)
+            if len(labels) != len(literals):
+                raise ValueError("labelling must assign a label set to every clause")
+        return cls(zip(literals, labels))
 
     # -- clause access ------------------------------------------------------
+
+    @cached_property
+    def rows(self) -> tuple:
+        """``(sorted literal tuple, label frozenset)`` per surviving clause,
+        in original order."""
+        rows = self._all_rows
+        if len(self._indices) == len(rows):
+            return rows
+        return tuple(rows[i] for i in self._indices)
+
+    @cached_property
+    def _all_clauses(self) -> tuple:
+        return tuple(Clause._of_row(lits, i) for i, (lits, _) in enumerate(self._all_rows))
 
     @property
     def clauses(self) -> tuple:
@@ -125,9 +166,10 @@ class LcnfFormula:
         index = clause.index if isinstance(clause, Clause) else int(clause)
         if index not in self._index_set:
             raise ValueError(f"clause {index} is not part of this formula")
-        if isinstance(clause, Clause) and clause.literals != self._all_clauses[index].literals:
+        literals, labels = self._all_rows[index]
+        if isinstance(clause, Clause) and clause.literals != frozenset(literals):
             raise ValueError(f"clause {index} does not match this formula's clause")
-        return self._all_labels[index]
+        return labels
 
     @cached_property
     def _index_set(self) -> frozenset:
@@ -138,36 +180,24 @@ class LcnfFormula:
     @cached_property
     def active_labels(self) -> frozenset:
         """Union of the label sets of all surviving clauses."""
-        out = set()
-        for i in self._indices:
-            out.update(self._all_labels[i])
-        return frozenset(out)
+        return frozenset().union(*(ls for _, ls in self.rows))
 
     @property
     def unlabelled_clauses(self) -> tuple:
         """Clauses with an empty label set; they survive in every subformula."""
-        return tuple(
-            self._all_clauses[i] for i in self._indices if not self._all_labels[i]
-        )
+        return tuple(c for c, (_, ls) in zip(self.clauses, self.rows) if not ls)
 
     def clauses_with_label(self, label: int) -> tuple:
         """Clauses whose label set contains ``label``."""
-        return tuple(
-            self._all_clauses[i]
-            for i in self._indices
-            if label in self._all_labels[i]
-        )
+        return tuple(c for c, (_, ls) in zip(self.clauses, self.rows) if label in ls)
 
     @cached_property
     def variables(self) -> frozenset:
-        out = set()
-        for i in self._indices:
-            out.update(abs(l) for l in self._all_clauses[i].literals)
-        return frozenset(out)
+        return frozenset(abs(l) for lits, _ in self.rows for l in lits)
 
     def cnf(self) -> tuple:
         """The CNF part: surviving clauses as frozensets of literals."""
-        return tuple(self._all_clauses[i].literals for i in self._indices)
+        return tuple(c.literals for c in self.clauses)
 
     # -- subformulas --------------------------------------------------------
 
@@ -179,24 +209,19 @@ class LcnfFormula:
         a subset of the active labels.
         """
         want = frozenset(int(l) for l in labels)
-        kept = tuple(i for i in self._indices if self._all_labels[i] <= want)
-        return LcnfFormula(self._all_clauses, self._all_labels, _indices=kept)
+        rows = self._all_rows
+        kept = tuple(i for i in self._indices if rows[i][1] <= want)
+        return LcnfFormula(rows, _indices=kept)
 
     # -- identity -----------------------------------------------------------
-
-    def _content(self) -> tuple:
-        return tuple(
-            (self._all_clauses[i].literals, self._all_labels[i])
-            for i in self._indices
-        )
 
     def __eq__(self, other):
         if not isinstance(other, LcnfFormula):
             return NotImplemented
-        return self._content() == other._content()
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self._content())
+        return hash(self.rows)
 
     def __repr__(self):
         labels = ",".join(str(l) for l in sorted(self.active_labels))
@@ -235,7 +260,8 @@ def label(
     * ``explicit``: per-clause label sets are taken from ``labels``.
 
     Except under ``group``, ``formula`` is an iterable of clauses, each an
-    iterable of nonzero integer literals.
+    iterable of nonzero integer literals, or a labelled formula, whose
+    clauses are labelled afresh from its rows.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown labelling scheme {scheme!r}")
@@ -252,22 +278,23 @@ def label(
                 labelling.append(() if gi == 0 else (gi,))
         return LcnfFormula.from_clauses(clauses, labelling)
 
-    clauses = [tuple(c) for c in formula]
+    if isinstance(formula, LcnfFormula):
+        literals = [lits for lits, _ in formula.rows]
+    else:
+        literals = _canonical(formula)
     if scheme == "clause":
-        labelling = [(i + 1,) for i in range(len(clauses))]
+        labelling = [frozenset((i + 1,)) for i in range(len(literals))]
     elif scheme == "variable":
-        labelling = [sorted({abs(l) for l in c}) for c in clauses]
+        labelling = [frozenset(map(abs, lits)) for lits in literals]
     elif scheme == "literal":
-        labelling = [
-            sorted({2 * abs(l) + (1 if l < 0 else 0) for l in c}) for c in clauses
-        ]
+        labelling = [frozenset(2 * abs(l) + (l < 0) for l in lits) for lits in literals]
     else:  # explicit
         if labels is None:
             raise ValueError("explicit labelling requires per-clause label sets")
-        labelling = [tuple(ls) for ls in labels]
-        if len(labelling) != len(clauses):
+        labelling = [_as_label_set(ls) for ls in labels]
+        if len(labelling) != len(literals):
             raise ValueError(
                 f"explicit labelling has {len(labelling)} entries "
-                f"for {len(clauses)} clauses"
+                f"for {len(literals)} clauses"
             )
-    return LcnfFormula.from_clauses(clauses, labelling)
+    return LcnfFormula(zip(literals, labelling))

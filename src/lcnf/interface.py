@@ -12,7 +12,9 @@ Three input formats are supported:
 All three skip blank and ``c`` lines and need exactly one ``p`` header
 before any data.  Header count mismatches and labels repeated in a block
 warn; structural problems (missing terminator, bad tokens, complementary
-literals in one clause) are errors with line numbers.
+literals in one clause) are errors with line numbers.  Each clause is
+checked once, as its line is parsed into the formula's row (see ``core``);
+relabelling on load reads the rows with no second check.
 
 The ``lcnf`` command exposes the analysis operations over these files, the
 five single-witness commands from one table.  Each command takes only the
@@ -51,7 +53,7 @@ from .analysis import (
     is_label_redundant,
 )
 from .bruteforce import classify_all
-from .core import LcnfFormula, label
+from .core import LcnfFormula, label, sort_literals
 from .duality import verify_duality
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .oracle import LcnfOracle
@@ -113,95 +115,109 @@ def _int(token: str, lineno: int, what: str = "integer") -> int:
         raise ParseError(f"malformed {what} {token!r}", lineno) from None
 
 
-def _finish_clause(literals: list[int], lineno: int) -> tuple:
-    out: list[int] = []
-    seen: set[int] = set()
-    for l in literals:
-        if -l in seen:
-            raise ParseError(
-                f"clause contains variable {abs(l)} with both signs", lineno
-            )
-        if l not in seen:
+def _ints(tokens: list[str], lineno: int, what: str = "integer") -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        # name the first malformed token
+        return [_int(token, lineno, what) for token in tokens]
+
+
+def _clause(literals: list[int], lineno: int) -> tuple:
+    """The row literals of a data line's clause: distinct, in the canonical
+    order (``sort_literals``).  A complementary pair is an error naming the
+    first literal, in file order, whose negation came before it."""
+    lits = sort_literals(literals)
+    if len(set(map(abs, lits))) < len(lits):
+        # a literal repeated, or a complementary pair
+        seen: set[int] = set()
+        for l in literals:
+            if -l in seen:
+                raise ParseError(
+                    f"clause contains variable {abs(l)} with both signs", lineno
+                )
             seen.add(l)
-            out.append(l)
-    return tuple(out)
+        lits = sort_literals(seen)
+    return lits
 
 
-def _checked(header: list[int], rows: list) -> tuple[list, list]:
-    """Clauses and label sets of ``(lineno, labels, clause)`` rows.
-
-    Warns, at the parser's caller, about labels repeated in a block and about
-    clause and variable counts that disagree with the header.
-    """
-    notes = []
-    clauses = []
-    labelling = []
-    for lineno, raw_labels, clause in rows:
-        labels = []
-        for l in raw_labels:
-            if l in labels:
-                notes.append(f"line {lineno}: duplicate label {l} in block")
-            else:
-                labels.append(l)
-        clauses.append(clause)
-        labelling.append(tuple(labels))
+def _warn(header: list[int], clauses: list[tuple], notes: list[str], stacklevel: int):
+    """Warn, ``stacklevel`` frames up, about ``notes`` and about clause and
+    variable counts that disagree with the header."""
     declared_vars, declared_clauses = header[:2]
     if len(clauses) != declared_clauses:
         notes.append(f"header declares {declared_clauses} clauses, found {len(clauses)}")
-    max_var = max((abs(l) for c in clauses for l in c), default=0)
+    # each clause's last literal has its largest variable
+    max_var = max((abs(c[-1]) for c in clauses if c), default=0)
     if max_var > declared_vars:
         notes.append(f"header declares {declared_vars} variables, found variable {max_var}")
     for message in notes:
-        warnings.warn(message, FormatWarning, stacklevel=3)
-    return clauses, labelling
+        warnings.warn(message, FormatWarning, stacklevel=stacklevel + 1)
 
 
 def parse_dimacs(text: str) -> list[tuple]:
     """Parse DIMACS CNF into a list of clauses (tuples of literals).
 
     Comment lines start with ``c``.  Clauses are zero-terminated and may span
-    lines.  Clause-count or variable-count disagreement with the header is a
-    warning, not an error.
+    lines.  Each clause's literals come distinct and in the canonical order
+    (``sort_literals``).  Clause-count or variable-count disagreement with
+    the header is a warning, not an error.
     """
     header, lines = _read(text, "cnf", 2)
-    rows = []
+    clauses = []
     current: list[int] = []
     for lineno, line in lines:
-        for token in line.split():
-            v = _int(token, lineno)
-            if v == 0:
-                rows.append((lineno, (), _finish_clause(current, lineno)))
-                current = []
-            else:
-                current.append(v)
+        current += _ints(line.split(), lineno)
+        while 0 in current:
+            end = current.index(0)
+            clauses.append(_clause(current[:end], lineno))
+            del current[: end + 1]
     if current:
         raise ParseError("missing clause terminator 0", lines[-1][0])
-    return _checked(header, rows)[0]
+    _warn(header, clauses, [], 2)
+    return clauses
 
 
-def _tagged_rows(text: str, kind: str, fields: int, block_labels) -> tuple[list[int], list]:
-    """Header and ``(lineno, labels, clause)`` rows of a brace-tagged format.
+def _tagged(text: str, kind: str, fields: int, block_labels) -> LcnfFormula:
+    """The formula of a brace-tagged format.
 
     Each clause sits on one line as ``{...} literals 0``; ``block_labels``
     turns the block's integers into the clause's labels, given the header.
+    Labels repeated in a block, and counts that disagree with the header,
+    warn at the caller of the format's parser.
     """
     header, lines = _read(text, kind, fields)
-    rows = []
+    clauses = []
+    labelling = []
+    notes = []
     for lineno, line in lines:
         if not line.startswith("{"):
             raise ParseError("clause line must start with a {...} label block", lineno)
         close = line.find("}")
         if close < 0:
             raise ParseError("unterminated label block", lineno)
-        block = [_int(token, lineno, "label") for token in line[1:close].split()]
+        block = _ints(line[1:close].split(), lineno, "label")
         rest = line[close + 1 :].split()
         if not rest or rest[-1] != "0":
             raise ParseError("clause line must end with terminator 0", lineno)
         if "0" in rest[:-1]:
             raise ParseError("literal 0 inside a clause", lineno)
-        clause = _finish_clause([_int(token, lineno) for token in rest[:-1]], lineno)
-        rows.append((lineno, block_labels(block, header, lineno), clause))
-    return header, rows
+        clauses.append(_clause(_ints(rest[:-1], lineno), lineno))
+        labels = block_labels(block, header, lineno)
+        label_set = frozenset(labels)
+        if len(label_set) != len(labels):
+            notes += [
+                f"line {lineno}: duplicate label {l} in block"
+                for i, l in enumerate(labels)
+                if l in labels[:i]
+            ]
+        labelling.append(label_set)
+    _warn(header, clauses, notes, 3)
+    # a token such as "-0" passes the "0" check above; its clause is refused
+    # here, after every line parsed, as LcnfFormula.from_clauses refuses it
+    if any(c and not c[0] for c in clauses):
+        raise ValueError("literal 0 is not allowed in a clause")
+    return LcnfFormula(zip(clauses, labelling))
 
 
 def _group_tag(block: list[int], header: list[int], lineno: int) -> tuple:
@@ -222,12 +238,12 @@ def _label_block(block: list[int], header: list[int], lineno: int) -> list[int]:
 
 def parse_gcnf(text: str) -> LcnfFormula:
     """Parse group CNF: clauses tagged ``{g}``, group 0 meaning unlabelled."""
-    return LcnfFormula.from_clauses(*_checked(*_tagged_rows(text, "gcnf", 3, _group_tag)))
+    return _tagged(text, "gcnf", 3, _group_tag)
 
 
 def parse_lcnf(text: str) -> LcnfFormula:
     """Parse labelled CNF: clauses tagged with their full label set."""
-    return LcnfFormula.from_clauses(*_checked(*_tagged_rows(text, "lcnf", 2, _label_block)))
+    return _tagged(text, "lcnf", 2, _label_block)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +251,7 @@ def parse_lcnf(text: str) -> LcnfFormula:
 
 
 def _clause_body(literals: Iterable[int]) -> str:
-    lits = sorted(literals, key=lambda l: (abs(l), l < 0))
-    return " ".join(str(l) for l in lits) + " 0"
+    return " ".join(str(l) for l in sort_literals(literals)) + " 0"
 
 
 def _write(kind: str, clauses, blocks: Iterable[str], *counts: int) -> str:
@@ -309,11 +324,14 @@ def _load_formula(args) -> LcnfFormula:
     if fmt == "dimacs":
         if scheme == "file":
             raise ParseError("plain dimacs input carries no labels; pick a scheme")
-        return label(parse_dimacs(text), scheme)
-    phi = parse_gcnf(text) if fmt == "gcnf" else parse_lcnf(text)
-    if scheme in ("file", "group"):
-        return phi
-    return label([c.literals for c in phi.clauses], scheme)
+        # parse_dimacs checks each clause and sorts its literals, so its
+        # clauses are the literals of unlabelled rows as they stand
+        phi = LcnfFormula(zip(parse_dimacs(text), repeat(frozenset())))
+    else:
+        phi = parse_gcnf(text) if fmt == "gcnf" else parse_lcnf(text)
+        if scheme in ("file", "group"):
+            return phi
+    return label(phi, scheme)
 
 
 def _parse_label_list(spec: str | None) -> tuple | None:

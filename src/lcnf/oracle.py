@@ -19,11 +19,17 @@ level each.  After an UNSAT answer ``analyze_final`` (MiniSat's
 walks the trail only when asked, so an answer nobody asks about costs
 nothing.
 
-``LcnfOracle`` gives the solver each clause of a labelled formula with its
-label set, once.  Satisfiability, entailment and equivalence queries about
-any label subset are then single ``solve`` calls with that subset switched
-on, against one shared solver; only a clause under test enters as
-assumptions, its negated literals, computed once when the oracle is built.
+A variable that no switched-on clause holds is never decided: the solver
+counts, per variable, the switched-on added clauses that hold it, and a
+model gives a variable with no such clause its saved phase.
+
+``LcnfOracle`` gives the solver the rows of a labelled formula (sorted
+literals, label set), once, as they are: the formula checked each clause
+when it made the row, and ``Solver.add_clause`` checks a clause from any
+other caller before it takes the same path.  Satisfiability, entailment
+and equivalence queries about any label subset are then single ``solve``
+calls with that subset switched on, against one shared solver; only a
+clause under test enters as assumptions, its negated literals.
 Each query leaves its evidence behind: an
 unsatisfiable core of labels after an unsatisfiable answer, and a model
 after a satisfiable or a non-equivalent one.  An equivalence query checks
@@ -39,9 +45,10 @@ that never rotates never pays for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable
 
-from .core import Clause, LcnfFormula
+from .core import Clause, LcnfFormula, sort_literals
 from .errors import ResourceLimitError
 
 
@@ -119,9 +126,10 @@ class Solver:
         self._ok = True  # False once the unlabelled clauses are refuted
         # per clause: literal codes, watching [0] and [1] when it has two or more
         self._clauses: list[list[int]] = []
-        self._labels: list[tuple] = []  # per clause: its labels, () if none
+        self._labels: list = []  # per clause: its labels as a set or tuple, empty if none
         self._off: list[int] = []  # per clause: how many of its labels are off
         self._watched: list[bool] = []  # per clause: in the watch lists of [0] and [1]
+        self._learned: list[bool] = []  # per clause: learned, not added
         self._with_label: dict[int, list[int]] = {}  # label -> the clauses that carry it
         self._on: frozenset = frozenset()  # the labels switched on
         self._short: list[int] = []  # labelled clauses of fewer than two literals
@@ -135,6 +143,9 @@ class Solver:
         self._reason: list[int | None] = []
         self._activity: list[float] = []
         self._phase: list[int] = []  # sign bit of the saved phase
+        # switched-on added clauses that hold it; a learned clause's variables
+        # lie inside those of the clauses it was resolved from, so none count
+        self._holds: list[int] = []
         # per literal code
         self._value: list[bool | None] = []
         self._watches: list[list[int]] = []
@@ -162,6 +173,7 @@ class Solver:
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(1)
+        self._holds.append(0)
         self._value += (None, None)
         self._watches += ([], [])
         return i
@@ -171,44 +183,67 @@ class Solver:
 
         Duplicate literals collapse, and tautologies are dropped.
         """
-        lits = [int(l) for l in literals]
+        lits = tuple(dict.fromkeys(map(int, literals)))
         if 0 in lits:
             raise ValueError("literal 0 is not allowed in a clause")
+        if set(lits).isdisjoint(map(neg, lits)):
+            self._add_rows([(lits, frozenset(map(int, labels)))])
+            return
+        # a tautology: its variables enter, the clause does not
+        self._failed = None
+        self._cancel_until(0)
+        for l in lits:
+            if l not in self._code:
+                self._new_var(abs(l))
+
+    def _add_rows(self, rows: Iterable[tuple]):
+        """Add ``(literals, labels)`` rows in order, unchecked: literals
+        distinct, nonzero and free of complementary pairs, labels a set, as
+        ``LcnfFormula`` rows are.  A clause satisfied at level 0 is dropped
+        and its literals false there leave it, but every variable it names
+        enters the solver, so that models name it."""
         self._failed = None
         self._cancel_until(0)
         code_of = self._code
         value = self._value  # extended in place by _new_var
-        clause: list[int] = []
-        dropped = False  # a tautology, or satisfied at level 0
-        for l in lits:
-            code = code_of.get(l)
-            if code is None:
-                code = 2 * self._new_var(abs(l)) + (l < 0)
-            if value[code] or code ^ 1 in clause:
-                dropped = True
-            elif value[code] is None and code not in clause:
-                clause.append(code)
-        if dropped:
-            return
-        labels = tuple({int(l) for l in labels})
-        if labels or len(clause) > 1:
-            self._store(clause, labels)
-        elif clause:
-            self._enqueue(clause[0], None)
-        else:
-            self._ok = False
+        for lits, labels in rows:
+            clause: list[int] = []
+            dropped = False  # satisfied at level 0
+            for l in lits:
+                code = code_of.get(l)
+                if code is None:
+                    code = 2 * self._new_var(abs(l)) + (l < 0)
+                v = value[code]
+                if v is None:
+                    clause.append(code)
+                elif v:
+                    dropped = True
+            if dropped:
+                continue
+            if labels or len(clause) > 1:
+                self._store(clause, labels)
+            elif clause:
+                self._enqueue(clause[0], None)
+            else:
+                self._ok = False
 
-    def _store(self, lits: list[int], labels: tuple) -> int:
+    def _store(self, lits: list[int], labels, learned: bool = False) -> int:
         """Keep a clause of literal codes that is labelled or has two or more.
 
         One of fewer than two literals becomes short; a longer one goes in
         the watch lists if it is switched on.
         """
         ci = len(self._clauses)
+        off = len(labels) - len(self._on.intersection(labels))
         self._clauses.append(lits)
         self._labels.append(labels)
-        self._off.append(len(labels) - len(self._on.intersection(labels)))
+        self._off.append(off)
         self._watched.append(False)
+        self._learned.append(learned)
+        if not (off or learned):
+            holds = self._holds
+            for q in lits:
+                holds[q >> 1] += 1
         with_label = self._with_label
         for l in labels:
             if l in with_label:
@@ -235,16 +270,26 @@ class Solver:
             return
         with_label = self._with_label
         off = self._off
+        clauses = self._clauses
+        learned = self._learned
+        holds = self._holds
         for l in old - labels:
             for ci in with_label.get(l, ()):
+                if not (off[ci] or learned[ci]):
+                    for q in clauses[ci]:
+                        holds[q >> 1] -= 1
                 off[ci] += 1
         watched = self._watched
         pending = self._pending
         for l in labels - old:
             for ci in with_label.get(l, ()):
                 off[ci] -= 1
-                if not off[ci] and not watched[ci]:
-                    pending.append(ci)
+                if not off[ci]:
+                    if not learned[ci]:
+                        for q in clauses[ci]:
+                            holds[q >> 1] += 1
+                    if not watched[ci]:
+                        pending.append(ci)
         self._on = labels
 
     def _activate(self) -> int | None:
@@ -440,12 +485,14 @@ class Solver:
     # -- main search --------------------------------------------------------
 
     def _pick_branch(self) -> int:
-        """The unassigned variable of highest activity, first-seen on ties; -1 if none."""
+        """The unassigned variable of highest activity that a switched-on
+        added clause holds, first-seen on ties; -1 if none."""
         value = self._value
+        holds = self._holds
         best = -1
         best_act = -1.0
         for v, act in enumerate(self._activity):
-            if act > best_act and value[2 * v] is None:
+            if act > best_act and value[2 * v] is None and holds[v]:
                 best = v
                 best_act = act
         return best
@@ -498,7 +545,13 @@ class Solver:
         return [-names[c >> 1] if c & 1 else names[c >> 1] for c in failed], frozenset(used)
 
     def _model(self, free: dict) -> dict:
-        return dict(zip(self._names, map(bool, self._value[::2]))) | free
+        """The assignment, total: a variable that no switched-on clause holds
+        was never decided, and takes its saved phase."""
+        values = self._value[::2]
+        if None in values:
+            phase = self._phase
+            values = [not phase[v] if x is None else x for v, x in enumerate(values)]
+        return dict(zip(self._names, map(bool, values))) | free
 
     def solve(self, assumptions: Iterable[int] = (), labels: Iterable[int] = ()) -> SatOutcome:
         """Decide satisfiability under unit assumptions, with ``labels`` on.
@@ -564,7 +617,7 @@ class Solver:
                     return SatOutcome(False)
                 learned, used, back_level = self._analyze(confl)
                 self._cancel_until(back_level)
-                reason = self._store(learned, used) if used or len(learned) > 1 else None
+                reason = self._store(learned, used, True) if used or len(learned) > 1 else None
                 self._enqueue(learned[0], reason)
                 self._var_inc /= 0.95
                 if since_restart >= restart_limit:
@@ -611,9 +664,7 @@ def solve(
 
 
 def _clause_literals(clause) -> tuple:
-    if isinstance(clause, Clause):
-        return clause.sorted_literals()
-    return tuple(sorted((int(l) for l in clause), key=lambda l: (abs(l), l < 0)))
+    return sort_literals(map(int, clause.literals if isinstance(clause, Clause) else clause))
 
 
 def entails(
@@ -650,15 +701,13 @@ class LcnfOracle:
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
         self.formula = phi
         # (sorted literals, label set) per clause, in formula order
-        self._clauses = [(c.sorted_literals(), phi.labels_of(c)) for c in phi.clauses]
-        # the negated literals of each clause, assumed to test its entailment
-        self._negated = [[-x for x in lits] for lits, _ in self._clauses]
+        self._clauses = phi.rows
         self._with_label: dict[int, list[int]] = {l: [] for l in phi.active_labels}
-        self._solver = Solver(conflict_budget=conflict_budget)
-        for i, (lits, ls) in enumerate(self._clauses):
-            self._solver.add_clause(lits, ls)
+        for i, (_, ls) in enumerate(self._clauses):
             for l in ls:
                 self._with_label[l].append(i)
+        self._solver = Solver(conflict_budget=conflict_budget)
+        self._solver._add_rows(self._clauses)
         # per clause: None until an entailment solve of is_equivalent_subformula
         # first proves it, then the label sets K that later ones proved
         # phi|K to entail it with, none inside another
@@ -827,14 +876,14 @@ class LcnfOracle:
         self._evidence = None
         removed = sorted({i for l in sup - sub for i in self._with_label[l]}, reverse=True)
         entailed_by = self._entailed_by
-        # the formula's own clauses, sorted at build, need none of the
+        # the formula's own rows, checked when it made them, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
             if self._clauses[i][1] <= sup:
                 known = entailed_by[i]
                 if known and any(k <= sub for k in known):
                     continue
-                outcome = self._solver.solve(self._negated[i], sub)
+                outcome = self._solver.solve(map(neg, self._clauses[i][0]), sub)
                 if outcome.satisfiable:
                     self._evidence = ("model", outcome.model)
                     return False

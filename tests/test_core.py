@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lcnf.core import Clause, LcnfFormula, is_subformula, label
+from lcnf.core import Clause, LcnfFormula, is_subformula, label, sort_literals
 
 from conftest import WORKED_CLAUSES, WORKED_LABELS
 
@@ -23,6 +23,22 @@ def test_clause_sorted_literals_by_variable_then_sign():
     assert c.sorted_literals() == (1, 2, -3)
     c2 = Clause(frozenset({-2, 5, -4}), 1)
     assert c2.sorted_literals() == (-2, -4, 5)
+
+
+def test_sort_literals_is_the_variable_then_sign_order():
+    # the one definition of the order rows, clauses and serializers use; it
+    # keeps duplicates and complementary pairs, as a serializer may get them
+    rng = random.Random(7)
+    for _ in range(500):
+        lits = [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(rng.randint(0, 7))]
+        assert sort_literals(lits) == tuple(sorted(lits, key=lambda l: (abs(l), l < 0)))
+
+
+def test_relabelling_a_formula_reads_its_rows(worked_example):
+    for scheme in ("clause", "variable", "literal"):
+        assert label(worked_example, scheme) == label(worked_example.cnf(), scheme)
+    sub = worked_example.induced({1, 2})
+    assert label(sub, "clause") == label(sub.cnf(), "clause")
 
 
 def test_clause_variables():

@@ -109,6 +109,44 @@ def test_parse_dimacs_rejects_malformed_integer():
         assert e.value.line == 3
 
 
+def test_malformed_integer_keeps_its_message_and_line_on_every_path():
+    # each data line's integers are converted at once; a malformed token
+    # falls back to the token-by-token conversion that names it
+    for parse, text, what, line in [
+        # the second line of a multi-line clause
+        (parse_dimacs, "p cnf 3 2\n1 0\n2 -3\n3 1z 0\n", "integer '1z'", 4),
+        # the middle of a clause
+        (parse_dimacs, "p cnf 3 2\n1 0\n2 - -3 0\n", "integer '-'", 3),
+        (parse_lcnf, "p lcnf 3 2\n{1} 1 0\n{2} 2 3.0 -3 0\n", "integer '3.0'", 3),
+        # a label block
+        (parse_lcnf, "p lcnf 3 2\n{1} 1 0\n{2 two 3} 2 0\n", "label 'two'", 3),
+        (parse_gcnf, "p gcnf 3 2 2\n{1} 1 0\n{2.} 2 0\n", "label '2.'", 3),
+    ]:
+        with pytest.raises(ParseError, match=f"^line {line}: malformed {what}$") as e:
+            parse(text)
+        assert e.value.line == line
+
+
+def test_parsed_clauses_come_sorted_and_distinct():
+    # one row per clause, in the order the serializers write: by variable,
+    # the positive literal first
+    assert parse_dimacs("p cnf 4 2\n-3 2 -1\n2 0 4 -2 0\n") == [(-1, 2, -3), (-2, 4)]
+    phi = parse_lcnf("p lcnf 4 2\n{2 1} -3 2 -1 2 0\n{} 4 1 0\n")
+    assert phi.rows == (((-1, 2, -3), frozenset({1, 2})), ((1, 4), frozenset()))
+    # a clause spanning lines is reported on the line that ends it
+    with pytest.raises(ParseError, match="^line 3: clause contains variable 3 with both signs$"):
+        parse_dimacs("p cnf 4 1\n2 3 1\n-3 -2 0\n")
+
+
+def test_minus_zero_inside_a_labelled_clause_is_refused():
+    # "-0" passes the check for a "0" token; its clause is refused once every
+    # line has parsed, with the message LcnfFormula.from_clauses gives
+    text = "p lcnf 2 3\n{1} 1 -0 0\n{2} 2 0\n"
+    with pytest.warns(FormatWarning, match="3 clauses, found 2"):
+        with pytest.raises(ValueError, match="^literal 0 is not allowed in a clause$"):
+            parse_lcnf(text)
+
+
 def test_parse_dimacs_rejects_unterminated_clause():
     with pytest.raises(ParseError) as e:
         parse_dimacs("p cnf 2 1\n1 2\n")

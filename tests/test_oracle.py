@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lcnf.bruteforce import _subset
+from lcnf.bruteforce import GenerationProfile, _subset, random_lcnf
 from lcnf.core import LcnfFormula
 from lcnf.errors import ResourceLimitError
 from lcnf.oracle import (
@@ -324,6 +324,91 @@ def test_switched_off_clauses_still_have_their_variables_assigned():
         assert set(out.model) == {1, 2, 3, 4, 7}
         assert all(out.model[abs(a)] == (a > 0) for a in asms)
         assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in kept)
+
+
+def test_variables_no_switched_on_clause_holds_keep_their_saved_phase():
+    # with label 1 off, variables 1-3 sit only in switched-off clauses: no
+    # decision goes to them, and the model gives each its saved phase, the
+    # value it had when it was last assigned; every model stays total
+    s = Solver()
+    s.add_clause((1, 2), (1,))
+    s.add_clause((-2, 3), (1,))
+    s.add_clause((4, 5))
+    picks = []
+    pick_branch = s._pick_branch
+    s._pick_branch = lambda: picks.append(None) or pick_branch()
+    for first in (1, -1, 1, -1):
+        on = s.solve([first], {1}).model
+        assert on[1] == (first > 0)
+        picks.clear()
+        off = s.solve((), ()).model
+        assert set(off) == set(on) == {1, 2, 3, 4, 5}
+        assert [off[v] for v in (1, 2, 3)] == [on[v] for v in (1, 2, 3)]
+        # one decision on 4 or 5, which sets both, then none is left
+        assert len(picks) == 2
+
+
+def _reference_solver(phi):
+    """A solver fed each formula clause through the public add_clause, its
+    literals reversed and the first one repeated."""
+    s = Solver()
+    for c in phi.clauses:
+        lits = sorted(c.literals, reverse=True)
+        s.add_clause([*lits, lits[0]] if lits else lits, phi.labels_of(c))
+    return s
+
+
+def _assert_oracle_matches_reference(phi, rng, queries=12):
+    ora = LcnfOracle(phi)
+    ref = _reference_solver(phi)
+    active = sorted(phi.active_labels)
+    for _ in range(queries):
+        labels = frozenset(l for l in active if rng.random() < 0.5)
+        within = labels | {l for l in active if rng.random() < 0.5}
+        sat = ora.is_sat_induced(labels)
+        assert sat == ref.solve((), labels).satisfiable, (phi, labels)
+        if sat:
+            assert set(ora.model()) == phi.variables
+        removed = [
+            c for c in phi.clauses
+            if phi.labels_of(c) <= within and not phi.labels_of(c) <= labels
+        ]
+        expected = all(
+            not ref.solve([-l for l in c.literals], labels).satisfiable for c in removed
+        )
+        assert ora.is_equivalent_subformula(labels, within) == expected, (phi, labels, within)
+        if not expected:
+            assert set(ora.model()) == phi.variables
+
+
+def test_oracle_built_from_rows_answers_like_clause_by_clause_solver():
+    # the oracle hands the solver its formula's rows as they are; a solver
+    # fed the same clauses one by one through add_clause, which checks and
+    # collapses them, must answer every query the same
+    rng = random.Random(16)
+    profile = GenerationProfile(variables=6, clauses=16, labels=5, clause_labels=2)
+    for seed in range(150):
+        _assert_oracle_matches_reference(random_lcnf(seed, profile), rng)
+    hand_made = [
+        # unlabelled units before and after the clauses they satisfy (1) or
+        # shorten (-2) at level 0
+        ([(1,), (-2,), (1, 3), (2, 4, -3), (2, 5), (-1, 2, 3), (-2,), (1,)],
+         [(), (), (1,), (2,), (3,), (1, 2), (), ()]),
+        ([(1, 3), (2, 4, -3), (-1, 2, 3), (1,), (-2,)], [(1,), (2,), (3,), (), ()]),
+        # (1 6 7) is dropped at level 0, and 6 and 7 appear nowhere else
+        ([(1,), (1, 6, 7), (-1, 2), (2, 3), (-3, 4)], [(), (), (1,), (2,), (1, 2)]),
+        ([(1,), (1, 6, 7), (-1, 2), (2, 3)], [(), (1,), (1,), (2,)]),
+        # duplicate clauses, labelled alike and apart
+        ([(1, 2), (1, 2), (-1, 2), (-1, 2), (-2, 3), (-2, 3), (-3,)],
+         [(1,), (1,), (2,), (3,), (), (4,), (5,)]),
+    ]
+    for clauses, labelling in hand_made:
+        phi = LcnfFormula.from_clauses(clauses, labelling)
+        _assert_oracle_matches_reference(phi, rng, queries=40)
+    phi = LcnfFormula.from_clauses(*hand_made[2])
+    ora = LcnfOracle(phi)
+    assert ora.is_sat_induced(frozenset())
+    assert set(ora.model()) == {1, 2, 3, 4, 6, 7}
 
 
 def test_entails_basic():
