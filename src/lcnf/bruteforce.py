@@ -8,19 +8,22 @@ first read, by one rule: the four families are the minimal or maximal label
 sets on which one status has one value.  Since equivalence is upward-closed
 over label sets and satisfiability is downward-closed, minimality and
 maximality are decided against the one-label neighbours of each subset
-alone.  Equivalence is decided by comparing full model sets whenever the
-formula has at most 12 variables: each clause's satisfying assignments are
-packed into one big integer, so a subformula's model set is a bitwise AND
-and equivalence is integer equality.  One subset-AND zeta transform, run
-over bounded chunks of subsets in one process, yields every subset's model
-set from those of its one-label-smaller subsets, and both lists with it.
+alone, for all subsets at once: the status list becomes one 2^k-bit int,
+and each label's neighbours are one shift of it, masked by the subsets that
+hold (or lack) that label.  Equivalence is decided by comparing full model
+sets whenever the formula has at most 12 variables: each clause's
+satisfying assignments are packed into one big integer, so a subformula's
+model set is a bitwise AND and equivalence is integer equality.  One
+subset-AND zeta transform, run over bounded chunks of subsets in one
+process, yields every subset's model set from those of its
+one-label-smaller subsets, and both lists with it.
 This path shares nothing with the clause-learning oracle, which is the
 point: the two can check each other.  Larger formulas go to one oracle, in
 one monotone pass per status kind, run only when a reader of the report
 first asks for that kind: most statuses follow from a one-label
 neighbour's, and each of the others costs one query, whose clause checks
-the oracle settles without a solve when an earlier query's entailment
-already decides them.
+the oracle settles without a solve when an earlier query's entailment, or
+a clause whose literals lie inside the checked one, already decides them.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from operator import and_
 
 from .core import LcnfFormula
@@ -160,17 +163,15 @@ class AnalysisReport:
 
     def _extremal(self, name: str) -> SetFamily:
         statuses, wanted, minimal = _FAMILIES[name]
-        has = [st == wanted for st in getattr(self, statuses)]
-        full = len(has) - 1
-        active = sorted(self.active_labels)
-        members = []
-        for mask, h in enumerate(has):
-            if h:
-                rest = mask if minimal else full ^ mask  # the bits a neighbour flips
-                while rest and not has[mask ^ (rest & -rest)]:
-                    rest &= rest - 1
-                if not rest:
-                    members.append(_subset(active, mask))
+        # bit m of ``has`` is whether mask m's status has the wanted value
+        has = int(bytes(getattr(self, statuses))[::-1].translate(_DIGITS[wanted]), 2)
+        blocked = 0  # the masks with a wanted one-label neighbour below or above
+        for b, pattern in enumerate(_label_patterns(len(self.active_labels))):
+            if minimal:
+                blocked |= has << (1 << b) & pattern
+            else:
+                blocked |= has >> (1 << b) & ~pattern
+        members = _subsets(has & ~blocked, sorted(self.active_labels))
         return SetFamily(members, self.active_labels)
 
     lmes = cached_property(lambda self: self._extremal("lmes"))
@@ -191,8 +192,6 @@ class AnalysisReport:
         return {_subset(active, m): SubsetStatus(*st) for m, st in enumerate(statuses)}
 
 
-# AnalysisReport._extremal walks the neighbours inline: calling this once per
-# mask made the truth-table family build about a third slower
 def _has_neighbour(values: list, mask: int, flips: int, value: bool) -> bool:
     """Whether ``values`` holds ``value`` at ``mask`` with one bit of ``flips`` flipped."""
     while flips and values[mask ^ (flips & -flips)] != value:
@@ -205,23 +204,40 @@ def _subset(active, mask: int) -> frozenset:
     return frozenset(l for i, l in enumerate(active) if mask >> i & 1)
 
 
-def _literal_masks(variables: tuple) -> dict:
-    """Per-variable masks over all assignments: bit i is assignment i."""
-    masks = {}
-    total_bits = 1 << len(variables)
-    for position, v in enumerate(variables):
-        half = 1 << position
-        block = ((1 << half) - 1) << half
-        period = half << 1
-        m = 0
-        for offset in range(0, total_bits, period):
-            m |= block << offset
-        masks[v] = m
-    return masks
+# status byte (0 or 1) -> binary digit, for the wanted value True or False
+_DIGITS = {True: bytes.maketrans(b"\0\1", b"01"), False: bytes.maketrans(b"\0\1", b"10")}
+
+
+@cache
+def _label_patterns(k: int) -> tuple:
+    """Per bit b < ``k``, the 2^k-bit int whose bit m is bit b of m.
+
+    Read as truth tables over k variables, pattern b is the set of
+    assignments that make variable b true.  At most one entry per k is
+    built, about 2^k * k / 8 bytes each.
+    """
+    patterns = []
+    for b in range(k):
+        half = 1 << b  # a run of 2^b zeros, then 2^b ones, repeated
+        runs = ((1 << (1 << k)) - 1) // ((1 << (half << 1)) - 1)
+        patterns.append(runs * (((1 << half) - 1) << half))
+    return tuple(patterns)
+
+
+def _subsets(bits: int, active: list) -> list:
+    """The label sets of the masks m whose bit m is set in ``bits``."""
+    digits = format(bits, "b")[::-1]
+    out = []
+    m = digits.find("1")
+    while m >= 0:
+        out.append(_subset(active, m))
+        m = digits.find("1", m + 1)
+    return out
 
 
 def _clause_masks(phi: LcnfFormula, variables: tuple) -> list[int]:
-    lit_masks = _literal_masks(variables)
+    # per variable, the assignments (bit i is assignment i) that make it true
+    lit_masks = dict(zip(variables, _label_patterns(len(variables))))
     universe = (1 << (1 << len(variables))) - 1
     out = []
     for lits, _ in phi.rows:
@@ -306,18 +322,21 @@ def _monotone_equivalent(oracle, active):
     phi|S == phi holds iff phi|S+l == phi (known) and phi|S == phi|S+l,
     which entails only the clauses that l removes.  The walk asks about the
     same clauses again and again, so the oracle's recorded entailments
-    (``LcnfOracle.is_equivalent_subformula``) settle most of those checks
-    with no solve.
+    (``LcnfOracle.is_equivalent_subformula``), seeded first with the label
+    sets of subsuming clauses (``LcnfOracle.record_subsumers``), settle most
+    of those checks with no solve.
     """
     full = (1 << len(active)) - 1
     equivalent = [True] * (full + 1)
+    oracle.record_subsumers()
     for mask in range(full - 1, -1, -1):
         absent = full ^ mask
-        decided = _has_neighbour(equivalent, mask, absent, False)
-        within = mask | (absent & -absent)
-        equivalent[mask] = not decided and oracle.is_equivalent_subformula(
-            _subset(active, mask), within=_subset(active, within)
-        )
+        if _has_neighbour(equivalent, mask, absent, False):
+            equivalent[mask] = False
+        else:
+            sub = _subset(active, mask)
+            within = sub | {active[(absent & -absent).bit_length() - 1]}
+            equivalent[mask] = oracle.is_equivalent_subformula(sub, within)
     return equivalent
 
 
@@ -337,8 +356,8 @@ def classify_all(phi: LcnfFormula, max_labels: int = 16) -> AnalysisReport:
     neighbour's: a satisfiable formula costs one satisfiability solve, and a
     subset is queried for equivalence only when every one-label superset is
     equivalent, and then only on the clauses of one absent label; a clause
-    that an earlier query's entailment answer already decides costs no
-    solve.  Both paths run in one process.
+    that an earlier query's entailment answer, or a subsuming clause,
+    already decides costs no solve.  Both paths run in one process.
     """
     active = tuple(sorted(phi.active_labels))
     k = len(active)

@@ -37,7 +37,13 @@ the removed clauses latest first, and its entailment answers settle later
 queries: entailment is upward-closed over label sets, so a clause proven
 entailed by the labels of a core stays entailed by every set that keeps
 them, and the oracle records such cores per clause and skips the solves
-they decide.  ``rotate`` turns one model into many
+they decide.  ``record_subsumers`` seeds that memory, for the exhaustive
+pass that asks about the same clauses many times, with the labels of each
+clause's subsuming clauses.  The oracle numbers the active labels by bit in
+sorted order, as ``classify_all``'s masks do.  Each clause's label set,
+the memory, and the key of each label's clause list are such masks, built
+on the first query that needs them, so an equivalence query converts its
+two label sets once and does the rest of its bookkeeping on ints.  ``rotate`` turns one model into many
 necessary labels by recursive model rotation, with no solve; the
 per-literal clause index it reads is built on its first call, so an oracle
 that never rotates never pays for it.
@@ -45,6 +51,9 @@ that never rotates never pays for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from math import comb
 from operator import neg
 from typing import Iterable
 
@@ -702,22 +711,36 @@ class LcnfOracle:
         self.formula = phi
         # (sorted literals, label set) per clause, in formula order
         self._clauses = phi.rows
-        self._with_label: dict[int, list[int]] = {l: [] for l in phi.active_labels}
-        for i, (_, ls) in enumerate(self._clauses):
-            for l in ls:
-                self._with_label[l].append(i)
         self._solver = Solver(conflict_budget=conflict_budget)
         self._solver._add_rows(self._clauses)
         # per clause: None until an entailment solve of is_equivalent_subformula
-        # first proves it, then the label sets K that later ones proved
-        # phi|K to entail it with, none inside another
-        self._entailed_by: list[list[frozenset] | None] = [None] * len(self._clauses)
+        # first proves it or record_subsumers finds a subsuming clause, then
+        # the label masks K known to make phi|K entail it, none inside another
+        self._entailed_by: list[list[int] | None] = [None] * len(self._clauses)
         # (kind, value) of what the latest query proved; see _latest
         self._evidence: tuple | None = None
         # the clauses per literal and the variables, sorted, built by the
         # first rotate
         self._occurs: dict[int, list[tuple]] | None = None
         self._variables: list[int] = []
+
+    @cached_property
+    def _label_index(self) -> tuple:
+        """(bit, masks, with_bit): each active label's bit, numbered in sorted
+        order as the masks of classify_all are; each clause's label set as
+        such a mask; and per label bit the clauses carrying that label, latest
+        first.  Built on first use, so an oracle asked only about
+        satisfiability never pays for it."""
+        rows = self._clauses
+        bit = {l: 1 << i for i, l in enumerate(sorted(self.formula.active_labels))}
+        with_bit: dict[int, list[int]] = {b: [] for b in bit.values()}
+        masks = [0] * len(rows)
+        for i in range(len(rows) - 1, -1, -1):
+            for l in rows[i][1]:
+                b = bit[l]
+                masks[i] |= b
+                with_bit[b].append(i)
+        return bit, masks, with_bit
 
     def is_sat_induced(self, labels: Iterable[int]) -> bool:
         """Satisfiability of the subformula induced by ``labels``.
@@ -759,7 +782,8 @@ class LcnfOracle:
         """Whether ``model`` satisfies every clause of ``label`` whose label
         set lies inside ``within``."""
         clauses = self._clauses
-        for i in self._with_label[label]:
+        bit, _, with_bit = self._label_index
+        for i in with_bit[bit[label]]:
             lits, ls = clauses[i]
             if ls <= within and not any(model.get(abs(x)) == (x > 0) for x in lits):
                 return False
@@ -863,10 +887,13 @@ class LcnfOracle:
         Entailment is upward-closed over label sets, so an answer settles
         later queries: from the second time an entailment solve proves a
         clause on, the labels its refutation used (``Solver.analyze_final``)
-        are recorded as a set K with phi|K entailing the clause, and a later query whose ``labels`` contain a
-        recorded K skips that clause's solve.  The first proof only marks
-        the clause, so a sweep that asks about each clause once pays for no
-        core.
+        are recorded as a set K with phi|K entailing the clause, and a later
+        query whose ``labels`` contain a recorded K skips that clause's
+        solve.  The first proof only marks the clause, so a sweep that asks
+        about each clause once pays for no core; a clause that
+        ``record_subsumers`` gave sets records from its first proof on.  Both
+        arguments become label masks once, and the walk, the memory and the
+        records work on masks; only the solve takes a label set.
         """
         active = self.formula.active_labels
         sup = active if within is None else frozenset(map(int, within)) & active
@@ -874,14 +901,21 @@ class LcnfOracle:
         if not sub <= sup:
             raise ValueError("labels must be contained in the comparison set")
         self._evidence = None
-        removed = sorted({i for l in sup - sub for i in self._with_label[l]}, reverse=True)
+        bit, masks, with_bit = self._label_index
+        kept = sum(map(bit.__getitem__, sub))
+        gone = sum(map(bit.__getitem__, sup - sub))
+        if gone & (gone - 1):
+            removed = range(len(masks) - 1, -1, -1)  # every clause, latest first
+        else:
+            removed = with_bit.get(gone, ())
         entailed_by = self._entailed_by
+        outside, missing = ~(kept | gone), ~kept
         # the formula's own rows, checked when it made them, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
-            if self._clauses[i][1] <= sup:
+            if masks[i] & gone and not masks[i] & outside:
                 known = entailed_by[i]
-                if known and any(k <= sub for k in known):
+                if known and any(not k & missing for k in known):
                     continue
                 outcome = self._solver.solve(map(neg, self._clauses[i][0]), sub)
                 if outcome.satisfiable:
@@ -891,6 +925,48 @@ class LcnfOracle:
                     entailed_by[i] = []
                 else:
                     # no recorded K lies inside the core, as none lies inside sub
-                    core = self._solver.analyze_final()[1]
-                    entailed_by[i] = [k for k in known if not core <= k] + [core]
+                    core = sum(map(bit.__getitem__, self._solver.analyze_final()[1]))
+                    entailed_by[i] = [k for k in known if core & ~k] + [core]
         return True
+
+    def record_subsumers(self):
+        """Record, for each clause, the label masks of the clauses that subsume it.
+
+        When clause d's literals are a subset of clause c's, phi|K entails c
+        for K the labels of d, with no solve (syntactic subsumption; Een &
+        Biere, SAT 2005), so ``is_equivalent_subformula`` may skip c's
+        solve wherever it keeps K.  Each clause's entailment memory gains
+        the label masks of the other clauses whose literals lie inside its
+        own, and stays an antichain.  Rows are sorted, so each in-order
+        sub-tuple of a row is a literal tuple that may key other rows; per
+        clause and per width the formula has, the lookup enumerates those
+        sub-tuples or scans the keys of that width, whichever are fewer, so
+        wide clauses cost no more than a scan.  Worth its cost where many
+        queries ask about the same clauses, as ``classify_all``'s monotone
+        pass does; witness sweeps never call it.
+        """
+        rows, entailed_by = self._clauses, self._entailed_by
+        _, masks, _ = self._label_index
+        with_literals: dict[tuple, list[int]] = {}
+        for j, (lits, _) in enumerate(rows):
+            with_literals.setdefault(lits, []).append(j)
+        keys_of_width: dict[int, list[tuple]] = {}
+        for key in with_literals:
+            keys_of_width.setdefault(len(key), []).append(key)
+        found: dict[int, set] = {}
+        for i, (lits, _) in enumerate(rows):
+            for width, keys in keys_of_width.items():
+                if width > len(lits):
+                    continue
+                if comb(len(lits), width) <= len(keys):
+                    inside = combinations(lits, width)
+                else:
+                    own = set(lits)
+                    inside = [key for key in keys if own.issuperset(key)]
+                for key in inside:
+                    for j in with_literals.get(key, ()):
+                        if j != i:
+                            found.setdefault(i, set()).add(masks[j])
+        for i, ks in found.items():
+            ks.update(entailed_by[i] or ())
+            entailed_by[i] = sorted(k for k in ks if not any(o != k and not o & ~k for o in ks))

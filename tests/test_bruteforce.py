@@ -1,6 +1,7 @@
 """Exhaustive subset classification and the seeded formula generator."""
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import lcnf
 from lcnf import bruteforce
 from lcnf.analysis import REASON_SATISFIABLE
 from lcnf.bruteforce import (
+    AnalysisReport,
     GenerationProfile,
     SubsetStatus,
     classify_all,
@@ -123,6 +125,48 @@ def truth_table_statuses(phi):
 
 def statuses(report):
     return report.sat_statuses, report.equivalent_statuses
+
+
+def neighbour_walk(statuses, wanted, minimal, active):
+    """The members of a family, one mask and one one-label neighbour at a time."""
+    members = set()
+    for mask, status in enumerate(statuses):
+        if status == wanted and not any(
+            statuses[mask ^ 1 << b] == wanted
+            for b in range(len(active))
+            if (mask >> b & 1) == minimal
+        ):
+            members.add(frozenset(l for b, l in enumerate(active) if mask >> b & 1))
+    return members
+
+
+def status_lists(rng):
+    """Random status lists, monotone and not, with the labels they range over."""
+    for k in range(11):
+        active = sorted(rng.sample(range(1, 40), k))
+        for _ in range(6):
+            # upward-closed: the masks above a few random ones
+            bottoms = [rng.getrandbits(k) for _ in range(rng.randint(1, 4))]
+            yield active, [any(m & b == b for b in bottoms) for m in range(1 << k)]
+            yield active, [rng.random() < 0.5 for _ in range(1 << k)]
+        yield active, [True] * (1 << k)
+        yield active, [False] * (1 << k)
+    active = list(range(2, 18))
+    bottoms = [rng.getrandbits(16) for _ in range(12)]
+    yield active, [any(m & b == b for b in bottoms) for m in range(1 << 16)]
+
+
+def test_family_reads_match_a_one_neighbour_walk():
+    # the bit-parallel family read of AnalysisReport against a per-mask walk
+    # of one-label neighbours, for all four families and either status list
+    rng = random.Random(17)
+    for n, (active, listed) in enumerate(status_lists(rng)):
+        flipped = [not s for s in listed]
+        report = AnalysisReport(None, frozenset(active), (listed, flipped))
+        for name, (kind, wanted, minimal) in bruteforce._FAMILIES.items():
+            values = listed if kind == "sat_statuses" else flipped
+            expected = neighbour_walk(values, wanted, minimal, active)
+            assert getattr(report, name).members == expected, (n, name)
 
 
 def test_oracle_fallback_beyond_truth_table_width():

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from lcnf.bruteforce import GenerationProfile, _subset, random_lcnf
+from lcnf.bruteforce import (
+    GenerationProfile,
+    _classify_truth_tables,
+    _monotone_equivalent,
+    _subset,
+    random_lcnf,
+)
 from lcnf.core import LcnfFormula
 from lcnf.errors import ResourceLimitError
 from lcnf.oracle import (
@@ -640,6 +646,63 @@ def test_entailment_answers_settle_later_queries(monkeypatch):
                         break
     assert min(answers.values()) > 200, answers
     assert 4 * solves < 3 * checks, (solves, checks)
+
+
+def subsumer_formulas():
+    """Seeded formulas, then hand-made ones full of subsumed clauses."""
+    weakened = GenerationProfile(variables=4, clauses=20, labels=5, clause_width=4)
+    yield from (sweep_formula(i) for i in range(60))
+    yield from (random_lcnf(i, weakened) for i in range(60))
+    # duplicates under different, nested and equal label sets
+    yield LcnfFormula.from_clauses(
+        [(1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3), (-1, 2)],
+        [(1,), (2,), (1, 2), (1,), (3,)],
+    )
+    # one-literal weakenings, and weakenings of those
+    yield LcnfFormula.from_clauses(
+        [(1, 2), (1, 2, 3), (1, 2, -3), (1, 2, 3, 4), (2, 3), (1, 2, 3, -4)],
+        [(1,), (2,), (3,), (1, 3), (4,), (2, 4)],
+    )
+    # an unlabelled subsumer, which settles its clauses under every label set
+    yield LcnfFormula.from_clauses(
+        [(1,), (1, 2), (1, -3), (-1, 3), (1, 2), (2, 3)],
+        [(), (1,), (2,), (3,), (), (1, 2)],
+    )
+    # an empty clause subsumes every clause
+    yield LcnfFormula.from_clauses([(), (1, 2), (-2,)], [(3,), (1,), (2, 3)])
+
+
+def test_subsumers_seed_the_entailment_memory():
+    # after record_subsumers each clause's memory is the antichain of the
+    # label masks of the other clauses whose literals lie inside its own,
+    # found here pair by pair; each such K makes phi|K entail the clause by
+    # the model sets, and the monotone pass on the seeded oracle still gives
+    # the truth tables' statuses
+    seeded = 0
+    for n, phi in enumerate(subsumer_formulas()):
+        ora = LcnfOracle(phi)
+        ora.record_subsumers()
+        active = sorted(phi.active_labels)
+        bit = {l: 1 << i for i, l in enumerate(active)}
+        masks = [sum(bit[l] for l in ls) for _, ls in phi.rows]
+        universe = sorted(phi.variables)
+        for i, (lits, _) in enumerate(phi.rows):
+            subsumers = {
+                masks[j] for j, (other, _) in enumerate(phi.rows)
+                if j != i and set(other) <= set(lits)
+            }
+            antichain = {k for k in subsumers if not any(o != k and o & k == o for o in subsumers)}
+            recorded = ora._entailed_by[i]
+            assert (None if recorded is None else set(recorded)) == (antichain or None), (n, i)
+            for k in antichain:
+                clause = set(lits)
+                for model in models_of(phi.induced(_subset(active, k)).cnf(), universe):
+                    assert any(model[universe.index(abs(x))] == (x > 0) for x in clause), (n, i, k)
+                seeded += 1
+        truth = _classify_truth_tables(phi, tuple(active))[1]
+        assert _monotone_equivalent(ora, active) == truth, n
+        assert _monotone_equivalent(LcnfOracle(phi), active) == truth, n
+    assert seeded > 300, seeded
 
 
 def test_rotation_proves_only_necessary_labels():
