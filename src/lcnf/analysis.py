@@ -41,6 +41,12 @@ wherever it meets it.  A grow step adds a label unsolved when the latest
 model satisfies its clauses inside the grown set: the grown subformula is
 then satisfiable, or, for LMNS, still misses the removed clause that the
 model falsifies.
+
+The sweeps take and return label sets, and inside keep their current,
+kept and core sets as int masks over the oracle's numbering of the
+active labels (``LcnfOracle.label_bits``): a step removes or adds one
+bit, asks the oracle by mask, and the solver visits only the clauses of
+the label that changed.
 """
 from __future__ import annotations
 
@@ -78,13 +84,9 @@ def _normalize_order(phi: LcnfFormula, order: Iterable[int] | None) -> list[int]
     active = sorted(phi.active_labels)
     if order is None:
         return active
-    out: list[int] = []
-    for l in order:
-        l = _active(phi, l)
-        if l not in out:
-            out.append(l)
-    out.extend(l for l in active if l not in out)
-    return out
+    out = dict.fromkeys(_active(phi, l) for l in order)
+    out.update(dict.fromkeys(active))  # a label already given keeps its place
+    return list(out)
 
 
 def is_label_redundant(
@@ -93,7 +95,7 @@ def is_label_redundant(
     """Whether removing ``label`` preserves equivalence with ``phi``."""
     label = _active(phi, label)
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    return ora.is_equivalent_subformula(phi.active_labels - {label})
+    return ora.is_equivalent_subformula(ora.mask_of(phi.active_labels) & ~ora.label_bits[label])
 
 
 def compute_lmes(
@@ -111,17 +113,19 @@ def compute_lmes(
     and their steps make no solve.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    current = set(phi.active_labels)
-    kept: set = set()
+    bits = ora.label_bits
+    current = ora.mask_of(phi.active_labels)
+    kept = 0
     for l in _normalize_order(phi, order):
-        if l in kept:
+        b = bits[l]
+        if kept & b:
             continue
-        if ora.is_equivalent_subformula(current - {l}, current):
-            current.discard(l)
+        if ora.is_equivalent_subformula(current & ~b, current):
+            current &= ~b
         else:
-            kept.add(l)
-            kept |= ora.rotate(ora.model(), current, kept)
-    return frozenset(current)
+            kept |= b
+            kept |= ora.rotate(ora.model(), current, kept, l)
+    return ora.labels_in(current)
 
 
 def compute_lmus(
@@ -144,26 +148,28 @@ def compute_lmus(
     ``oracle`` depend on its earlier queries too.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    if ora.is_sat_induced(phi.active_labels):
+    bits = ora.label_bits
+    current = ora.mask_of(phi.active_labels)
+    if ora.is_sat_induced(current):
         raise PreconditionError(REASON_SATISFIABLE)
     core = ora.core()
-    current = set(phi.active_labels)
-    kept: set = set()
+    kept = 0
     for l in _normalize_order(phi, order):
-        if l in kept:
+        b = bits[l]
+        if kept & b:
             continue
         # kept <= core <= current holds throughout: a core label leaves only
         # on an UNSAT answer, whose core, unsatisfiable on its own, becomes
         # the current set and holds every label proven necessary so far
-        if l in core:
-            if ora.is_sat_induced(current - {l}):
-                kept.add(l)
-                kept |= ora.rotate(ora.model(), current, kept)
+        if core & b:
+            if ora.is_sat_induced(current & ~b):
+                kept |= b
+                kept |= ora.rotate(ora.model(), current, kept, l)
                 continue
             core = ora.core()
             current &= core
-        current.discard(l)
-    return frozenset(current)
+        current &= ~b
+    return ora.labels_in(current)
 
 
 def compute_lmss(
@@ -181,8 +187,8 @@ def compute_lmss(
     ValueError, as it is in ``order``.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    seed = frozenset(_active(phi, l) for l in seed)
-    if not ora.is_sat_induced(frozenset()):
+    seed = ora.mask_of([_active(phi, l) for l in seed])
+    if not ora.is_sat_induced(0):
         raise PreconditionError(REASON_UNSAT_UNLABELLED)
     if seed and not ora.is_sat_induced(seed):
         raise PreconditionError("seed labels induce an unsatisfiable subformula")
@@ -205,11 +211,11 @@ def compute_lmns(
     is not active is a ValueError, as it is in ``order``.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    seed = frozenset(_active(phi, l) for l in seed)
+    seed = ora.mask_of([_active(phi, l) for l in seed])
     if ora.is_equivalent_subformula(seed):
         if not phi.active_labels:
             raise PreconditionError(REASON_NO_ACTIVE_LABELS)
-        if seed and not ora.is_equivalent_subformula(frozenset()):
+        if seed and not ora.is_equivalent_subformula(0):
             raise PreconditionError("seed labels induce an equivalent subformula")
         raise PreconditionError(REASON_ALL_REDUNDANT)
     return _grow(
@@ -218,7 +224,7 @@ def compute_lmns(
     )
 
 
-def _grow(ora: LcnfOracle, seed: frozenset, order: list[int], holds) -> frozenset:
+def _grow(ora: LcnfOracle, seed: int, order: list[int], holds) -> frozenset:
     """The grow pass from ``seed``: add each label of ``order`` that keeps
     the subformula satisfiable or non-equivalent, as ``holds`` says.
 
@@ -230,17 +236,19 @@ def _grow(ora: LcnfOracle, seed: frozenset, order: list[int], holds) -> frozense
     new model.
     """
     model = ora.model()
-    current = set(seed)
+    bits = ora.label_bits
+    current = seed
     for l in order:
-        if l in current:
+        b = bits[l]
+        if current & b:
             continue
-        grown = current | {l}
+        grown = current | b
         if ora.satisfies(model, l, grown):
-            current.add(l)
+            current = grown
         elif holds(grown):
-            current.add(l)
+            current = grown
             model = ora.model()
-    return frozenset(current)
+    return ora.labels_in(current)
 
 
 def duality_obstacle(phi: LcnfFormula, has_irredundant_label: Callable[[], bool]) -> str | None:
@@ -268,8 +276,10 @@ def duality_preconditions(
 
     def has_irredundant_label() -> bool:
         ora = oracle if oracle is not None else LcnfOracle(phi)
-        labels = phi.active_labels
-        return not all(ora.is_equivalent_subformula(labels - {l}) for l in sorted(labels))
+        full, bits = ora.mask_of(phi.active_labels), ora.label_bits
+        return not all(
+            ora.is_equivalent_subformula(full & ~bits[l]) for l in sorted(phi.active_labels)
+        )
 
     reason = duality_obstacle(phi, has_irredundant_label)
     return reason is None, reason

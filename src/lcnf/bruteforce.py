@@ -301,14 +301,15 @@ def _monotone_sat(oracle, active):
     Satisfiability is downward-closed: when the whole formula is satisfiable
     every subset is, and otherwise, walking subsets before supersets, a
     subset with an unsatisfiable one-label subset is unsatisfiable.  Each
-    subset its neighbours leave open gets one query.
+    subset its neighbours leave open gets one query, by its mask: the
+    oracle numbers the active labels by bit in sorted order too.
     """
     full = (1 << len(active)) - 1
     sat = [True] * (full + 1)
-    if not oracle.is_sat_induced(active):
+    if not oracle.is_sat_induced(full):
         for mask in range(full):
             decided = _has_neighbour(sat, mask, mask, False)
-            sat[mask] = not decided and oracle.is_sat_induced(_subset(active, mask))
+            sat[mask] = not decided and oracle.is_sat_induced(mask)
         sat[full] = False
     return sat
 
@@ -334,9 +335,8 @@ def _monotone_equivalent(oracle, active):
         if _has_neighbour(equivalent, mask, absent, False):
             equivalent[mask] = False
         else:
-            sub = _subset(active, mask)
-            within = sub | {active[(absent & -absent).bit_length() - 1]}
-            equivalent[mask] = oracle.is_equivalent_subformula(sub, within)
+            within = mask | (absent & -absent)
+            equivalent[mask] = oracle.is_equivalent_subformula(mask, within)
     return equivalent
 
 

@@ -23,14 +23,23 @@ A variable that no switched-on clause holds is never decided: the solver
 counts, per variable, the switched-on added clauses that hold it, and a
 model gives a variable with no such clause its saved phase.
 
-``LcnfOracle`` gives the solver the rows of a labelled formula (sorted
-literals, label set), once, as they are: the formula checked each clause
-when it made the row, and ``Solver.add_clause`` checks a clause from any
-other caller before it takes the same path.  Satisfiability, entailment
-and equivalence queries about any label subset are then single ``solve``
-calls with that subset switched on, against one shared solver; only a
-clause under test enters as assumptions, its negated literals.
-Each query leaves its evidence behind: an
+Below the public API a label set is an int bit mask.  The solver numbers
+labels by bit as its clauses first name them, and keeps each clause's
+labels, the labels switched on and each learned clause's labels as masks,
+with one clause list per bit position; a solve visits only the clauses of
+the labels it switches, so a query pays for the labels it changes.  Every
+method that takes a label set takes it either way: an int is a mask, any
+other iterable a set of labels, converted once on entry.
+
+``LcnfOracle`` numbers the formula's active labels with its solver in
+sorted order, as ``classify_all``'s masks do, then gives it the rows of
+the formula (sorted literals, label set), once, as they are: the formula
+checked each clause when it made the row, and ``Solver.add_clause``
+checks a clause from any other caller before it takes the same path.
+Satisfiability, entailment and equivalence queries about any label subset
+are then single ``solve`` calls with that subset switched on, against one
+shared solver; only a clause under test enters as assumptions, its
+negated literals.  Each query leaves its evidence behind: an
 unsatisfiable core of labels after an unsatisfiable answer, and a model
 after a satisfiable or a non-equivalent one.  An equivalence query checks
 the removed clauses latest first, and its entailment answers settle later
@@ -39,14 +48,14 @@ entailed by the labels of a core stays entailed by every set that keeps
 them, and the oracle records such cores per clause and skips the solves
 they decide.  ``record_subsumers`` seeds that memory, for the exhaustive
 pass that asks about the same clauses many times, with the labels of each
-clause's subsuming clauses.  The oracle numbers the active labels by bit in
-sorted order, as ``classify_all``'s masks do.  Each clause's label set,
-the memory, and the key of each label's clause list are such masks, built
-on the first query that needs them, so an equivalence query converts its
-two label sets once and does the rest of its bookkeeping on ints.  ``rotate`` turns one model into many
-necessary labels by recursive model rotation, with no solve; the
-per-literal clause index it reads is built on its first call, so an oracle
-that never rotates never pays for it.
+clause's subsuming clauses.  Each clause's label set and the memory are
+masks, and each label's clause list, built on the first query that needs
+it, is keyed by the label's bit; the deletion and grow sweeps and the
+monotone passes ask by mask, so no query converts a label set.  ``core``
+and ``rotate`` answer with a mask when asked with one.  ``rotate`` turns
+one model into many necessary labels by recursive model rotation, with no
+solve; the per-literal clause index it reads is built on its first call,
+so an oracle that never rotates never pays for it.
 """
 from __future__ import annotations
 
@@ -101,7 +110,9 @@ class Solver:
 
     A clause may carry a set of labels, and ``solve`` takes the set of
     labels switched on: a clause takes part in a solve exactly when all its
-    labels are on.  Unlabelled clauses always do.  A learned clause carries
+    labels are on.  Unlabelled clauses always do.  Labels are numbered by
+    bit as clauses first name them, and ``solve`` takes the labels as a set
+    or as the int mask of one.  A learned clause carries
     the union of the labels of the clauses it was resolved from, so it holds
     whenever they do, and takes part in exactly the solves where they all
     would.
@@ -135,12 +146,14 @@ class Solver:
         self._ok = True  # False once the unlabelled clauses are refuted
         # per clause: literal codes, watching [0] and [1] when it has two or more
         self._clauses: list[list[int]] = []
-        self._labels: list = []  # per clause: its labels as a set or tuple, empty if none
+        self._labels: list[int] = []  # per clause: the mask of its labels, 0 if none
         self._off: list[int] = []  # per clause: how many of its labels are off
         self._watched: list[bool] = []  # per clause: in the watch lists of [0] and [1]
         self._learned: list[bool] = []  # per clause: learned, not added
-        self._with_label: dict[int, list[int]] = {}  # label -> the clauses that carry it
-        self._on: frozenset = frozenset()  # the labels switched on
+        self._bit: dict[int, int] = {}  # label -> its bit, numbered first seen
+        self._label_names: list[int] = []  # bit position -> label
+        self._with_bit: list[list[int]] = []  # bit position -> the clauses that carry it
+        self._on = 0  # the mask of the labels switched on
         self._short: list[int] = []  # labelled clauses of fewer than two literals
         # clauses out of the watch lists to put back when the activation level
         # opens, if they are switched on then
@@ -187,16 +200,55 @@ class Solver:
         self._watches += ([], [])
         return i
 
+    def _number(self, labels: Iterable[int]) -> int:
+        """The mask of ``labels``; a label met for the first time takes the
+        next bit."""
+        bit = self._bit
+        mask = 0
+        for l in labels:
+            b = bit.get(l)
+            if b is None:
+                b = bit[l] = 1 << len(self._label_names)
+                self._label_names.append(l)
+                self._with_bit.append([])
+            mask |= b
+        return mask
+
+    def _mask(self, labels) -> int:
+        """``labels`` as a mask: an int is one already; the labels of any
+        other iterable that no clause carries have no bit, and stay out."""
+        if isinstance(labels, int):
+            if labels < 0:
+                raise ValueError("a label mask is a nonnegative int")
+            return labels
+        bit = self._bit
+        mask = 0
+        for l in map(int, labels):
+            mask |= bit.get(l, 0)
+        return mask
+
+    def _label_set(self, mask: int) -> frozenset:
+        """The labels whose bits ``mask`` holds."""
+        names = self._label_names
+        labels = []
+        while mask:
+            low = mask & -mask
+            labels.append(names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(labels)
+
     def add_clause(self, literals: Iterable[int], labels: Iterable[int] = ()):
         """Add a clause that takes part in a solve when all its ``labels`` are on.
 
-        Duplicate literals collapse, and tautologies are dropped.
+        Duplicate literals collapse, and tautologies are dropped.  A label
+        met for the first time takes the next bit of the masks ``solve``
+        accepts, in the order the clauses list their labels.
         """
         lits = tuple(dict.fromkeys(map(int, literals)))
         if 0 in lits:
             raise ValueError("literal 0 is not allowed in a clause")
         if set(lits).isdisjoint(map(neg, lits)):
-            self._add_rows([(lits, frozenset(map(int, labels)))])
+            self._add_rows([(lits, tuple(map(int, labels)))])
             return
         # a tautology: its variables enter, the clause does not
         self._failed = None
@@ -205,17 +257,24 @@ class Solver:
             if l not in self._code:
                 self._new_var(abs(l))
 
-    def _add_rows(self, rows: Iterable[tuple]):
+    def _add_rows(self, rows: Iterable[tuple]) -> list[int]:
         """Add ``(literals, labels)`` rows in order, unchecked: literals
-        distinct, nonzero and free of complementary pairs, labels a set, as
-        ``LcnfFormula`` rows are.  A clause satisfied at level 0 is dropped
-        and its literals false there leave it, but every variable it names
-        enters the solver, so that models name it."""
+        distinct, nonzero and free of complementary pairs, as ``LcnfFormula``
+        rows are.  A clause satisfied at level 0 is dropped and its literals
+        false there leave it, but every variable it names enters the solver,
+        so that models name it.  Returns each row's label mask."""
         self._failed = None
         self._cancel_until(0)
         code_of = self._code
         value = self._value  # extended in place by _new_var
+        bit = self._bit
+        number = self._number
+        masks = []
         for lits, labels in rows:
+            mask = 0
+            for l in labels:
+                mask |= bit.get(l) or number((l,))
+            masks.append(mask)
             clause: list[int] = []
             dropped = False  # satisfied at level 0
             for l in lits:
@@ -229,21 +288,23 @@ class Solver:
                     dropped = True
             if dropped:
                 continue
-            if labels or len(clause) > 1:
-                self._store(clause, labels)
+            if mask or len(clause) > 1:
+                self._store(clause, mask)
             elif clause:
                 self._enqueue(clause[0], None)
             else:
                 self._ok = False
+        return masks
 
-    def _store(self, lits: list[int], labels, learned: bool = False) -> int:
+    def _store(self, lits: list[int], labels: int, learned: bool = False) -> int:
         """Keep a clause of literal codes that is labelled or has two or more.
 
-        One of fewer than two literals becomes short; a longer one goes in
-        the watch lists if it is switched on.
+        ``labels`` is the mask of its labels.  One of fewer than two literals
+        becomes short; a longer one goes in the watch lists if it is
+        switched on.
         """
         ci = len(self._clauses)
-        off = len(labels) - len(self._on.intersection(labels))
+        off = (labels & ~self._on).bit_count()
         self._clauses.append(lits)
         self._labels.append(labels)
         self._off.append(off)
@@ -253,12 +314,11 @@ class Solver:
             holds = self._holds
             for q in lits:
                 holds[q >> 1] += 1
-        with_label = self._with_label
-        for l in labels:
-            if l in with_label:
-                with_label[l].append(ci)
-            else:
-                with_label[l] = [ci]
+        with_bit = self._with_bit
+        while labels:
+            low = labels & -labels
+            with_bit[low.bit_length() - 1].append(ci)
+            labels ^= low
         if len(lits) < 2:
             self._short.append(ci)
         elif not self._off[ci]:
@@ -271,27 +331,42 @@ class Solver:
         self._watches[lits[1]].append(ci)
         self._watched[ci] = True
 
-    def _switch(self, labels: frozenset):
-        """Switch on exactly ``labels``; clauses switched on and out of the
-        watch lists become pending."""
+    def _switch(self, labels: int):
+        """Switch on exactly the labels of mask ``labels``; clauses switched
+        on and out of the watch lists become pending.  Only the labels that
+        change are visited, switched off first, each way lowest bit first; a
+        bit past the labels any clause carries has no clauses."""
         old = self._on
-        if labels is old:
+        if labels == old:
             return
-        with_label = self._with_label
+        with_bit = self._with_bit
+        known = len(with_bit)
         off = self._off
         clauses = self._clauses
         learned = self._learned
         holds = self._holds
-        for l in old - labels:
-            for ci in with_label.get(l, ()):
+        gone = old & ~labels
+        while gone:
+            low = gone & -gone
+            i = low.bit_length() - 1
+            if i >= known:
+                break
+            gone ^= low
+            for ci in with_bit[i]:
                 if not (off[ci] or learned[ci]):
                     for q in clauses[ci]:
                         holds[q >> 1] -= 1
                 off[ci] += 1
         watched = self._watched
         pending = self._pending
-        for l in labels - old:
-            for ci in with_label.get(l, ()):
+        new = labels & ~old
+        while new:
+            low = new & -new
+            i = low.bit_length() - 1
+            if i >= known:
+                break
+            new ^= low
+            for ci in with_bit[i]:
                 off[ci] -= 1
                 if not off[ci]:
                     if not learned[ci]:
@@ -439,10 +514,10 @@ class Solver:
             self._activity = [a * 1e-100 for a in self._activity]
             self._var_inc *= 1e-100
 
-    def _analyze(self, confl: int) -> tuple[list[int], tuple, int]:
+    def _analyze(self, confl: int) -> tuple[list[int], int, int]:
         """First-UIP learning above the activation level.
 
-        Returns the learned clause, the union of the labels of the clauses
+        Returns the learned clause, the mask of the labels of the clauses
         resolved, and the backjump level.  The asserting literal sits at
         position 0 of the learned clause and a deepest remaining literal at
         position 1, ready for watching.  A labelled unit goes back to the
@@ -453,7 +528,7 @@ class Solver:
         cur_level = len(self._trail_lim)
         seen: set[int] = set()
         learned: list[int] = [0]
-        used = set(labels[confl])
+        used = labels[confl]
         counter = 0
         index = len(self._trail)
         reason_lits = self._clauses[confl]
@@ -478,18 +553,18 @@ class Solver:
             if counter == 0:
                 break
             r = self._reason[p >> 1]
-            used.update(labels[r])
+            used |= labels[r]
             reason_lits = self._clauses[r]
         learned[0] = p ^ 1
         if len(learned) == 1:
-            return learned, tuple(used), 1 if used else 0
+            return learned, used, 1 if used else 0
         # place a literal from the backjump level at position 1
         max_i = 1
         for i in range(2, len(learned)):
             if level[learned[i] >> 1] > level[learned[max_i] >> 1]:
                 max_i = i
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, tuple(used), level[learned[1] >> 1]
+        return learned, used, level[learned[1] >> 1]
 
     # -- main search --------------------------------------------------------
 
@@ -517,17 +592,22 @@ class Solver:
         about costs nothing.  RuntimeError unless the latest ``solve``
         answered UNSAT and no clause was added since.
         """
+        failed, labels = self._final()
+        return list(failed), self._label_set(labels)
+
+    def _final(self) -> tuple:
+        """``analyze_final``'s pair, the labels as their mask."""
         failed = self._failed
         if failed is None:
             raise RuntimeError("no UNSAT answer to explain since the latest solve or clause")
         if failed[0] == "assumption":
-            failed = self._failed = self._failed_from([failed[1]], [failed[1]], ())
+            failed = self._failed = self._failed_from([failed[1]], [failed[1]], 0)
         elif failed[0] == "clause":
             ci = failed[1]
             failed = self._failed = self._failed_from(self._clauses[ci], [], self._labels[ci])
-        return list(failed[0]), failed[1]
+        return failed
 
-    def _failed_from(self, start: list[int], failed: list[int], labels: tuple) -> tuple:
+    def _failed_from(self, start: list[int], failed: list[int], labels: int) -> tuple:
         """Failed assumptions and labels behind the falsity of literals ``start``.
 
         Walks the trail down from its top to the activation level, following
@@ -539,7 +619,7 @@ class Solver:
         reason = self._reason
         clauses = self._clauses
         names = self._names
-        used = set(labels)
+        used = labels
         seen = {q >> 1 for q in start if level[q >> 1]}
         for p in reversed(self._trail[self._trail_lim[0] :]):
             v = p >> 1
@@ -549,9 +629,9 @@ class Solver:
             if r is None:
                 failed.append(p)
             else:
-                used.update(self._labels[r])
+                used |= self._labels[r]
                 seen.update(q >> 1 for q in clauses[r] if level[q >> 1])
-        return [-names[c >> 1] if c & 1 else names[c >> 1] for c in failed], frozenset(used)
+        return [-names[c >> 1] if c & 1 else names[c >> 1] for c in failed], used
 
     def _model(self, free: dict) -> dict:
         """The assignment, total: a variable that no switched-on clause holds
@@ -562,14 +642,16 @@ class Solver:
             values = [not phase[v] if x is None else x for v, x in enumerate(values)]
         return dict(zip(self._names, map(bool, values))) | free
 
-    def solve(self, assumptions: Iterable[int] = (), labels: Iterable[int] = ()) -> SatOutcome:
+    def solve(self, assumptions: Iterable[int] = (), labels: Iterable[int] | int = ()) -> SatOutcome:
         """Decide satisfiability under unit assumptions, with ``labels`` on.
 
         The clauses that take part are the unlabelled ones and those whose
         labels all lie in ``labels``; the assumptions are opened in the
-        order given.
+        order given.  ``labels`` is a label set, or an int: the mask of one,
+        bit i standing for the i-th label the clauses met (``add_clause``).
         """
         self._failed = None
+        on = self._mask(labels)
         asms = list(assumptions)
         code_of = self._code
         codes = list(map(code_of.get, asms))
@@ -590,13 +672,13 @@ class Solver:
                     clash = a
                     break
         if not self._ok:
-            self._failed = ((), frozenset())
+            self._failed = ((), 0)
             return SatOutcome(False)
         if clash:
-            self._failed = ([-clash, clash], frozenset())
+            self._failed = ([-clash, clash], 0)
             return SatOutcome(False)
         self._cancel_until(0)
-        self._switch(frozenset(labels))
+        self._switch(on)
         n = len(codes) + 1  # the activation level, then one level per assumption
 
         restart_count = 0
@@ -612,7 +694,7 @@ class Solver:
                 level = len(self._trail_lim)
                 if not level:
                     self._ok = False
-                    self._failed = ((), frozenset())
+                    self._failed = ((), 0)
                     return SatOutcome(False)
                 self.conflicts += 1
                 since_restart += 1
@@ -701,7 +783,10 @@ class LcnfOracle:
     Gives the solver each clause with its label set once; every query about
     an induced subformula is then a ``solve`` with the query's labels on,
     and only a clause under test enters as assumptions, its negated
-    literals.  Learned clauses carry over between queries, each taking part
+    literals.  A query takes its label sets as sets or as int masks, bit i
+    for the i-th smallest active label (``label_bits``); a mask bit past
+    the active labels, like a label that is not active, stands for no
+    clause.  Learned clauses carry over between queries, each taking part
     wherever the labels it was resolved from are on, and
     ``conflict_budget`` bounds the conflicts over every solve of every
     query.  Instances are not thread-safe.
@@ -711,45 +796,63 @@ class LcnfOracle:
         self.formula = phi
         # (sorted literals, label set) per clause, in formula order
         self._clauses = phi.rows
-        self._solver = Solver(conflict_budget=conflict_budget)
-        self._solver._add_rows(self._clauses)
+        self._solver = solver = Solver(conflict_budget=conflict_budget)
+        # numbered before any clause meets them, the active labels take their
+        # bits in sorted order, so the solver's masks are the oracle's
+        self._full = solver._number(sorted(phi.active_labels))
+        # label -> bit, shared with the solver
+        self.label_bits = solver._bit
+        self._masks = solver._add_rows(self._clauses)  # per clause: its label mask
         # per clause: None until an entailment solve of is_equivalent_subformula
         # first proves it or record_subsumers finds a subsuming clause, then
         # the label masks K known to make phi|K entail it, none inside another
         self._entailed_by: list[list[int] | None] = [None] * len(self._clauses)
-        # (kind, value) of what the latest query proved; see _latest
+        # what the latest query proved: ("model", the model), or ("core",
+        # whether the query named its labels by mask); see _latest
         self._evidence: tuple | None = None
-        # the clauses per literal and the variables, sorted, built by the
-        # first rotate
+        # (sorted literals, label mask) per clause, the clauses per literal and
+        # the variables, sorted, built by the first rotate
+        self._rows: list[tuple] = []
         self._occurs: dict[int, list[tuple]] | None = None
         self._variables: list[int] = []
 
     @cached_property
-    def _label_index(self) -> tuple:
-        """(bit, masks, with_bit): each active label's bit, numbered in sorted
-        order as the masks of classify_all are; each clause's label set as
-        such a mask; and per label bit the clauses carrying that label, latest
-        first.  Built on first use, so an oracle asked only about
-        satisfiability never pays for it."""
-        rows = self._clauses
-        bit = {l: 1 << i for i, l in enumerate(sorted(self.formula.active_labels))}
-        with_bit: dict[int, list[int]] = {b: [] for b in bit.values()}
-        masks = [0] * len(rows)
-        for i in range(len(rows) - 1, -1, -1):
-            for l in rows[i][1]:
-                b = bit[l]
-                masks[i] |= b
-                with_bit[b].append(i)
-        return bit, masks, with_bit
+    def _with_bit(self) -> dict[int, list[int]]:
+        """Per label bit, the clauses carrying that label, latest first.
+        Built on first use, so an oracle asked only about satisfiability
+        never pays for it."""
+        masks = self._masks
+        with_bit: dict[int, list[int]] = {b: [] for b in self.label_bits.values()}
+        for i in range(len(masks) - 1, -1, -1):
+            m = masks[i]
+            while m:
+                low = m & -m
+                with_bit[low].append(i)
+                m ^= low
+        return with_bit
 
-    def is_sat_induced(self, labels: Iterable[int]) -> bool:
+    def mask_of(self, labels: Iterable[int] | int) -> int:
+        """The mask of the active labels among ``labels``: an int is a mask
+        already, and keeps only the bits of active labels."""
+        if isinstance(labels, int):
+            return self._solver._mask(labels) & self._full
+        return self._solver._mask(labels)
+
+    def labels_in(self, mask: int) -> frozenset:
+        """The active labels whose bits ``mask`` holds."""
+        return self._solver._label_set(mask & self._full)
+
+    def is_sat_induced(self, labels: Iterable[int] | int) -> bool:
         """Satisfiability of the subformula induced by ``labels``.
 
         Afterwards ``model`` or ``core`` holds the evidence for the answer.
         """
         self._evidence = None
-        outcome = self._solver.solve((), frozenset(map(int, labels)))
-        self._evidence = ("model", outcome.model) if outcome.satisfiable else ("core", None)
+        outcome = self._solver.solve((), labels)
+        if outcome.satisfiable:
+            self._evidence = ("model", outcome.model)
+        else:
+            self._evidence = ("core", isinstance(labels, int))
         return outcome.satisfiable
 
     def _latest(self, kind: str):
@@ -767,29 +870,37 @@ class LcnfOracle:
         """
         return self._latest("model")
 
-    def core(self) -> frozenset:
+    def core(self) -> frozenset | int:
         """Labels that induce an unsatisfiable subformula on their own.
 
         They are the labels of the clauses that the refutation of the latest
         query, an ``is_sat_induced`` answering False, used
         (``Solver.analyze_final``), so they lie inside the labels it was
-        asked about.
+        asked about: their mask if it was asked about a mask.
         """
-        self._latest("core")
-        return self._solver.analyze_final()[1]
+        by_mask = self._latest("core")
+        core = self._solver._final()[1]
+        return core if by_mask else self.labels_in(core)
 
-    def satisfies(self, model: dict, label: int, within: set | frozenset) -> bool:
+    def satisfies(self, model: dict, label: int, within: Iterable[int] | int) -> bool:
         """Whether ``model`` satisfies every clause of ``label`` whose label
         set lies inside ``within``."""
-        clauses = self._clauses
-        bit, _, with_bit = self._label_index
-        for i in with_bit[bit[label]]:
-            lits, ls = clauses[i]
-            if ls <= within and not any(model.get(abs(x)) == (x > 0) for x in lits):
+        clauses, masks = self._clauses, self._masks
+        outside = ~self.mask_of(within)
+        for i in self._with_bit[self.label_bits[label]]:
+            if not masks[i] & outside and not any(
+                model.get(abs(x)) == (x > 0) for x in clauses[i][0]
+            ):
                 return False
         return True
 
-    def rotate(self, model: dict, within: set | frozenset, known: Iterable[int] = ()) -> set:
+    def rotate(
+        self,
+        model: dict,
+        within: Iterable[int] | int,
+        known: Iterable[int] | int = (),
+        left_out: int | None = None,
+    ) -> set | int:
         """Labels necessary in ``within`` that recursive model rotation proves.
 
         An assignment that satisfies every clause inside ``within`` (label
@@ -799,31 +910,45 @@ class LcnfOracle:
         unsatisfiable keeps such an l with no solve, as the smaller sets it
         reaches are induced by fewer labels still.
 
-        From ``model``, each variable of the clauses it falsifies inside
-        ``within`` is flipped in turn and flipped back.  When the clauses the
-        flipped assignment falsifies there share labels outside ``known`` and
-        outside those found so far, it proves them, and rotation recurses
-        from it (Marques-Silva & Lynce, SAT 2011; Belov & Marques-Silva,
-        FMCAD 2011).  From the first model of ``within`` met, ``model``
-        itself or a flip that falsifies nothing there, every variable is
-        flipped once.  ``model`` is a total assignment, as ``model()`` hands
-        out, and is left as it was.  Returns the labels proven, less
-        ``known``; no solve is made.
+        ``model`` comes from a query that left out of ``within`` the label
+        ``left_out``, or none when it is None: it satisfies every clause
+        inside ``within`` that lacks that label, so only that label's
+        clauses can be falsified there.  From ``model``, each variable of the
+        clauses it falsifies inside ``within`` is flipped in turn and
+        flipped back.  When the clauses the flipped assignment falsifies
+        there share labels outside ``known`` and outside those found so far,
+        it proves them, and rotation recurses from it (Marques-Silva &
+        Lynce, SAT 2011; Belov & Marques-Silva, FMCAD 2011).  From the first
+        model of ``within`` met, ``model`` itself or a flip that falsifies
+        nothing there, every variable is flipped once.  ``model`` is a total
+        assignment, as ``model()`` hands out, and is left as it was.
+        Returns the labels proven, less ``known``, as a mask if ``within``
+        is one; no solve is made.
         """
         if self._occurs is None:
             occurs: dict[int, list[tuple]] = {}
-            for clause in self._clauses:
+            self._rows = rows = list(zip((lits for lits, _ in self._clauses), self._masks))
+            for clause in rows:
                 for x in clause[0]:
                     occurs.setdefault(x, []).append(clause)
             self._occurs = occurs
             self._variables = sorted({abs(x) for x in occurs})
         occurs = self._occurs
-        known = frozenset(known)
-        proven = set(known)
+        by_mask = isinstance(within, int)
+        within, known = self.mask_of(within), self.mask_of(known)
+        outside = ~within
+        proven = known
         # the assignment as its set of true literals: a clause is falsified
         # exactly when it shares none of them
         true = {v if model[v] else -v for v in self._variables}
-        falsified = [c for c in self._clauses if true.isdisjoint(c[0]) and c[1] <= within]
+        falsified = []
+        if left_out is not None:
+            rows = self._rows
+            for i in self._with_bit[self.label_bits[left_out]]:
+                c = rows[i]
+                if not c[1] & outside and true.isdisjoint(c[0]):
+                    falsified.append(c)
+            falsified.reverse()  # in formula order
         stack = [(true, falsified)]
         whole = bool(falsified)  # no model of ``within`` has been met yet
         while stack:
@@ -839,10 +964,10 @@ class LcnfOracle:
                 # the falsified clauses without v, and those lit alone satisfied
                 now = [c for c in falsified if -lit not in c[0]] if falsified else []
                 for c in occurs.get(lit, ()):
-                    if true.isdisjoint(c[0]) and c[1] <= within:
+                    if true.isdisjoint(c[0]) and not c[1] & outside:
                         now.append(c)
                 if now:
-                    shared = now[0][1] - proven
+                    shared = now[0][1] & ~proven
                     for c in now[1:]:
                         shared &= c[1]
                     if shared:
@@ -853,9 +978,10 @@ class LcnfOracle:
                     stack.append((set(true), now))
                 true.remove(-lit)
                 true.add(lit)
-        return proven - known
+        proven &= ~known
+        return proven if by_mask else set(self.labels_in(proven))
 
-    def entails_clause(self, labels: Iterable[int], clause) -> bool:
+    def entails_clause(self, labels: Iterable[int] | int, clause) -> bool:
         """Whether the subformula induced by ``labels`` entails ``clause``.
 
         A literal on a variable the formula lacks can always be made false,
@@ -868,10 +994,10 @@ class LcnfOracle:
                 return True  # a tautology
             lits = [l for l in lits if abs(l) in variables]
         self._evidence = None
-        return not self._solver.solve([-l for l in lits], frozenset(map(int, labels))).satisfiable
+        return not self._solver.solve([-l for l in lits], labels).satisfiable
 
     def is_equivalent_subformula(
-        self, labels: Iterable[int], within: Iterable[int] | None = None
+        self, labels: Iterable[int] | int, within: Iterable[int] | int | None = None
     ) -> bool:
         """Whether inducing with ``labels`` preserves equivalence.
 
@@ -892,24 +1018,22 @@ class LcnfOracle:
         solve.  The first proof only marks the clause, so a sweep that asks
         about each clause once pays for no core; a clause that
         ``record_subsumers`` gave sets records from its first proof on.  Both
-        arguments become label masks once, and the walk, the memory and the
-        records work on masks; only the solve takes a label set.
+        arguments become label masks once, if they are not masks already,
+        and the walk, the memory, the records and the solves work on masks.
         """
-        active = self.formula.active_labels
-        sup = active if within is None else frozenset(map(int, within)) & active
-        sub = frozenset(map(int, labels)) & active
-        if not sub <= sup:
+        kept = self.mask_of(labels)
+        sup = self._full if within is None else self.mask_of(within)
+        if kept & ~sup:
             raise ValueError("labels must be contained in the comparison set")
         self._evidence = None
-        bit, masks, with_bit = self._label_index
-        kept = sum(map(bit.__getitem__, sub))
-        gone = sum(map(bit.__getitem__, sup - sub))
+        masks = self._masks
+        gone = sup ^ kept
         if gone & (gone - 1):
             removed = range(len(masks) - 1, -1, -1)  # every clause, latest first
         else:
-            removed = with_bit.get(gone, ())
+            removed = self._with_bit.get(gone, ())
         entailed_by = self._entailed_by
-        outside, missing = ~(kept | gone), ~kept
+        outside, missing = ~sup, ~kept
         # the formula's own rows, checked when it made them, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
@@ -917,15 +1041,15 @@ class LcnfOracle:
                 known = entailed_by[i]
                 if known and any(not k & missing for k in known):
                     continue
-                outcome = self._solver.solve(map(neg, self._clauses[i][0]), sub)
+                outcome = self._solver.solve(map(neg, self._clauses[i][0]), kept)
                 if outcome.satisfiable:
                     self._evidence = ("model", outcome.model)
                     return False
                 if known is None:
                     entailed_by[i] = []
                 else:
-                    # no recorded K lies inside the core, as none lies inside sub
-                    core = sum(map(bit.__getitem__, self._solver.analyze_final()[1]))
+                    # no recorded K lies inside the core, as none lies inside kept
+                    core = self._solver._final()[1]
                     entailed_by[i] = [k for k in known if core & ~k] + [core]
         return True
 
@@ -945,8 +1069,7 @@ class LcnfOracle:
         queries ask about the same clauses, as ``classify_all``'s monotone
         pass does; witness sweeps never call it.
         """
-        rows, entailed_by = self._clauses, self._entailed_by
-        _, masks, _ = self._label_index
+        rows, entailed_by, masks = self._clauses, self._entailed_by, self._masks
         with_literals: dict[tuple, list[int]] = {}
         for j, (lits, _) in enumerate(rows):
             with_literals.setdefault(lits, []).append(j)

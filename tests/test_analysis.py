@@ -4,6 +4,7 @@ import random
 import pytest
 
 from lcnf.analysis import (
+    _normalize_order,
     compute_lmes,
     compute_lmns,
     compute_lmss,
@@ -35,6 +36,29 @@ def test_lmes_results_are_published_family_members(worked_example):
 def test_lmes_partial_order_extends_ascending(worked_example):
     # the given labels are tried first, the rest ascend
     assert compute_lmes(worked_example, (3,)) == compute_lmes(worked_example, (3, 1, 2, 4))
+
+
+def test_order_keeps_first_occurrences_then_ascends():
+    # a label given twice keeps its first place, the labels not given follow
+    # in ascending order, and the first inactive label is refused; on a
+    # clause-labelled formula of 3000 labels an order naming each label
+    # twice is resolved the same way
+    rng = random.Random(5)
+    for i in range(200):
+        phi = sweep_formula(i)
+        active = sorted(phi.active_labels)
+        order = rng.choices(active, k=rng.randint(0, 2 * len(active))) if active else []
+        expected = []
+        for l in order + active:
+            if l not in expected:
+                expected.append(l)
+        assert _normalize_order(phi, order) == expected, (i, order)
+        with pytest.raises(ValueError):
+            _normalize_order(phi, order + [max(active, default=0) + 1])
+    phi = label([(1, 2)] * 3000, "clause")
+    order = [l for l in range(3000, 0, -1) for _ in range(2)]
+    assert _normalize_order(phi, order) == list(range(3000, 0, -1))
+    assert _normalize_order(phi, order[:10]) == [3000, 2999, 2998, 2997, 2996, *range(1, 2996)]
 
 
 def test_lmes_rejects_unknown_label(worked_example):
@@ -255,16 +279,20 @@ def test_sweeps_that_reuse_evidence_match_plain_sweeps():
 
 class _RecordingOracle(LcnfOracle):
     """An oracle that records each satisfiability query: the label set it
-    asked about, its answer and, for a False answer, its core."""
+    asked about, its answer and, for a False answer, its core; a label mask
+    and a mask core are recorded as the label sets they stand for."""
 
     def __init__(self, phi):
         super().__init__(phi)
         self.queries = []
 
+    def _decoded(self, labels):
+        return self.labels_in(labels) if isinstance(labels, int) else frozenset(labels)
+
     def is_sat_induced(self, labels):
-        labels = frozenset(labels)
         sat = super().is_sat_induced(labels)
-        self.queries.append((labels, sat, None if sat else self.core()))
+        core = None if sat else self._decoded(self.core())
+        self.queries.append((self._decoded(labels), sat, core))
         return sat
 
 

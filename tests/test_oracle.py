@@ -158,7 +158,9 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
     # fresh solver's on the clauses the labels switch on, every model must
     # satisfy them and the assumptions and assign every variable, and every
     # UNSAT answer's failed assumptions and labels must lie inside the
-    # solve's and, together, refute the clauses those labels switch on
+    # solve's and, together, refute the clauses those labels switch on.
+    # Half the solves name their labels by mask, bit i for the i-th label
+    # the clauses met, so label 7, which no clause carries, has no bit
     rng = random.Random(31)
     budget_trips = 0
     cores = 0
@@ -166,6 +168,7 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
     units_while_off = 0
     steps = [0, 0, 0, 0]
     moves = {"up": 0, "down": 0}
+    by_mask = 0
 
     def labels_for():
         return () if rng.random() < 0.3 else tuple(rng.sample(range(1, 7), rng.randint(1, 2)))
@@ -180,8 +183,11 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
             for _ in range(rng.randint(3 * n, 5 * n))
         ]
         s = Solver()
+        bit = {}
         for c, ls in clauses:
             s.add_clause(c, ls)
+            for l in ls:
+                bit.setdefault(l, 1 << len(bit))
         asms = []
         on = set()
         for _ in range(60):
@@ -191,6 +197,8 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
                 c = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width))
                 ls = labels_for() if rng.random() < 0.5 else ()
                 s.add_clause(c, ls)
+                for l in ls:
+                    bit.setdefault(l, 1 << len(bit))
                 clauses.append((c, ls))
                 if width == 1 and not ls and any(not set(l) <= on for _, l in clauses):
                     units_while_off += 1
@@ -213,17 +221,21 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
             elif on:
                 moves["down"] += 1
                 on -= set(rng.sample(sorted(on), rng.randint(1, len(on))))
+            labels = on
+            if rng.random() < 0.5:
+                labels = sum(bit.get(l, 0) for l in on)
+                by_mask += 1
             outcomes = []
             if r < 0.2:
                 # the query that exceeds its budget is asked again without one
                 s.conflict_budget = 0
                 try:
-                    outcomes.append(s.solve(asms, on))
+                    outcomes.append(s.solve(asms, labels))
                 except ResourceLimitError:
                     budget_trips += 1
                 finally:
                     s.conflict_budget = None
-            outcomes.append(s.solve(asms, on))
+            outcomes.append(s.solve(asms, labels))
             kept = induced(on)
             expected = solve(kept, asms).satisfiable
             variables = {abs(l) for c, _ in clauses for l in c} | {abs(a) for a in asms}
@@ -246,6 +258,7 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
     assert units_while_off > 50, units_while_off
     assert min(steps) > 400, steps
     assert min(moves.values()) > 600, moves
+    assert by_mask > 800, by_mask
 
 
 def _final(s):
@@ -708,8 +721,9 @@ def test_subsumers_seed_the_entailment_memory():
 def test_rotation_proves_only_necessary_labels():
     # start from the model an answer leaves: of ``within`` itself, of
     # ``within - {l}`` falsifying one of l's clauses, or of ``within - {l}``
-    # when ``within`` is unsatisfiable; a fresh oracle confirms that each
-    # label returned is necessary in ``within``, and none is in ``known``
+    # when ``within`` is unsatisfiable, each with the label l its query left
+    # out; a fresh oracle confirms that each label returned is necessary in
+    # ``within``, and none is in ``known``
     rng = random.Random(909)
     proven = {"satisfiable": 0, "unsatisfiable": 0}
     for i in range(400):
@@ -717,17 +731,18 @@ def test_rotation_proves_only_necessary_labels():
         ora, fresh = LcnfOracle(phi), LcnfOracle(phi)
         within = frozenset(l for l in phi.active_labels if rng.random() < 0.8)
         satisfiable = ora.is_sat_induced(within)
-        models = [ora.model()] if satisfiable else []
+        # each model with the label its query left out of ``within``
+        models = [(ora.model(), None)] if satisfiable else []
         for l in sorted(within):
             if satisfiable:
                 if not ora.is_equivalent_subformula(within - {l}, within):
-                    models.append(ora.model())
+                    models.append((ora.model(), l))
             elif ora.is_sat_induced(within - {l}):
-                models.append(ora.model())
-        for model in models:
+                models.append((ora.model(), l))
+        for model, left_out in models:
             before = dict(model)
             known = frozenset(l for l in within if rng.random() < 0.2)
-            labels = ora.rotate(model, set(within), known)
+            labels = ora.rotate(model, set(within), known, left_out)
             assert model == before
             assert labels <= within - known, (i, within, known, labels)
             for l in labels:
@@ -736,6 +751,153 @@ def test_rotation_proves_only_necessary_labels():
                     assert fresh.is_sat_induced(within - {l}), (i, l)
             proven["satisfiable" if satisfiable else "unsatisfiable"] += len(labels)
     assert min(proven.values()) > 100, proven
+
+
+def _rotate_by_full_scan(phi, model, within, known):
+    """Recursive model rotation on label sets, starting from a scan of every
+    clause for those the model falsifies inside ``within``."""
+    rows = phi.rows
+    occurs = {}
+    for c in rows:
+        for x in c[0]:
+            occurs.setdefault(x, []).append(c)
+    variables = sorted(phi.variables)
+    proven = set(known)
+    true = {v if model[v] else -v for v in variables}
+    falsified = [c for c in rows if true.isdisjoint(c[0]) and c[1] <= within]
+    stack = [(true, falsified)]
+    whole = bool(falsified)
+    while stack:
+        true, falsified = stack.pop()
+        flips = dict.fromkeys(abs(x) for c in falsified for x in c[0]) if falsified else variables
+        for v in flips:
+            lit = v if v in true else -v
+            true.remove(lit)
+            true.add(-lit)
+            now = [c for c in falsified if -lit not in c[0]]
+            now += [c for c in occurs.get(lit, ()) if true.isdisjoint(c[0]) and c[1] <= within]
+            if now:
+                shared = now[0][1] - proven
+                for c in now[1:]:
+                    shared &= c[1]
+                if shared:
+                    proven |= shared
+                    stack.append((set(true), now))
+            elif whole:
+                whole = False
+                stack.append((set(true), now))
+            true.remove(-lit)
+            true.add(lit)
+    return proven - set(known)
+
+
+def test_rotation_scans_only_the_left_out_label_for_falsified_clauses():
+    # a model of ``within - {l}`` can falsify inside ``within`` only clauses
+    # that carry l, and a model of ``within`` none; rotation that scans only
+    # l's clauses, or none, proves exactly the labels that a scan of every
+    # clause does, by label set and by mask alike
+    rng = random.Random(910)
+    rotations = {"left out": 0, "none": 0}
+    for i in range(300):
+        phi = sweep_formula(i)
+        ora = LcnfOracle(phi)
+        within = frozenset(l for l in phi.active_labels if rng.random() < 0.8)
+        satisfiable = ora.is_sat_induced(within)
+        models = [(ora.model(), None)] if satisfiable else []
+        for l in sorted(within):
+            if satisfiable:
+                if not ora.is_equivalent_subformula(within - {l}, within):
+                    models.append((ora.model(), l))
+            elif ora.is_sat_induced(within - {l}):
+                models.append((ora.model(), l))
+        for model, left_out in models:
+            known = frozenset(l for l in within if rng.random() < 0.2)
+            expected = _rotate_by_full_scan(phi, model, within, known)
+            assert ora.rotate(model, within, known, left_out) == expected, (i, left_out)
+            mask = ora.rotate(model, ora.mask_of(within), ora.mask_of(known), left_out)
+            assert isinstance(mask, int) and ora.labels_in(mask) == expected, (i, left_out)
+            rotations["none" if left_out is None else "left out"] += bool(expected)
+    assert min(rotations.values()) > 30, rotations
+
+
+def test_queries_by_mask_answer_as_queries_by_label_set():
+    # two solvers and two oracles live through the same queries, one asked
+    # by label set and one by mask: every answer, model, core, failed
+    # assumption list, rotation and ValueError must agree.  Label sets draw
+    # on labels no clause carries and labels that are not active; a mask
+    # has no bit for those, and bits past the active labels stand for none
+    rng = random.Random(37)
+    seen = dict.fromkeys(("sat", "unsat", "equivalent", "non-equivalent", "ValueError", "rotation"), 0)
+    for i in range(160):
+        phi = sweep_formula(i)
+        active = sorted(phi.active_labels)
+        spare = [l for l in range(max(active, default=0) + 3) if l not in phi.active_labels]
+        pool = active + spare
+        by_set, by_mask = LcnfOracle(phi), LcnfOracle(phi)
+        s_set, s_mask = Solver(), Solver()
+        bit = {}  # the solver's numbering: labels by bit, first seen
+        for lits, ls in phi.rows:
+            ls = sorted(ls)
+            s_set.add_clause(lits, ls)
+            s_mask.add_clause(lits, ls)
+            for l in ls:
+                bit.setdefault(l, 1 << len(bit))
+        assert by_mask.label_bits == {l: 1 << j for j, l in enumerate(active)}
+
+        def draw():
+            labels = frozenset(l for l in pool if rng.random() < 0.6)
+            return labels, by_mask.mask_of(labels) | rng.getrandbits(3) << len(active)
+
+        for _ in range(12):
+            labels, mask = draw()
+            asms = [v if rng.random() < 0.5 else -v for v in rng.sample(sorted(phi.variables), 1)]
+            out_set = s_set.solve(asms, labels)
+            out_mask = s_mask.solve(asms, sum(bit.get(l, 0) for l in labels) | 1 << len(bit))
+            assert out_set.model == out_mask.model, i
+            if not out_set:
+                assert s_set.analyze_final() == s_mask.analyze_final(), i
+            if by_set.is_sat_induced(labels) != by_mask.is_sat_induced(mask):
+                raise AssertionError((i, labels, mask))
+            if by_set._evidence[0] == "model":
+                seen["sat"] += 1
+                assert by_set.model() == by_mask.model(), i
+            else:
+                seen["unsat"] += 1
+                core = by_mask.core()
+                assert isinstance(core, int) and by_mask.labels_in(core) == by_set.core(), i
+            clause = rng.choice(phi.rows)[0] if phi.rows else (1,)
+            assert by_set.entails_clause(labels, clause) == by_mask.entails_clause(mask, clause)
+            within, within_mask = draw()
+            if rng.random() < 0.7:
+                within, within_mask = within | labels, within_mask | mask
+            try:
+                equivalent = by_set.is_equivalent_subformula(labels, within)
+            except ValueError:
+                seen["ValueError"] += 1
+                with pytest.raises(ValueError):
+                    by_mask.is_equivalent_subformula(mask, within_mask)
+                continue
+            assert equivalent == by_mask.is_equivalent_subformula(mask, within_mask), i
+            if equivalent:
+                seen["equivalent"] += 1
+                continue
+            seen["non-equivalent"] += 1
+            model = by_set.model()
+            assert model == by_mask.model(), i
+            for l in active:
+                assert by_set.satisfies(model, l, within) == by_mask.satisfies(model, l, within_mask)
+            known, known_mask = draw()
+            # from a model of ``labels``, as a model of ``within`` less one label
+            if len((within & phi.active_labels) - labels) == 1:
+                (left_out,) = (within & phi.active_labels) - labels
+                rotated = by_set.rotate(model, within, known, left_out)
+                assert rotated == by_mask.labels_in(by_mask.rotate(model, within_mask, known_mask, left_out))
+                seen["rotation"] += 1
+        with pytest.raises(ValueError):
+            by_mask.is_sat_induced(-1)
+        with pytest.raises(ValueError):
+            s_mask.solve((), -1)
+    assert min(seen.values()) > 40, seen
 
 
 def test_oracle_model_check_reads_every_clause_inside_the_set(worked_example):
