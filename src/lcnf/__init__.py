@@ -27,14 +27,11 @@ from .bruteforce import (
     classify_all,
     random_lcnf,
 )
-from .core import Clause, LcnfFormula, is_subformula, label
+from .core import Clause, LcnfFormula, label
 from .duality import (
     DualityVerdict,
     SetFamily,
-    enumerate_colmns_via_duality,
-    enumerate_lmes_via_duality,
     enumerate_minimal_hitting_sets,
-    is_hitting_set,
     is_irreducible_hitting_set,
     verify_duality,
 )
@@ -48,7 +45,7 @@ from .interface import (
     serialize_gcnf,
     serialize_lcnf,
 )
-from .oracle import LcnfOracle, SatOutcome, Solver, entails, solve
+from .oracle import LcnfOracle, SatOutcome, Solver, solve
 
 __version__ = "0.1.0"
 
@@ -71,14 +68,9 @@ __all__ = [
     "compute_lmns",
     "compute_lmss",
     "compute_lmus",
-    "enumerate_colmns_via_duality",
-    "enumerate_lmes_via_duality",
     "enumerate_minimal_hitting_sets",
-    "entails",
-    "is_hitting_set",
     "is_irreducible_hitting_set",
     "is_label_redundant",
-    "is_subformula",
     "label",
     "main",
     "parse_dimacs",

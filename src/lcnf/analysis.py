@@ -276,9 +276,8 @@ def duality_preconditions(
 
     def has_irredundant_label() -> bool:
         ora = oracle if oracle is not None else LcnfOracle(phi)
-        full, bits = ora.mask_of(phi.active_labels), ora.label_bits
         return not all(
-            ora.is_equivalent_subformula(full & ~bits[l]) for l in sorted(phi.active_labels)
+            is_label_redundant(phi, l, oracle=ora) for l in sorted(phi.active_labels)
         )
 
     reason = duality_obstacle(phi, has_irredundant_label)

@@ -228,17 +228,6 @@ class LcnfFormula:
         return f"LcnfFormula({len(self)} clauses, labels {{{labels}}})"
 
 
-def is_subformula(candidate: LcnfFormula, phi: LcnfFormula) -> bool:
-    """Whether ``candidate`` is a label-induced subformula of ``phi``.
-
-    True exactly when ``candidate`` equals ``phi`` induced by some label set,
-    with the same labelling on the common clauses.  A formula obtained by
-    deleting individual clauses (rather than whole labels) is not a
-    subformula.
-    """
-    return candidate == phi.induced(candidate.active_labels)
-
-
 def label(
     formula,
     scheme: str = "clause",

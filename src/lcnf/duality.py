@@ -4,8 +4,8 @@ The complements of the maximal non-equivalent label sets of a formula are
 exactly the irreducible hitting sets of its family of minimal equivalent
 label sets, and vice versa; on unsatisfiable formulas the same statement
 relates minimal unsatisfiable sets and complements of maximal satisfiable
-ones.  This module enumerates minimal hitting sets, converts families across
-the duality, and verifies the duality against ground-truth families.
+ones.  This module enumerates minimal hitting sets and verifies the duality
+against ground-truth families.
 
 A hitting set H of a family is irreducible exactly when every element of H
 has a private member: some family member whose intersection with H is that
@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
-from .analysis import duality_obstacle, duality_preconditions
+from .analysis import duality_obstacle
 from .core import LcnfFormula
-from .errors import PreconditionError, ResourceLimitError
-from .oracle import LcnfOracle
+from .errors import ResourceLimitError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bruteforce import AnalysisReport
@@ -85,16 +84,6 @@ class SetFamily:
 
 def _as_family(family: SetFamily | Iterable) -> SetFamily:
     return family if isinstance(family, SetFamily) else SetFamily(family)
-
-
-def is_hitting_set(candidate: Iterable[int], family: SetFamily | Iterable) -> bool:
-    """Whether ``candidate`` intersects every member of the family.
-
-    Any set hits the empty family; no set hits a family containing the
-    empty set.
-    """
-    h = frozenset(int(l) for l in candidate)
-    return all(h & m for m in _as_family(family).members)
 
 
 def is_irreducible_hitting_set(candidate: Iterable[int], family: SetFamily | Iterable) -> bool:
@@ -158,46 +147,6 @@ def enumerate_minimal_hitting_sets(
 
     descend({}, (1 << len(members)) - 1, universe)
     return SetFamily(found, universe)
-
-
-def _gate(phi: LcnfFormula, oracle: LcnfOracle | None):
-    ok, reason = duality_preconditions(phi, oracle=oracle)
-    if not ok:
-        raise PreconditionError(f"duality is not applicable: {reason}")
-
-
-def enumerate_colmns_via_duality(
-    phi: LcnfFormula,
-    lmes_family: SetFamily | Iterable,
-    *,
-    oracle: LcnfOracle | None = None,
-    limit: int = 10**6,
-) -> SetFamily:
-    """Complements of maximal non-equivalent sets, from the minimal family.
-
-    Dualizes a complete family of minimal equivalence-preserving label sets.
-    Gated on the duality's applicability conditions.
-    """
-    _gate(phi, oracle)
-    hs = enumerate_minimal_hitting_sets(lmes_family, limit=limit)
-    return SetFamily(hs.members, phi.active_labels)
-
-
-def enumerate_lmes_via_duality(
-    phi: LcnfFormula,
-    colmns_family: SetFamily | Iterable,
-    *,
-    oracle: LcnfOracle | None = None,
-    limit: int = 10**6,
-) -> SetFamily:
-    """Minimal equivalence-preserving sets, from the complement family.
-
-    The inverse direction: dualizing the complements of the maximal
-    non-equivalent sets recovers the minimal family.
-    """
-    _gate(phi, oracle)
-    hs = enumerate_minimal_hitting_sets(colmns_family, limit=limit)
-    return SetFamily(hs.members, phi.active_labels)
 
 
 @dataclass(frozen=True)

@@ -754,29 +754,6 @@ def solve(
     return Solver(clauses, conflict_budget=conflict_budget).solve(assumptions)
 
 
-def _clause_literals(clause) -> tuple:
-    return sort_literals(map(int, clause.literals if isinstance(clause, Clause) else clause))
-
-
-def entails(
-    premise: Iterable,
-    clause,
-    *,
-    conflict_budget: int | None = None,
-) -> bool:
-    """Whether a clause set entails a single clause.
-
-    Checked as unsatisfiability of premise plus the negated clause; the
-    negated literals enter as assumptions.  An empty premise entails nothing
-    (clauses are never tautologous).
-    """
-    lits = _clause_literals(clause)
-    outcome = solve(
-        premise, [-l for l in lits], conflict_budget=conflict_budget
-    )
-    return not outcome.satisfiable
-
-
 class LcnfOracle:
     """Query engine for one labelled formula over one labelled solver.
 
@@ -887,7 +864,7 @@ class LcnfOracle:
         set lies inside ``within``."""
         clauses, masks = self._clauses, self._masks
         outside = ~self.mask_of(within)
-        for i in self._with_bit[self.label_bits[label]]:
+        for i in self._with_bit.get(self.label_bits.get(label), ()):
             if not masks[i] & outside and not any(
                 model.get(abs(x)) == (x > 0) for x in clauses[i][0]
             ):
@@ -944,7 +921,7 @@ class LcnfOracle:
         falsified = []
         if left_out is not None:
             rows = self._rows
-            for i in self._with_bit[self.label_bits[left_out]]:
+            for i in self._with_bit.get(self.label_bits.get(left_out), ()):
                 c = rows[i]
                 if not c[1] & outside and true.isdisjoint(c[0]):
                     falsified.append(c)
@@ -987,7 +964,7 @@ class LcnfOracle:
         A literal on a variable the formula lacks can always be made false,
         so it stays out of the solve.
         """
-        lits = _clause_literals(clause)
+        lits = sort_literals(map(int, clause.literals if isinstance(clause, Clause) else clause))
         variables = self.formula.variables
         if not variables.issuperset(map(abs, lits)):
             if any(-l in lits for l in lits):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lcnf.core import Clause, LcnfFormula, is_subformula, label, sort_literals
+from lcnf.core import Clause, LcnfFormula, label, sort_literals
 
 from conftest import WORKED_CLAUSES, WORKED_LABELS
 
@@ -136,19 +136,6 @@ def test_formula_equality_is_content_based(worked_example):
     assert again == worked_example
     assert hash(again) == hash(worked_example)
     assert worked_example.induced(worked_example.active_labels) == worked_example
-
-
-def test_is_subformula_accepts_induced(worked_example):
-    assert is_subformula(worked_example.induced({1, 2}), worked_example)
-    assert is_subformula(worked_example.induced(frozenset()), worked_example)
-    assert is_subformula(worked_example, worked_example)
-
-
-def test_is_subformula_rejects_arbitrary_deletion(worked_example):
-    # dropping only the first clause leaves other carriers of label 1, so the
-    # result is not induced by any label set
-    rest = LcnfFormula.from_clauses(WORKED_CLAUSES[1:], WORKED_LABELS[1:])
-    assert not is_subformula(rest, worked_example)
 
 
 def test_cnf_returns_plain_clauses(worked_example):

@@ -9,14 +9,11 @@ from lcnf.core import LcnfFormula
 from lcnf.duality import (
     DualityVerdict,
     SetFamily,
-    enumerate_colmns_via_duality,
-    enumerate_lmes_via_duality,
     enumerate_minimal_hitting_sets,
-    is_hitting_set,
     is_irreducible_hitting_set,
     verify_duality,
 )
-from lcnf.errors import PreconditionError, ResourceLimitError
+from lcnf.errors import ResourceLimitError
 
 from conftest import WORKED_COLMNS, WORKED_LMES, WORKED_LMNS
 
@@ -58,14 +55,10 @@ def test_set_family_complements():
 
 def test_hitting_set_predicates():
     family = [{1, 2}, {2, 3, 4}]
-    assert is_hitting_set({2}, family)
-    assert is_hitting_set({1, 3}, family)
-    assert not is_hitting_set({3}, family)
     assert is_irreducible_hitting_set({2}, family)
     assert is_irreducible_hitting_set({1, 3}, family)
     assert is_irreducible_hitting_set({1, 4}, family)
     # {1,2} hits everything but 1 has no private member
-    assert is_hitting_set({1, 2}, family)
     assert not is_irreducible_hitting_set({1, 2}, family)
 
 
@@ -136,23 +129,6 @@ def test_hitting_set_enumeration_is_sound_complete_and_involutive():
         ]
         twice = enumerate_minimal_hitting_sets(enumerate_minimal_hitting_sets(minimal))
         assert twice.members == frozenset(minimal)
-
-
-def test_duality_enumeration_both_directions(worked_example):
-    got_co = enumerate_colmns_via_duality(worked_example, WORKED_LMES)
-    assert got_co == WORKED_COLMNS
-    assert got_co.universe == worked_example.active_labels
-    got_lmes = enumerate_lmes_via_duality(worked_example, WORKED_COLMNS)
-    assert got_lmes == WORKED_LMES
-
-
-def test_duality_enumeration_gated_on_preconditions():
-    shadowed = LcnfFormula.from_clauses([(1,), (1, 2), (1, 3)], [(), (1,), (2,)])
-    with pytest.raises(PreconditionError):
-        enumerate_colmns_via_duality(shadowed, [frozenset()])
-    bare = LcnfFormula.from_clauses([(1,)])
-    with pytest.raises(PreconditionError):
-        enumerate_lmes_via_duality(bare, [])
 
 
 def test_verify_duality_passes_on_worked_example(worked_example):

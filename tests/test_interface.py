@@ -1,12 +1,14 @@
-"""File formats and the command line: parsing, round trips, exit codes."""
+"""File formats, the command line and the package's export list."""
 import json
 import random
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
+import lcnf
 from lcnf.analysis import REASON_SATISFIABLE
 from lcnf.bruteforce import GenerationProfile, random_lcnf
 from lcnf.core import LcnfFormula, label
@@ -688,3 +690,16 @@ def test_console_script_entry_point(worked_example_path):
             text=True,
         )
         assert ran.returncode == 0 and ran.stdout == "1 2\n2 3 4\n"
+
+
+def test_export_list_names_each_public_name_once():
+    # a name left in __all__ after its definition goes breaks the star
+    # import; a public name missing from __all__ is missing from the API
+    namespace = {}
+    exec("from lcnf import *", namespace)
+    public = {
+        name for name, value in vars(lcnf).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(lcnf.__all__) == len(set(lcnf.__all__))
+    assert set(lcnf.__all__) == public

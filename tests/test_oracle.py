@@ -15,7 +15,6 @@ from lcnf.errors import ResourceLimitError
 from lcnf.oracle import (
     LcnfOracle,
     Solver,
-    entails,
     solve,
 )
 
@@ -428,29 +427,6 @@ def test_oracle_built_from_rows_answers_like_clause_by_clause_solver():
     ora = LcnfOracle(phi)
     assert ora.is_sat_induced(frozenset())
     assert set(ora.model()) == {1, 2, 3, 4, 6, 7}
-
-
-def test_entails_basic():
-    assert entails([(1,), (-1, 2)], (2,))
-    assert entails([(1,)], (1, 5))
-    assert not entails([(1,)], (2,))
-    assert not entails([], (1,))
-    assert entails([(1,), (-1,)], (2,))  # inconsistent premise entails anything
-
-
-def test_entails_agrees_with_model_enumeration():
-    rng = random.Random(4242)
-    for _ in range(150):
-        clauses, n = random_cnf(rng, max_vars=4, max_clauses=8)
-        goal_vars = rng.sample(range(1, 5), rng.randint(1, 4))
-        goal = tuple(v if rng.random() < 0.5 else -v for v in goal_vars)
-        universe = sorted(set(range(1, n + 1)) | {abs(l) for l in goal})
-        index = {v: i for i, v in enumerate(universe)}
-        expected = all(
-            any(m[index[abs(l)]] == (l > 0) for l in goal)
-            for m in models_of(clauses, universe)
-        )
-        assert entails(clauses, goal) == expected
 
 
 def random_lcnf_inputs(rng, max_vars=4, max_clauses=8, max_labels=4):
@@ -931,6 +907,20 @@ def test_oracle_accepts_inactive_labels(worked_example):
     assert ora.is_sat_induced(frozenset({1, 99})) == ora.is_sat_induced(
         frozenset({1})
     )
+
+
+def test_model_check_and_rotation_ignore_inactive_labels():
+    # a label that is not active carries no clause: no model falsifies one of
+    # its clauses, and leaving it out of a query leaves out no clause
+    phi = LcnfFormula.from_clauses([(1,), (2,)], [(1,), (2,)])
+    ora = LcnfOracle(phi)
+    falsifying = {1: False, 2: False}
+    assert not ora.satisfies(falsifying, 1, {1, 2})
+    assert ora.satisfies(falsifying, 7, {1, 2})
+    model = {1: True, 2: True}
+    assert ora.rotate(model, {1, 2}, left_out=7) == ora.rotate(model, {1, 2}) == {1, 2}
+    full = ora.mask_of({1, 2})
+    assert ora.rotate(model, full, left_out=7) == ora.rotate(model, full) == full
 
 
 def test_oracle_conflict_budget_propagates():

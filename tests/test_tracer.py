@@ -4,7 +4,7 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from lcnf import analysis, duality, interface
+from lcnf import analysis, interface
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -22,14 +22,14 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     path.write_text("p lcnf 2 3\n{} 1 0\n{1} 1 2 0\n{2} 2 0\n")
     originals = (
         analysis.duality_preconditions,
-        duality.duality_preconditions,
+        interface.compute_lmes,
         interface.parse_lcnf,
         interface.classify_all,
     )
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        assert duality.duality_preconditions is not originals[1]
+        assert interface.compute_lmes is not originals[1]
         with redirect_stdout(io.StringIO()) as out:
             code = tracer.request(interface.main, ["verify-duality", str(path)])
     finally:
@@ -37,7 +37,7 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert (code, out.getvalue().splitlines()[-1]) == (0, "result: pass")
     assert (
         analysis.duality_preconditions,
-        duality.duality_preconditions,
+        interface.compute_lmes,
         interface.parse_lcnf,
         interface.classify_all,
     ) == originals
