@@ -13,10 +13,11 @@ and each label's neighbours are one shift of it, masked by the subsets that
 hold (or lack) that label.  Equivalence is decided by comparing full model
 sets whenever the formula has at most 12 variables: each clause's
 satisfying assignments are packed into one big integer, so a subformula's
-model set is a bitwise AND and equivalence is integer equality.  One
-subset-AND zeta transform, run over bounded chunks of subsets in one
-process, yields every subset's model set from those of its
-one-label-smaller subsets, and both lists with it.
+model set is a bitwise AND and equivalence is integer equality.  Clauses
+with the same label set are merged into one group, and a sparse subset-AND
+transform, run over bounded chunks of subsets in one process, builds every
+subset's model set from the few groups inside it, with about one AND per
+subset, and both lists with it.
 This path shares nothing with the clause-learning oracle, which is the
 point: the two can check each other.  Larger formulas go to one oracle, in
 one monotone pass per status kind, run only when a reader of the report
@@ -33,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import repeat
 from operator import and_
 
 from .core import LcnfFormula
@@ -41,7 +43,7 @@ from .errors import ResourceLimitError
 from .oracle import LcnfOracle
 
 MODEL_ENUMERATION_LIMIT = 12  # variables; beyond this, statuses come from the oracle
-TRUTH_TABLE_CHUNK = 1 << 10  # masks per zeta pass, rounded down to a power of two
+TRUTH_TABLE_CHUNK = 1 << 10  # masks per transform chunk, rounded down to a power of two
 MAX_VARIABLES = 24  # classify_all refuses formulas with more variables
 
 
@@ -248,48 +250,70 @@ def _clause_masks(phi: LcnfFormula, variables: tuple) -> list[int]:
     return out
 
 
-def _classify_truth_tables(phi, active):
-    """Both status lists of every subset, by one subset-AND zeta pass.
+def _subset_ands(base, groups, bits):
+    """Per mask L below 2^``bits``: ``base`` ANDed with every group inside L.
 
-    The subsets are walked in aligned chunks of ``TRUTH_TABLE_CHUNK`` masks.
-    In the chunk whose high label bits are H, each clause whose high label
-    bits lie inside H is ANDed into the slot of its low label bits; one zeta
-    sweep over the low bits then leaves slot L holding the model set of the
-    subset H + L, whose statuses are read straight off that slot.
+    ``groups`` holds (nonzero label mask, model set) pairs over those bits.
+    The table doubles once per bit t.  The masks whose top bit is t are the
+    table built so far, ANDed with ``own`` (``base`` and the groups whose
+    mask is bit t alone) and with the groups whose top bit is t that hold
+    more: their bits below t recur, with ``own`` as the base.  A bit that
+    tops no group copies the table.
+    """
+    tops = [[] for _ in range(bits)]
+    for mask, models in groups:
+        tops[mask.bit_length() - 1].append((mask, models))
+    table = [base]
+    for t, with_top in enumerate(tops):
+        if not with_top:
+            table += table
+            continue
+        own = base
+        rest = []
+        for mask, models in with_top:
+            if mask == 1 << t:
+                own &= models
+            else:
+                rest.append((mask ^ 1 << t, models))
+        upper = _subset_ands(own, rest, t) if rest else repeat(own, 1 << t)
+        table += map(and_, table, upper)  # upper's 2^t entries: map reads the old table
+    return table
+
+
+def _classify_truth_tables(phi, active):
+    """Both status lists of every subset, by a sparse subset-AND transform.
+
+    Clauses with the same label mask are merged into one group, their model
+    sets ANDed.  The subsets are walked in aligned chunks of
+    ``TRUTH_TABLE_CHUNK`` masks.  In the chunk whose high label bits are H,
+    the groups whose high bits lie inside H take part: those with no low
+    bits make the base, and ``_subset_ands`` builds from the others the
+    model set of every subset H + L, whose statuses are read straight off it.
     """
     variables = tuple(sorted(phi.variables))
     positions = {l: i for i, l in enumerate(active)}
     universe = (1 << (1 << len(variables))) - 1
-    clauses = []
+    groups = {}
     full = universe
     for (_, labels), models in zip(phi.rows, _clause_masks(phi, variables)):
-        bits = 0
+        mask = 0
         for l in labels:
-            bits |= 1 << positions[l]
-        clauses.append((bits, models))
+            mask |= 1 << positions[l]
+        groups[mask] = groups.get(mask, universe) & models
         full &= models
-    size = 1 << min(len(active), TRUTH_TABLE_CHUNK.bit_length() - 1)
-    low = size - 1
+    bits = min(len(active), TRUTH_TABLE_CHUNK.bit_length() - 1)
+    low = (1 << bits) - 1
     sat, equivalent = [], []
-    for high in range(0, 1 << len(active), size):
-        table = [universe] * size
-        for bits, models in clauses:
-            if bits & ~(high | low) == 0:
-                table[bits & low] &= models
-        step = 1
-        while step < size:
-            span = step << 1
-            if step * step <= size:
-                # at most twice as many offsets as blocks: one strided slice per offset
-                for offset in range(step):
-                    upper = slice(step + offset, size, span)
-                    table[upper] = map(and_, table[upper], table[offset:size:span])
-            else:
-                # more offsets than that: one contiguous slice per block
-                for base in range(step, size, span):
-                    upper = slice(base, base + step)
-                    table[upper] = map(and_, table[upper], table[base - step : base])
-            step = span
+    for high in range(0, 1 << len(active), low + 1):
+        base = universe
+        lows = []
+        for mask, models in groups.items():
+            if mask & ~(high | low) == 0:
+                if mask & low:
+                    lows.append((mask & low, models))
+                else:
+                    base &= models
+        table = _subset_ands(base, lows, bits)
         sat.extend(map(bool, table))
         equivalent.extend(map(full.__eq__, table))
     return sat, equivalent
@@ -346,13 +370,13 @@ def classify_all(phi: LcnfFormula, max_labels: int = 16) -> AnalysisReport:
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
     guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
     ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables both
-    status lists come from truth tables before this returns, by a
-    subset-AND zeta transform run over chunks of at most
-    ``TRUTH_TABLE_CHUNK`` subsets so that memory stays bounded.  Larger
-    formulas are classified by one oracle, and each status kind only when a
-    reader of the report first asks for it (``AnalysisReport``): LMUS and
-    LMSS need only satisfiability, LMES, LMNS and the duality check only
-    equivalence.  Monotonicity reads most statuses off a one-label
+    status lists come from truth tables before this returns, by a sparse
+    subset-AND transform over the clauses grouped by label set, run over
+    chunks of at most ``TRUTH_TABLE_CHUNK`` subsets so that memory stays
+    bounded.  Larger formulas are classified by one oracle, and each status
+    kind only when a reader of the report first asks for it
+    (``AnalysisReport``): LMUS and LMSS need only satisfiability, LMES, LMNS
+    and the duality check only equivalence.  Monotonicity reads most statuses off a one-label
     neighbour's: a satisfiable formula costs one satisfiability solve, and a
     subset is queried for equivalence only when every one-label superset is
     equivalent, and then only on the clauses of one absent label; a clause

@@ -359,22 +359,58 @@ def brute_families(phi):
 
 
 def test_classification_matches_independent_model_enumeration(monkeypatch):
-    # chunks of 1, 4 and 16 subsets split the zeta pass over the high label
-    # bits; the default chunk holds every subset of these formulas.  A sweep
-    # step s slices by offset while s * s fits in the chunk and by block
-    # above that, so a chunk of 16 subsets or more meets both kinds
+    # chunks of 1, 2, 4 and 16 subsets split the transform over the high
+    # label bits; the default chunk holds every subset of these formulas.
+    # Clauses with up to three labels nest label masks inside the low bits,
+    # so the recursion of the transform goes two levels deep
     small = GenerationProfile(variables=4, clauses=8, labels=4, clause_labels=2)
     six_labels = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
+    nested = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=3)
     default = bruteforce.TRUTH_TABLE_CHUNK
-    for profile in (small, six_labels):
+    three_label_clauses = 0
+    for profile in (small, six_labels, nested):
         for seed in range(40):
             phi = random_lcnf(seed, profile)
+            three_label_clauses += sum(len(labels) == 3 for _, labels in phi.rows)
             expected = brute_families(phi)
-            for chunk in (1, 4, 16, default):
+            for chunk in (1, 2, 4, 16, default):
                 monkeypatch.setattr(bruteforce, "TRUTH_TABLE_CHUNK", chunk)
                 report = classify_all(phi)
                 where = f"{profile.labels} labels, seed {seed}, chunk {chunk}"
                 assert (report.lmes, report.lmus, report.lmns, report.lmss) == expected, where
+    assert three_label_clauses >= 40
+
+
+def test_truth_table_path_makes_no_solver_call(tmp_path, monkeypatch):
+    # up to MODEL_ENUMERATION_LIMIT variables every read of the report, the
+    # duality check and the exhaustive commands come from the truth tables
+    # alone: they build no oracle and make no solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("the truth-table path reached the solver")
+
+    monkeypatch.setattr(LcnfOracle, "__init__", refuse)
+    monkeypatch.setattr(Solver, "solve", refuse)
+    # twelve variables: units under label 4, (1 v 2 v 3) under labels 1 and
+    # 2, (4 v 5) under label 3 and an unlabelled (-4 v 6 v 7)
+    twelve = LcnfFormula.from_clauses(
+        [(1, 2, 3), (1, 2, 3), (4, 5), (-4, 6, 7)] + [(i,) for i in range(8, 13)],
+        [(1,), (2,), (3,), ()] + [(4,)] * 5,
+    )
+    assert len(twelve.variables) == bruteforce.MODEL_ENUMERATION_LIMIT
+    profile = GenerationProfile(variables=8, clauses=14, labels=6, clause_labels=3)
+    formulas = [twelve] + [random_lcnf(seed, profile) for seed in range(30)]
+    assert sum(bool(phi.unlabelled_clauses) for phi in formulas) >= 5
+    for phi in formulas:
+        report = classify_all(phi)
+        for name in ("lmes", "lmus", "lmns", "lmss", "colmns", "colmss",
+                     "classification", "satisfiable", "empty_lmes"):
+            getattr(report, name)
+        verify_duality(phi, report)
+    f = tmp_path / "twelve.lcnf"
+    f.write_text(serialize_lcnf(twelve))
+    assert run_cli_streams("enum", "--family", "lmes", str(f)) == (0, "1 3 4\n2 3 4\n", "")
+    code, out, err = run_cli_streams("verify-duality", str(f))
+    assert (code, out.splitlines()[-1], err) == (0, "result: pass", "")
 
 
 def test_irredundant_labels_lie_in_every_minimal_equivalent_subset():
