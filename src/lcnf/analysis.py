@@ -12,35 +12,20 @@ active labels:
 * a maximal satisfiable subset (LMSS): inducing with it stays satisfiable,
   and adding any further label makes it unsatisfiable.
 
-Minimal sets are extracted by a deletion loop that re-tests each label's
-redundancy against the current reduced formula; maximal sets by a single grow
-pass from a seed.  One pass suffices both ways: equivalence with the formula
-is upward-closed over label sets and satisfiability is downward-closed, so a
+``compute_lmes`` and ``compute_lmus`` run one deletion sweep, ``_shrink``;
+``compute_lmss`` and ``compute_lmns`` run one grow sweep from a seed,
+``_grow``.  One pass suffices both ways: equivalence with the formula is
+upward-closed over label sets and satisfiability is downward-closed, so a
 label kept while shrinking (or rejected while growing) stays so as the
-current set keeps shrinking (or growing).  Each is deterministic given the
-formula, the label order and, for the LMUS, the oracle's earlier queries.
-
-Every sweep also skips the steps that earlier solves already decide, so the
-LMES, LMSS and LMNS sweeps return exactly what a sweep solving every step
-returns.  A deletion step for a label outside the latest UNSAT core (the
-oracle's ``core``) drops the label unsolved: the smaller set still contains
-that core.  The LMUS sweep goes further (clause-set refinement,
-Marques-Silva & Lynce, SAT 2011): after a deletion step answers UNSAT it
-continues inside that answer's core, so every label outside it goes at
-once and later queries ask about fewer labels.  Its result is still an
-LMUS, but which one depends on the cores the solver returns, and so, on a
-shared oracle, on the oracle's earlier queries.  A deletion step for a
-label that recursive model rotation (the oracle's ``rotate``) proved
-necessary keeps it unsolved.  After each SAT answer of the LMES and
-LMUS sweeps, rotation derives from the answer's model assignments that
-satisfy every clause of the current set without some label l and falsify
-one with l.  The current set less l is then satisfiable and misses a
-clause of the formula; as satisfiability and non-equivalence are
-downward-closed, so is every smaller set less l, and the sweep keeps l
-wherever it meets it.  A grow step adds a label unsolved when the latest
-model satisfies its clauses inside the grown set: the grown subformula is
-then satisfiable, or, for LMNS, still misses the removed clause that the
-model falsifies.
+current set keeps shrinking (or growing).  Each sweep skips the steps that
+earlier solves already decide: a deletion step drops a label outside the
+latest UNSAT core and keeps one that model rotation proved necessary, and a
+grow step adds a label whose clauses the latest model satisfies; ``_shrink``
+and ``_grow`` give the reasons.  So the LMES, LMSS and LMNS sweeps return
+exactly what a sweep solving every step returns.  The LMUS sweep also
+continues inside each UNSAT answer's core (clause-set refinement), so its
+result is an LMUS that depends on the cores the solver returns, and, on a
+shared oracle, on the oracle's earlier queries.
 
 The sweeps take and return label sets, and inside keep their current,
 kept and core sets as int masks over the oracle's numbering of the
@@ -107,25 +92,14 @@ def compute_lmes(
     """One minimal equivalence-preserving label set, by deletion.
 
     Each label is dropped if it is redundant in the current reduced
-    subformula; a label kept irredundant once stays irredundant in every
-    further reduction, so a single pass suffices.  After each irredundant
-    answer, model rotation from its model marks further labels irredundant,
-    and their steps make no solve.
+    subformula (see ``_shrink``).
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    bits = ora.label_bits
-    current = ora.mask_of(phi.active_labels)
-    kept = 0
-    for l in _normalize_order(phi, order):
-        b = bits[l]
-        if kept & b:
-            continue
-        if ora.is_equivalent_subformula(current & ~b, current):
-            current &= ~b
-        else:
-            kept |= b
-            kept |= ora.rotate(ora.model(), current, kept, l)
-    return ora.labels_in(current)
+    full = ora.mask_of(phi.active_labels)
+    return _shrink(
+        ora, full, full, _normalize_order(phi, order),
+        lambda less, current: less if ora.is_equivalent_subformula(less, current) else None,
+    )
 
 
 def compute_lmus(
@@ -137,38 +111,63 @@ def compute_lmus(
     """One minimal unsatisfiability-preserving label set, by deletion.
 
     The formula must be unsatisfiable.  The result can be empty when the
-    unlabelled clauses are themselves unsatisfiable.  A label outside the
-    latest core is dropped with no solve, and after a deletion step answers
-    UNSAT the sweep continues inside that answer's core (clause-set
-    refinement).  After each satisfiable answer, model rotation from its
-    model marks further labels necessary, and they are kept with no solve.
-    ``order`` decides every step up to and including the first UNSAT one;
-    later steps test, in that order, the labels of the latest core, so the
+    unlabelled clauses are themselves unsatisfiable.  ``order`` decides
+    every step up to and including the first UNSAT one; later steps test,
+    in that order, the labels of the latest core (see ``_shrink``), so the
     result depends on the cores the solver returns, which on a passed
     ``oracle`` depend on its earlier queries too.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    bits = ora.label_bits
-    current = ora.mask_of(phi.active_labels)
-    if ora.is_sat_induced(current):
+    full = ora.mask_of(phi.active_labels)
+    if ora.is_sat_induced(full):
         raise PreconditionError(REASON_SATISFIABLE)
-    core = ora.core()
+    return _shrink(
+        ora, full, ora.core(), _normalize_order(phi, order),
+        lambda less, _: None if ora.is_sat_induced(less) else ora.core(),
+    )
+
+
+def _shrink(ora: LcnfOracle, current: int, core: int, order: list[int], test) -> frozenset:
+    """The deletion pass: drop each label of ``order`` from ``current``
+    unless ``test`` finds it needed, and return the labels left.
+
+    ``test(less, current)`` asks about ``less``, the current set less one
+    label.  None means the label is needed, and the oracle holds a model of
+    ``less``'s subformula (falsifying a clause of ``current`` when
+    equivalence is tested).  Any other answer is the set the pass goes on
+    in: ``less`` for LMES, and for LMUS the query's UNSAT core, inside
+    ``less``, so every label outside it goes at once and later queries ask
+    about fewer labels (clause-set refinement, Marques-Silva & Lynce, SAT
+    2011).
+
+    ``core``, inside ``current``, keeps the property on its own: all of
+    ``current`` for LMES, the latest UNSAT core for LMUS.  A label outside
+    it is dropped with no query, as the smaller set still contains it.
+    ``kept <= core <= current`` holds throughout: a core label leaves only
+    on a test's answer, which becomes the current set and holds every label
+    kept so far, as each of them is needed in every smaller set.  After each
+    None, recursive model rotation (``LcnfOracle.rotate``) derives from the
+    model assignments that satisfy every clause of ``current`` without some
+    label l and falsify one with l.  ``current`` less l is then satisfiable
+    and misses a clause of the formula; as satisfiability and
+    non-equivalence are downward-closed, so is every smaller set less l,
+    and the pass keeps l with no query wherever it meets it.
+    """
+    bits = ora.label_bits
     kept = 0
-    for l in _normalize_order(phi, order):
+    for l in order:
         b = bits[l]
         if kept & b:
             continue
-        # kept <= core <= current holds throughout: a core label leaves only
-        # on an UNSAT answer, whose core, unsatisfiable on its own, becomes
-        # the current set and holds every label proven necessary so far
-        if core & b:
-            if ora.is_sat_induced(current & ~b):
-                kept |= b
-                kept |= ora.rotate(ora.model(), current, kept, l)
-                continue
-            core = ora.core()
-            current &= core
-        current &= ~b
+        if not core & b:
+            current &= ~b
+            continue
+        found = test(current & ~b, current)
+        if found is None:
+            kept |= b
+            kept |= ora.rotate(ora.model(), current, kept, l)
+        else:
+            core = current = found
     return ora.labels_in(current)
 
 

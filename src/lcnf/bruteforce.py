@@ -45,6 +45,7 @@ from .oracle import LcnfOracle
 MODEL_ENUMERATION_LIMIT = 12  # variables; beyond this, statuses come from the oracle
 TRUTH_TABLE_CHUNK = 1 << 10  # masks per transform chunk, rounded down to a power of two
 MAX_VARIABLES = 24  # classify_all refuses formulas with more variables
+DEFAULT_MAX_LABELS = 16  # classify_all refuses more labels unless told otherwise
 
 
 @dataclass(frozen=True)
@@ -364,7 +365,7 @@ def _monotone_equivalent(oracle, active):
     return equivalent
 
 
-def classify_all(phi: LcnfFormula, max_labels: int = 16) -> AnalysisReport:
+def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> AnalysisReport:
     """Classify every label subset; the report computes what it is asked on first read.
 
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``

@@ -37,6 +37,7 @@ import functools
 import json
 import sys
 import warnings
+from collections import Counter
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
@@ -52,7 +53,7 @@ from .analysis import (
     compute_lmus,
     is_label_redundant,
 )
-from .bruteforce import classify_all
+from .bruteforce import DEFAULT_MAX_LABELS, classify_all
 from .core import LcnfFormula, label, sort_literals
 from .duality import verify_duality
 from .errors import ParseError, PreconditionError, ResourceLimitError
@@ -461,7 +462,7 @@ def _cmd_stats(args) -> int:
     phi = _load_formula(args)
     oracle = LcnfOracle(phi, conflict_budget=args.conflict_budget)
     satisfiable = oracle.is_sat_induced(phi.active_labels)
-    per_label = {l: len(phi.clauses_with_label(l)) for l in sorted(phi.active_labels)}
+    per_label = dict(sorted(Counter(l for _, labels in phi.rows for l in labels).items()))
     stats = {
         "unlabelled_clauses": len(phi.unlabelled_clauses),
         "clauses_per_label": per_label,
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: no limit)")
     exhaustive = argparse.ArgumentParser(add_help=False, parents=[common])
     exhaustive.add_argument("--max-labels", type=functools.partial(_int_at_least, 0),
-                            default=16,
+                            default=DEFAULT_MAX_LABELS,
                             help="refuse exhaustive analysis beyond this many labels")
 
     parser = argparse.ArgumentParser(

@@ -787,11 +787,6 @@ class LcnfOracle:
         # what the latest query proved: ("model", the model), or ("core",
         # whether the query named its labels by mask); see _latest
         self._evidence: tuple | None = None
-        # (sorted literals, label mask) per clause, the clauses per literal and
-        # the variables, sorted, built by the first rotate
-        self._rows: list[tuple] = []
-        self._occurs: dict[int, list[tuple]] | None = None
-        self._variables: list[int] = []
 
     @cached_property
     def _with_bit(self) -> dict[int, list[int]]:
@@ -807,6 +802,18 @@ class LcnfOracle:
                 with_bit[low].append(i)
                 m ^= low
         return with_bit
+
+    @cached_property
+    def _rotation_index(self) -> tuple[list[tuple], dict[int, list[tuple]], list[int]]:
+        """The ``(sorted literals, label mask)`` row per clause, the rows
+        per literal and the variables, sorted.  Built by the first
+        ``rotate``, so an oracle that never rotates never pays for it."""
+        rows = list(zip((lits for lits, _ in self._clauses), self._masks))
+        occurs: dict[int, list[tuple]] = {}
+        for clause in rows:
+            for x in clause[0]:
+                occurs.setdefault(x, []).append(clause)
+        return rows, occurs, sorted({abs(x) for x in occurs})
 
     def mask_of(self, labels: Iterable[int] | int) -> int:
         """The mask of the active labels among ``labels``: an int is a mask
@@ -902,25 +909,16 @@ class LcnfOracle:
         Returns the labels proven, less ``known``, as a mask if ``within``
         is one; no solve is made.
         """
-        if self._occurs is None:
-            occurs: dict[int, list[tuple]] = {}
-            self._rows = rows = list(zip((lits for lits, _ in self._clauses), self._masks))
-            for clause in rows:
-                for x in clause[0]:
-                    occurs.setdefault(x, []).append(clause)
-            self._occurs = occurs
-            self._variables = sorted({abs(x) for x in occurs})
-        occurs = self._occurs
+        rows, occurs, variables = self._rotation_index
         by_mask = isinstance(within, int)
         within, known = self.mask_of(within), self.mask_of(known)
         outside = ~within
         proven = known
         # the assignment as its set of true literals: a clause is falsified
         # exactly when it shares none of them
-        true = {v if model[v] else -v for v in self._variables}
+        true = {v if model[v] else -v for v in variables}
         falsified = []
         if left_out is not None:
-            rows = self._rows
             for i in self._with_bit.get(self.label_bits.get(left_out), ()):
                 c = rows[i]
                 if not c[1] & outside and true.isdisjoint(c[0]):
@@ -933,7 +931,7 @@ class LcnfOracle:
             if falsified:
                 flips = dict.fromkeys(abs(x) for c in falsified for x in c[0])
             else:
-                flips = self._variables
+                flips = variables
             for v in flips:
                 lit = v if v in true else -v
                 true.remove(lit)

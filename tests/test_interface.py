@@ -399,10 +399,21 @@ def test_cli_verify_duality(worked_example_path):
 
 
 def test_cli_stats(worked_example_path):
+    # the worked example's clauses carry 0, 1 and 2 labels
     code, out = run_cli("stats", worked_example_path)
     assert code == 0
-    assert "variables: 4" in out
-    assert "status: SAT" in out
+    lines = out.splitlines()
+    assert "variables: 4" in lines
+    assert "status: SAT" in lines
+    assert lines[2:4] == ["unlabelled-clauses: 1", "active-labels: 1 2 3 4"]
+    assert lines[4:8] == [
+        "label 1: 4 clauses", "label 2: 2 clauses", "label 3: 2 clauses", "label 4: 1 clauses",
+    ]
+    code, out = run_cli("stats", "--json", worked_example_path)
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["clauses_per_label"] == {"1": 4, "2": 2, "3": 2, "4": 1}
+    assert stats["unlabelled_clauses"] == 1
 
 
 def test_cli_json_enum(worked_example_path):
