@@ -28,10 +28,10 @@ result is an LMUS that depends on the cores the solver returns, and, on a
 shared oracle, on the oracle's earlier queries.
 
 The sweeps take and return label sets, and inside keep their current,
-kept and core sets as int masks over the oracle's numbering of the
-active labels (``LcnfOracle.label_bits``): a step removes or adds one
-bit, asks the oracle by mask, and the solver visits only the clauses of
-the label that changed.
+kept and core sets as int masks over the formula's numbering of its
+active labels (``LcnfFormula.label_bits``, read off the oracle's
+formula): a step removes or adds one bit, asks the oracle by mask, and
+the solver visits only the clauses of the label that changed.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ def is_label_redundant(
     """Whether removing ``label`` preserves equivalence with ``phi``."""
     label = _active(phi, label)
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    return ora.is_equivalent_subformula(ora.mask_of(phi.active_labels) & ~ora.label_bits[label])
+    return ora.is_equivalent_subformula(phi.active_labels - {label})
 
 
 def compute_lmes(
@@ -95,7 +95,7 @@ def compute_lmes(
     subformula (see ``_shrink``).
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    full = ora.mask_of(phi.active_labels)
+    full = ora.formula.mask_of(phi.active_labels)
     return _shrink(
         ora, full, full, _normalize_order(phi, order),
         lambda less, current: less if ora.is_equivalent_subformula(less, current) else None,
@@ -118,7 +118,7 @@ def compute_lmus(
     ``oracle`` depend on its earlier queries too.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    full = ora.mask_of(phi.active_labels)
+    full = ora.formula.mask_of(phi.active_labels)
     if ora.is_sat_induced(full):
         raise PreconditionError(REASON_SATISFIABLE)
     return _shrink(
@@ -153,7 +153,7 @@ def _shrink(ora: LcnfOracle, current: int, core: int, order: list[int], test) ->
     non-equivalence are downward-closed, so is every smaller set less l,
     and the pass keeps l with no query wherever it meets it.
     """
-    bits = ora.label_bits
+    bits = ora.formula.label_bits
     kept = 0
     for l in order:
         b = bits[l]
@@ -168,7 +168,7 @@ def _shrink(ora: LcnfOracle, current: int, core: int, order: list[int], test) ->
             kept |= ora.rotate(ora.model(), current, kept, l)
         else:
             core = current = found
-    return ora.labels_in(current)
+    return ora.formula.labels_in(current)
 
 
 def compute_lmss(
@@ -186,7 +186,7 @@ def compute_lmss(
     ValueError, as it is in ``order``.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    seed = ora.mask_of([_active(phi, l) for l in seed])
+    seed = ora.formula.mask_of([_active(phi, l) for l in seed])
     if not ora.is_sat_induced(0):
         raise PreconditionError(REASON_UNSAT_UNLABELLED)
     if seed and not ora.is_sat_induced(seed):
@@ -210,7 +210,7 @@ def compute_lmns(
     is not active is a ValueError, as it is in ``order``.
     """
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    seed = ora.mask_of([_active(phi, l) for l in seed])
+    seed = ora.formula.mask_of([_active(phi, l) for l in seed])
     if ora.is_equivalent_subformula(seed):
         if not phi.active_labels:
             raise PreconditionError(REASON_NO_ACTIVE_LABELS)
@@ -235,7 +235,7 @@ def _grow(ora: LcnfOracle, seed: int, order: list[int], holds) -> frozenset:
     new model.
     """
     model = ora.model()
-    bits = ora.label_bits
+    bits = ora.formula.label_bits
     current = seed
     for l in order:
         b = bits[l]
@@ -247,7 +247,7 @@ def _grow(ora: LcnfOracle, seed: int, order: list[int], holds) -> frozenset:
         elif holds(grown):
             current = grown
             model = ora.model()
-    return ora.labels_in(current)
+    return ora.formula.labels_in(current)
 
 
 def duality_obstacle(phi: LcnfFormula, has_irredundant_label: Callable[[], bool]) -> str | None:

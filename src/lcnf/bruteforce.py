@@ -129,14 +129,15 @@ _FAMILIES = {
 class AnalysisReport:
     """Complete subset classification of one formula.
 
-    ``sat_statuses`` and ``equivalent_statuses`` hold one bool per bitmask
-    over the sorted active labels: is that subset's subformula satisfiable,
-    is it equivalent to the whole.  LMUS, LMSS, co-LMSS and ``satisfiable``
-    read only the first; LMES, LMNS, co-LMNS and ``empty_lmes`` only the
-    second; ``classification`` (label subset -> status) both.  The truth
-    tables give both lists at once (``tables``); on the oracle path each is
-    computed by its own monotone pass on the shared ``oracle`` when first
-    read, so a command pays only for the kind it reads.  Everything else
+    ``sat_statuses`` and ``equivalent_statuses`` hold one bool per label
+    mask of the formula (``LcnfFormula.label_bits``): is that subset's
+    subformula satisfiable, is it equivalent to the whole.  LMUS, LMSS,
+    co-LMSS and ``satisfiable`` read only the first; LMES, LMNS, co-LMNS
+    and ``empty_lmes`` only the second; ``classification`` (label subset
+    -> status) both.  The truth tables give both lists at once
+    (``tables``); on the oracle path each is computed by its own monotone
+    pass on the shared ``oracle`` when first read, so a command pays only
+    for the kind it reads.  Everything else
     is also built when first read.  Maximal non-equivalent sets exist
     unless every subformula is equivalent, maximal satisfiable sets unless
     the unlabelled clauses are unsatisfiable; ``empty_lmes`` says the empty
@@ -144,9 +145,12 @@ class AnalysisReport:
     """
 
     formula: LcnfFormula
-    active_labels: frozenset
     # (sat_statuses, equivalent_statuses) from truth tables; None on the oracle path
     tables: tuple | None = field(default=None, repr=False)
+
+    @property
+    def active_labels(self) -> frozenset:
+        return self.formula.active_labels
 
     @cached_property
     def oracle(self) -> LcnfOracle:
@@ -174,7 +178,7 @@ class AnalysisReport:
                 blocked |= has << (1 << b) & pattern
             else:
                 blocked |= has >> (1 << b) & ~pattern
-        members = _subsets(has & ~blocked, sorted(self.active_labels))
+        members = _subsets(has & ~blocked, self.formula)
         return SetFamily(members, self.active_labels)
 
     lmes = cached_property(lambda self: self._extremal("lmes"))
@@ -190,9 +194,8 @@ class AnalysisReport:
 
     @cached_property
     def classification(self) -> dict:
-        active = sorted(self.active_labels)
         statuses = zip(self.sat_statuses, self.equivalent_statuses)
-        return {_subset(active, m): SubsetStatus(*st) for m, st in enumerate(statuses)}
+        return {self.formula.labels_in(m): SubsetStatus(*st) for m, st in enumerate(statuses)}
 
 
 def _has_neighbour(values: list, mask: int, flips: int, value: bool) -> bool:
@@ -200,11 +203,6 @@ def _has_neighbour(values: list, mask: int, flips: int, value: bool) -> bool:
     while flips and values[mask ^ (flips & -flips)] != value:
         flips &= flips - 1
     return flips != 0
-
-
-def _subset(active, mask: int) -> frozenset:
-    """The labels of ``active`` (sorted) selected by the bits of ``mask``."""
-    return frozenset(l for i, l in enumerate(active) if mask >> i & 1)
 
 
 # status byte (0 or 1) -> binary digit, for the wanted value True or False
@@ -227,13 +225,13 @@ def _label_patterns(k: int) -> tuple:
     return tuple(patterns)
 
 
-def _subsets(bits: int, active: list) -> list:
-    """The label sets of the masks m whose bit m is set in ``bits``."""
+def _subsets(bits: int, phi: LcnfFormula) -> list:
+    """The label sets of ``phi``'s masks m whose bit m is set in ``bits``."""
     digits = format(bits, "b")[::-1]
     out = []
     m = digits.find("1")
     while m >= 0:
-        out.append(_subset(active, m))
+        out.append(phi.labels_in(m))
         m = digits.find("1", m + 1)
     return out
 
@@ -281,31 +279,28 @@ def _subset_ands(base, groups, bits):
     return table
 
 
-def _classify_truth_tables(phi, active):
+def _classify_truth_tables(phi):
     """Both status lists of every subset, by a sparse subset-AND transform.
 
-    Clauses with the same label mask are merged into one group, their model
-    sets ANDed.  The subsets are walked in aligned chunks of
-    ``TRUTH_TABLE_CHUNK`` masks.  In the chunk whose high label bits are H,
+    Clauses with the same label mask (``LcnfFormula.label_masks``) are
+    merged into one group, their model sets ANDed.  The subsets are walked
+    in aligned chunks of ``TRUTH_TABLE_CHUNK`` masks.  In the chunk whose high label bits are H,
     the groups whose high bits lie inside H take part: those with no low
     bits make the base, and ``_subset_ands`` builds from the others the
     model set of every subset H + L, whose statuses are read straight off it.
     """
     variables = tuple(sorted(phi.variables))
-    positions = {l: i for i, l in enumerate(active)}
+    k = len(phi.label_bits)
     universe = (1 << (1 << len(variables))) - 1
     groups = {}
     full = universe
-    for (_, labels), models in zip(phi.rows, _clause_masks(phi, variables)):
-        mask = 0
-        for l in labels:
-            mask |= 1 << positions[l]
+    for mask, models in zip(phi.label_masks, _clause_masks(phi, variables)):
         groups[mask] = groups.get(mask, universe) & models
         full &= models
-    bits = min(len(active), TRUTH_TABLE_CHUNK.bit_length() - 1)
+    bits = min(k, TRUTH_TABLE_CHUNK.bit_length() - 1)
     low = (1 << bits) - 1
     sat, equivalent = [], []
-    for high in range(0, 1 << len(active), low + 1):
+    for high in range(0, 1 << k, low + 1):
         base = universe
         lows = []
         for mask, models in groups.items():
@@ -326,8 +321,8 @@ def _monotone_sat(oracle, active):
     Satisfiability is downward-closed: when the whole formula is satisfiable
     every subset is, and otherwise, walking subsets before supersets, a
     subset with an unsatisfiable one-label subset is unsatisfiable.  Each
-    subset its neighbours leave open gets one query, by its mask: the
-    oracle numbers the active labels by bit in sorted order too.
+    subset its neighbours leave open gets one query, by its mask, which
+    the oracle reads in the formula's numbering.
     """
     full = (1 << len(active)) - 1
     sat = [True] * (full + 1)
@@ -384,8 +379,7 @@ def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> Anal
     that an earlier query's entailment answer, or a subsuming clause,
     already decides costs no solve.  Both paths run in one process.
     """
-    active = tuple(sorted(phi.active_labels))
-    k = len(active)
+    k = len(phi.active_labels)
     if k > max_labels:
         raise ResourceLimitError(
             f"formula has {k} labels, over the limit of {max_labels}"
@@ -395,5 +389,5 @@ def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> Anal
             f"formula has {len(phi.variables)} variables, over the limit of {MAX_VARIABLES}"
         )
     if len(phi.variables) > MODEL_ENUMERATION_LIMIT:
-        return AnalysisReport(phi, frozenset(active))
-    return AnalysisReport(phi, frozenset(active), _classify_truth_tables(phi, active))
+        return AnalysisReport(phi)
+    return AnalysisReport(phi, _classify_truth_tables(phi))

@@ -13,6 +13,11 @@ first), and its labels as a frozenset.  A clause is checked once, when its
 row is made (literal 0, a complementary pair, a negative label); the
 oracle, the truth tables and ``label`` read rows as they are.
 
+Below the public API a label set is an int mask, bit i for the i-th
+smallest active label (``label_bits``).  The formula owns that numbering:
+``label_masks`` holds each clause's mask, ``mask_of`` and ``labels_in``
+convert, and the solver, the oracle and the truth tables all read them.
+
 The labelling generalises several classical ways of carving up a CNF formula;
 ``label`` builds a formula from a plain clause list under one of five schemes
 (per-clause, per-group, per-variable, per-literal, or explicit label sets).
@@ -182,14 +187,46 @@ class LcnfFormula:
         """Union of the label sets of all surviving clauses."""
         return frozenset().union(*(ls for _, ls in self.rows))
 
+    @cached_property
+    def label_bits(self) -> dict:
+        """Active label -> its bit, ``1 << i`` for the i-th smallest: the one
+        numbering of label masks, from the oracle to the truth tables."""
+        return {l: 1 << i for i, l in enumerate(sorted(self.active_labels))}
+
+    @cached_property
+    def label_masks(self) -> tuple:
+        """The label mask of each surviving clause, in original order."""
+        bits = self.label_bits
+        masks = []
+        for _, labels in self.rows:
+            mask = 0
+            for l in labels:
+                mask |= bits[l]
+            masks.append(mask)
+        return tuple(masks)
+
+    def mask_of(self, labels: Iterable[int] | int) -> int:
+        """The mask of the active labels among ``labels``: an int is a mask
+        already, and keeps only the bits of active labels.  ValueError for
+        a negative mask."""
+        bits = self.label_bits
+        if isinstance(labels, int):
+            if labels < 0:
+                raise ValueError("a label mask is a nonnegative int")
+            return labels & (1 << len(bits)) - 1
+        mask = 0
+        for l in labels:
+            mask |= bits.get(int(l), 0)
+        return mask
+
+    def labels_in(self, mask: int) -> frozenset:
+        """The active labels whose bits ``mask`` holds."""
+        return frozenset(l for l, b in self.label_bits.items() if mask & b)
+
     @property
     def unlabelled_clauses(self) -> tuple:
         """Clauses with an empty label set; they survive in every subformula."""
         return tuple(c for c, (_, ls) in zip(self.clauses, self.rows) if not ls)
-
-    def clauses_with_label(self, label: int) -> tuple:
-        """Clauses whose label set contains ``label``."""
-        return tuple(c for c, (_, ls) in zip(self.clauses, self.rows) if label in ls)
 
     @cached_property
     def variables(self) -> frozenset:

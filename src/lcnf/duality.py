@@ -222,15 +222,16 @@ def verify_duality(phi: LcnfFormula, ground_truth: "AnalysisReport") -> DualityV
 def _complements_consistent(report: "AnalysisReport") -> bool:
     """Whether every co-LMNS member complements a maximal non-equivalent set.
 
-    Read off ``report.equivalent_statuses`` (one bool per bitmask over the
-    sorted active labels), not off the families, so the check never asks
-    for the satisfiability statuses.
+    Read off ``report.equivalent_statuses`` (one bool per label mask of
+    the formula), not off the families, so the check never asks for the
+    satisfiability statuses.
     """
-    bit = {l: 1 << i for i, l in enumerate(sorted(report.active_labels))}
-    full = (1 << len(bit)) - 1
+    phi = report.formula
+    bits = phi.label_bits
+    full = phi.mask_of(phi.active_labels)
     equivalent = report.equivalent_statuses
     for member in report.colmns.members:
-        mask = full ^ sum(bit[l] for l in member)
-        if equivalent[mask] or not all(equivalent[mask | bit[l]] for l in member):
+        mask = full ^ phi.mask_of(member)
+        if equivalent[mask] or not all(equivalent[mask | bits[l]] for l in member):
             return False
     return True

@@ -201,9 +201,10 @@ def _tagged(text: str, kind: str, fields: int, block_labels) -> LcnfFormula:
         rest = line[close + 1 :].split()
         if not rest or rest[-1] != "0":
             raise ParseError("clause line must end with terminator 0", lineno)
-        if "0" in rest[:-1]:
+        literals = _ints(rest[:-1], lineno)
+        if 0 in literals:
             raise ParseError("literal 0 inside a clause", lineno)
-        clauses.append(_clause(_ints(rest[:-1], lineno), lineno))
+        clauses.append(_clause(literals, lineno))
         labels = block_labels(block, header, lineno)
         label_set = frozenset(labels)
         if len(label_set) != len(labels):
@@ -214,10 +215,6 @@ def _tagged(text: str, kind: str, fields: int, block_labels) -> LcnfFormula:
             ]
         labelling.append(label_set)
     _warn(header, clauses, notes, 3)
-    # a token such as "-0" passes the "0" check above; its clause is refused
-    # here, after every line parsed, as LcnfFormula.from_clauses refuses it
-    if any(c and not c[0] for c in clauses):
-        raise ValueError("literal 0 is not allowed in a clause")
     return LcnfFormula(zip(clauses, labelling))
 
 

@@ -15,7 +15,7 @@ still hold.  Level 0 keeps only facts that no label conditions; what the
 switched-on clauses imply without a decision sits on the activation level
 above it, rebuilt by each solve.  Assumptions are forced decisions, one
 level each.  After an UNSAT answer ``analyze_final`` (MiniSat's
-``analyzeFinal``) names the assumptions and the labels it rests on; it
+``analyzeFinal``) names the assumptions and the label mask it rests on; it
 walks the trail only when asked, so an answer nobody asks about costs
 nothing.
 
@@ -23,19 +23,21 @@ A variable that no switched-on clause holds is never decided: the solver
 counts, per variable, the switched-on added clauses that hold it, and a
 model gives a variable with no such clause its saved phase.
 
-Below the public API a label set is an int bit mask.  The solver numbers
-labels by bit as its clauses first name them, and keeps each clause's
-labels, the labels switched on and each learned clause's labels as masks,
-with one clause list per bit position; a solve visits only the clauses of
-the labels it switches, so a query pays for the labels it changes.  Every
-method that takes a label set takes it either way: an int is a mask, any
-other iterable a set of labels, converted once on entry.
+The solver speaks label masks only: ``add_clause`` and ``solve`` take
+an int with one bit per label, in whatever numbering the caller chose.
+It keeps each clause's labels, the labels switched on and each
+learned clause's labels as masks, with one clause list per bit position;
+a solve visits only the clauses of the labels it switches, so a query
+pays for the labels it changes.
 
-``LcnfOracle`` numbers the formula's active labels with its solver in
-sorted order, as ``classify_all``'s masks do, then gives it the rows of
-the formula (sorted literals, label set), once, as they are: the formula
-checked each clause when it made the row, and ``Solver.add_clause``
-checks a clause from any other caller before it takes the same path.
+``LcnfOracle`` gives its solver the rows of the formula, once, as they
+are: each clause's sorted literals with its mask in the formula's own
+numbering (``LcnfFormula.label_masks``), the one that ``classify_all``'s
+subset masks use too.  The formula checked each clause when it made the
+row, and ``Solver.add_clause`` checks a clause from any other caller
+before it takes the same path.  Every oracle method that takes a label
+set takes it either way: an int is a mask, any other iterable a set of
+labels, converted once on entry by ``LcnfFormula.mask_of``.
 Satisfiability, entailment and equivalence queries about any label subset
 are then single ``solve`` calls with that subset switched on, against one
 shared solver; only a clause under test enters as assumptions, its
@@ -108,14 +110,13 @@ def _luby(x: int) -> int:
 class Solver:
     """Incremental CDCL SAT solver over label-conditioned clauses.
 
-    A clause may carry a set of labels, and ``solve`` takes the set of
-    labels switched on: a clause takes part in a solve exactly when all its
-    labels are on.  Unlabelled clauses always do.  Labels are numbered by
-    bit as clauses first name them, and ``solve`` takes the labels as a set
-    or as the int mask of one.  A learned clause carries
-    the union of the labels of the clauses it was resolved from, so it holds
-    whenever they do, and takes part in exactly the solves where they all
-    would.
+    A clause may carry labels, as an int mask, and ``solve`` takes the mask
+    of the labels switched on: a clause takes part in a solve exactly when
+    all its labels are on.  Unlabelled clauses, mask 0, always do.  The
+    caller numbers the labels; the solver sees only bits.  A learned clause
+    carries the union of the labels of the clauses it was resolved from, so
+    it holds whenever they do, and takes part in exactly the solves where
+    they all would.
 
     Variables are numbered densely in first-seen order; literal ``v`` of
     dense variable ``i`` has code ``2i`` and its negation ``2i + 1``.  Each
@@ -150,8 +151,6 @@ class Solver:
         self._off: list[int] = []  # per clause: how many of its labels are off
         self._watched: list[bool] = []  # per clause: in the watch lists of [0] and [1]
         self._learned: list[bool] = []  # per clause: learned, not added
-        self._bit: dict[int, int] = {}  # label -> its bit, numbered first seen
-        self._label_names: list[int] = []  # bit position -> label
         self._with_bit: list[list[int]] = []  # bit position -> the clauses that carry it
         self._on = 0  # the mask of the labels switched on
         self._short: list[int] = []  # labelled clauses of fewer than two literals
@@ -200,55 +199,20 @@ class Solver:
         self._watches += ([], [])
         return i
 
-    def _number(self, labels: Iterable[int]) -> int:
-        """The mask of ``labels``; a label met for the first time takes the
-        next bit."""
-        bit = self._bit
-        mask = 0
-        for l in labels:
-            b = bit.get(l)
-            if b is None:
-                b = bit[l] = 1 << len(self._label_names)
-                self._label_names.append(l)
-                self._with_bit.append([])
-            mask |= b
-        return mask
+    def add_clause(self, literals: Iterable[int], labels: int = 0):
+        """Add a clause that takes part in a solve when all the labels of
+        mask ``labels`` are on.
 
-    def _mask(self, labels) -> int:
-        """``labels`` as a mask: an int is one already; the labels of any
-        other iterable that no clause carries have no bit, and stay out."""
-        if isinstance(labels, int):
-            if labels < 0:
-                raise ValueError("a label mask is a nonnegative int")
-            return labels
-        bit = self._bit
-        mask = 0
-        for l in map(int, labels):
-            mask |= bit.get(l, 0)
-        return mask
-
-    def _label_set(self, mask: int) -> frozenset:
-        """The labels whose bits ``mask`` holds."""
-        names = self._label_names
-        labels = []
-        while mask:
-            low = mask & -mask
-            labels.append(names[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(labels)
-
-    def add_clause(self, literals: Iterable[int], labels: Iterable[int] = ()):
-        """Add a clause that takes part in a solve when all its ``labels`` are on.
-
-        Duplicate literals collapse, and tautologies are dropped.  A label
-        met for the first time takes the next bit of the masks ``solve``
-        accepts, in the order the clauses list their labels.
+        Duplicate literals collapse, and tautologies are dropped.
+        ValueError for a literal 0 or a negative mask.
         """
         lits = tuple(dict.fromkeys(map(int, literals)))
         if 0 in lits:
             raise ValueError("literal 0 is not allowed in a clause")
+        if labels < 0:
+            raise ValueError("a label mask is a nonnegative int")
         if set(lits).isdisjoint(map(neg, lits)):
-            self._add_rows([(lits, tuple(map(int, labels)))])
+            self._add_rows([(lits, labels)])
             return
         # a tautology: its variables enter, the clause does not
         self._failed = None
@@ -257,24 +221,17 @@ class Solver:
             if l not in self._code:
                 self._new_var(abs(l))
 
-    def _add_rows(self, rows: Iterable[tuple]) -> list[int]:
-        """Add ``(literals, labels)`` rows in order, unchecked: literals
+    def _add_rows(self, rows: Iterable[tuple]):
+        """Add ``(literals, label mask)`` rows in order, unchecked: literals
         distinct, nonzero and free of complementary pairs, as ``LcnfFormula``
         rows are.  A clause satisfied at level 0 is dropped and its literals
         false there leave it, but every variable it names enters the solver,
-        so that models name it.  Returns each row's label mask."""
+        so that models name it."""
         self._failed = None
         self._cancel_until(0)
         code_of = self._code
         value = self._value  # extended in place by _new_var
-        bit = self._bit
-        number = self._number
-        masks = []
-        for lits, labels in rows:
-            mask = 0
-            for l in labels:
-                mask |= bit.get(l) or number((l,))
-            masks.append(mask)
+        for lits, mask in rows:
             clause: list[int] = []
             dropped = False  # satisfied at level 0
             for l in lits:
@@ -294,7 +251,6 @@ class Solver:
                 self._enqueue(clause[0], None)
             else:
                 self._ok = False
-        return masks
 
     def _store(self, lits: list[int], labels: int, learned: bool = False) -> int:
         """Keep a clause of literal codes that is labelled or has two or more.
@@ -315,6 +271,8 @@ class Solver:
             for q in lits:
                 holds[q >> 1] += 1
         with_bit = self._with_bit
+        while len(with_bit) < labels.bit_length():
+            with_bit.append([])
         while labels:
             low = labels & -labels
             with_bit[low.bit_length() - 1].append(ci)
@@ -581,22 +539,17 @@ class Solver:
                 best_act = act
         return best
 
-    def analyze_final(self) -> tuple[list[int], frozenset]:
+    def analyze_final(self) -> tuple[list[int], int]:
         """What the latest UNSAT answer rests on (MiniSat's ``analyzeFinal``).
 
-        A pair: a subset of that call's assumptions, and the labels of the
-        clauses the refutation used, a subset of the labels that were on.
-        The clauses those labels switch on, with the unlabelled ones, are
-        unsatisfiable under those assumptions.  It is computed on the first
-        request, from the trail the answer left, so an answer nobody asks
-        about costs nothing.  RuntimeError unless the latest ``solve``
+        A pair: a subset of that call's assumptions, and the mask of the
+        labels of the clauses the refutation used, inside the mask that was
+        on.  The clauses those labels switch on, with the unlabelled ones,
+        are unsatisfiable under those assumptions.  It is computed on the
+        first request, from the trail the answer left, so an answer nobody
+        asks about costs nothing.  RuntimeError unless the latest ``solve``
         answered UNSAT and no clause was added since.
         """
-        failed, labels = self._final()
-        return list(failed), self._label_set(labels)
-
-    def _final(self) -> tuple:
-        """``analyze_final``'s pair, the labels as their mask."""
         failed = self._failed
         if failed is None:
             raise RuntimeError("no UNSAT answer to explain since the latest solve or clause")
@@ -605,7 +558,7 @@ class Solver:
         elif failed[0] == "clause":
             ci = failed[1]
             failed = self._failed = self._failed_from(self._clauses[ci], [], self._labels[ci])
-        return failed
+        return list(failed[0]), failed[1]
 
     def _failed_from(self, start: list[int], failed: list[int], labels: int) -> tuple:
         """Failed assumptions and labels behind the falsity of literals ``start``.
@@ -642,16 +595,18 @@ class Solver:
             values = [not phase[v] if x is None else x for v, x in enumerate(values)]
         return dict(zip(self._names, map(bool, values))) | free
 
-    def solve(self, assumptions: Iterable[int] = (), labels: Iterable[int] | int = ()) -> SatOutcome:
-        """Decide satisfiability under unit assumptions, with ``labels`` on.
+    def solve(self, assumptions: Iterable[int] = (), labels: int = 0) -> SatOutcome:
+        """Decide satisfiability under unit assumptions, with the labels of
+        mask ``labels`` on.
 
         The clauses that take part are the unlabelled ones and those whose
         labels all lie in ``labels``; the assumptions are opened in the
-        order given.  ``labels`` is a label set, or an int: the mask of one,
-        bit i standing for the i-th label the clauses met (``add_clause``).
+        order given.  A bit that no clause carries switches nothing on.
+        ValueError for a negative mask.
         """
         self._failed = None
-        on = self._mask(labels)
+        if labels < 0:
+            raise ValueError("a label mask is a nonnegative int")
         asms = list(assumptions)
         code_of = self._code
         codes = list(map(code_of.get, asms))
@@ -678,7 +633,7 @@ class Solver:
             self._failed = ([-clash, clash], 0)
             return SatOutcome(False)
         self._cancel_until(0)
-        self._switch(on)
+        self._switch(labels)
         n = len(codes) + 1  # the activation level, then one level per assumption
 
         restart_count = 0
@@ -760,26 +715,22 @@ class LcnfOracle:
     Gives the solver each clause with its label set once; every query about
     an induced subformula is then a ``solve`` with the query's labels on,
     and only a clause under test enters as assumptions, its negated
-    literals.  A query takes its label sets as sets or as int masks, bit i
-    for the i-th smallest active label (``label_bits``); a mask bit past
-    the active labels, like a label that is not active, stands for no
-    clause.  Learned clauses carry over between queries, each taking part
-    wherever the labels it was resolved from are on, and
-    ``conflict_budget`` bounds the conflicts over every solve of every
-    query.  Instances are not thread-safe.
+    literals.  A query takes its label sets as sets or as int masks in the
+    formula's numbering, bit i for the i-th smallest active label
+    (``LcnfFormula.label_bits``); a mask bit past the active labels, like a
+    label that is not active, stands for no clause.  Learned clauses carry
+    over between queries, each taking part wherever the labels it was
+    resolved from are on, and ``conflict_budget`` bounds the conflicts over
+    every solve of every query.  Instances are not thread-safe.
     """
 
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
         self.formula = phi
         # (sorted literals, label set) per clause, in formula order
         self._clauses = phi.rows
-        self._solver = solver = Solver(conflict_budget=conflict_budget)
-        # numbered before any clause meets them, the active labels take their
-        # bits in sorted order, so the solver's masks are the oracle's
-        self._full = solver._number(sorted(phi.active_labels))
-        # label -> bit, shared with the solver
-        self.label_bits = solver._bit
-        self._masks = solver._add_rows(self._clauses)  # per clause: its label mask
+        self._masks = phi.label_masks  # per clause: its label mask
+        self._solver = Solver(conflict_budget=conflict_budget)
+        self._solver._add_rows(zip((lits for lits, _ in self._clauses), self._masks))
         # per clause: None until an entailment solve of is_equivalent_subformula
         # first proves it or record_subsumers finds a subsuming clause, then
         # the label masks K known to make phi|K entail it, none inside another
@@ -794,7 +745,7 @@ class LcnfOracle:
         Built on first use, so an oracle asked only about satisfiability
         never pays for it."""
         masks = self._masks
-        with_bit: dict[int, list[int]] = {b: [] for b in self.label_bits.values()}
+        with_bit: dict[int, list[int]] = {b: [] for b in self.formula.label_bits.values()}
         for i in range(len(masks) - 1, -1, -1):
             m = masks[i]
             while m:
@@ -815,24 +766,13 @@ class LcnfOracle:
                 occurs.setdefault(x, []).append(clause)
         return rows, occurs, sorted({abs(x) for x in occurs})
 
-    def mask_of(self, labels: Iterable[int] | int) -> int:
-        """The mask of the active labels among ``labels``: an int is a mask
-        already, and keeps only the bits of active labels."""
-        if isinstance(labels, int):
-            return self._solver._mask(labels) & self._full
-        return self._solver._mask(labels)
-
-    def labels_in(self, mask: int) -> frozenset:
-        """The active labels whose bits ``mask`` holds."""
-        return self._solver._label_set(mask & self._full)
-
     def is_sat_induced(self, labels: Iterable[int] | int) -> bool:
         """Satisfiability of the subformula induced by ``labels``.
 
         Afterwards ``model`` or ``core`` holds the evidence for the answer.
         """
         self._evidence = None
-        outcome = self._solver.solve((), labels)
+        outcome = self._solver.solve((), self.formula.mask_of(labels))
         if outcome.satisfiable:
             self._evidence = ("model", outcome.model)
         else:
@@ -863,15 +803,15 @@ class LcnfOracle:
         asked about: their mask if it was asked about a mask.
         """
         by_mask = self._latest("core")
-        core = self._solver._final()[1]
-        return core if by_mask else self.labels_in(core)
+        core = self._solver.analyze_final()[1]
+        return core if by_mask else self.formula.labels_in(core)
 
     def satisfies(self, model: dict, label: int, within: Iterable[int] | int) -> bool:
         """Whether ``model`` satisfies every clause of ``label`` whose label
         set lies inside ``within``."""
-        clauses, masks = self._clauses, self._masks
-        outside = ~self.mask_of(within)
-        for i in self._with_bit.get(self.label_bits.get(label), ()):
+        phi, clauses, masks = self.formula, self._clauses, self._masks
+        outside = ~phi.mask_of(within)
+        for i in self._with_bit.get(phi.label_bits.get(label), ()):
             if not masks[i] & outside and not any(
                 model.get(abs(x)) == (x > 0) for x in clauses[i][0]
             ):
@@ -910,8 +850,9 @@ class LcnfOracle:
         is one; no solve is made.
         """
         rows, occurs, variables = self._rotation_index
+        phi = self.formula
         by_mask = isinstance(within, int)
-        within, known = self.mask_of(within), self.mask_of(known)
+        within, known = phi.mask_of(within), phi.mask_of(known)
         outside = ~within
         proven = known
         # the assignment as its set of true literals: a clause is falsified
@@ -919,7 +860,7 @@ class LcnfOracle:
         true = {v if model[v] else -v for v in variables}
         falsified = []
         if left_out is not None:
-            for i in self._with_bit.get(self.label_bits.get(left_out), ()):
+            for i in self._with_bit.get(phi.label_bits.get(left_out), ()):
                 c = rows[i]
                 if not c[1] & outside and true.isdisjoint(c[0]):
                     falsified.append(c)
@@ -954,7 +895,7 @@ class LcnfOracle:
                 true.remove(-lit)
                 true.add(lit)
         proven &= ~known
-        return proven if by_mask else set(self.labels_in(proven))
+        return proven if by_mask else set(phi.labels_in(proven))
 
     def entails_clause(self, labels: Iterable[int] | int, clause) -> bool:
         """Whether the subformula induced by ``labels`` entails ``clause``.
@@ -969,7 +910,8 @@ class LcnfOracle:
                 return True  # a tautology
             lits = [l for l in lits if abs(l) in variables]
         self._evidence = None
-        return not self._solver.solve([-l for l in lits], labels).satisfiable
+        outcome = self._solver.solve([-l for l in lits], self.formula.mask_of(labels))
+        return not outcome.satisfiable
 
     def is_equivalent_subformula(
         self, labels: Iterable[int] | int, within: Iterable[int] | int | None = None
@@ -996,8 +938,9 @@ class LcnfOracle:
         arguments become label masks once, if they are not masks already,
         and the walk, the memory, the records and the solves work on masks.
         """
-        kept = self.mask_of(labels)
-        sup = self._full if within is None else self.mask_of(within)
+        phi = self.formula
+        kept = phi.mask_of(labels)
+        sup = (1 << len(phi.label_bits)) - 1 if within is None else phi.mask_of(within)
         if kept & ~sup:
             raise ValueError("labels must be contained in the comparison set")
         self._evidence = None
@@ -1024,7 +967,7 @@ class LcnfOracle:
                     entailed_by[i] = []
                 else:
                     # no recorded K lies inside the core, as none lies inside kept
-                    core = self._solver._final()[1]
+                    core = self._solver.analyze_final()[1]
                     entailed_by[i] = [k for k in known if core & ~k] + [core]
         return True
 

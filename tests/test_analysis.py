@@ -287,7 +287,7 @@ class _RecordingOracle(LcnfOracle):
         self.queries = []
 
     def _decoded(self, labels):
-        return self.labels_in(labels) if isinstance(labels, int) else frozenset(labels)
+        return self.formula.labels_in(labels) if isinstance(labels, int) else frozenset(labels)
 
     def is_sat_induced(self, labels):
         sat = super().is_sat_induced(labels)

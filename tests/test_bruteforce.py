@@ -119,8 +119,7 @@ def thirteen_variables(*extra):
 
 def truth_table_statuses(phi):
     """(sat_statuses, equivalent_statuses) of ``phi`` from its truth tables."""
-    active = tuple(sorted(phi.active_labels))
-    return bruteforce._classify_truth_tables(phi, active)
+    return bruteforce._classify_truth_tables(phi)
 
 
 def statuses(report):
@@ -158,11 +157,14 @@ def status_lists(rng):
 
 def test_family_reads_match_a_one_neighbour_walk():
     # the bit-parallel family read of AnalysisReport against a per-mask walk
-    # of one-label neighbours, for all four families and either status list
+    # of one-label neighbours, for all four families and either status list;
+    # the report's formula holds one unit clause per label, so its active
+    # labels are ``active``
     rng = random.Random(17)
     for n, (active, listed) in enumerate(status_lists(rng)):
         flipped = [not s for s in listed]
-        report = AnalysisReport(None, frozenset(active), (listed, flipped))
+        phi = LcnfFormula.from_clauses([(1,)] * len(active), [(l,) for l in active])
+        report = AnalysisReport(phi, (listed, flipped))
         for name, (kind, wanted, minimal) in bruteforce._FAMILIES.items():
             values = listed if kind == "sat_statuses" else flipped
             expected = neighbour_walk(values, wanted, minimal, active)

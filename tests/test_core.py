@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from lcnf.bruteforce import GenerationProfile, random_lcnf
 from lcnf.core import Clause, LcnfFormula, label, sort_literals
+from lcnf.oracle import Solver
 
 from conftest import WORKED_CLAUSES, WORKED_LABELS
 
@@ -65,10 +67,6 @@ def test_labelling_length_mismatch():
 
 def test_active_labels_and_per_label_clauses(worked_example):
     assert worked_example.active_labels == frozenset({1, 2, 3, 4})
-    assert len(worked_example.clauses_with_label(1)) == 4
-    assert len(worked_example.clauses_with_label(2)) == 2
-    assert len(worked_example.clauses_with_label(3)) == 2
-    assert len(worked_example.clauses_with_label(4)) == 1
     assert len(worked_example.unlabelled_clauses) == 1
 
 
@@ -190,3 +188,51 @@ def test_label_scheme_explicit_requires_labels():
 def test_label_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         label([(1,)], "bogus")
+
+
+def numbered_formulas():
+    """Seeded formulas with labels 1..6, and views induced by some of them."""
+    rng = random.Random(23)
+    profile = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=3)
+    for seed in range(80):
+        phi = random_lcnf(seed, profile)
+        yield phi
+        yield phi.induced(l for l in range(1, 7) if rng.random() < 0.6)
+
+
+def test_label_bits_number_the_active_labels_in_sorted_order():
+    for n, phi in enumerate(numbered_formulas()):
+        active = sorted(phi.active_labels)
+        assert phi.label_bits == {l: 1 << i for i, l in enumerate(active)}, n
+        assert len(phi.label_masks) == len(phi.rows), n
+        for mask, (_, labels) in zip(phi.label_masks, phi.rows):
+            assert mask == sum(1 << active.index(l) for l in labels), n
+
+
+def test_mask_of_and_labels_in_convert_both_ways():
+    # a label set keeps its active labels; an int keeps the bits of active
+    # labels; every mask below 2^k names a distinct label set
+    rng = random.Random(29)
+    for n, phi in enumerate(numbered_formulas()):
+        active = phi.active_labels
+        k = len(active)
+        for _ in range(10):
+            labels = frozenset(l for l in range(9) if rng.random() < 0.5)
+            mask = phi.mask_of(labels)
+            assert phi.labels_in(mask) == labels & active, n
+            assert phi.mask_of(mask | rng.getrandbits(4) << k) == mask, n
+            assert phi.mask_of(list(labels)) == mask, n
+        assert phi.mask_of(active) == (1 << k) - 1, n
+        assert len({phi.labels_in(m) for m in range(1 << k)}) == 1 << k, n
+        assert all(phi.mask_of(phi.labels_in(m)) == m for m in range(1 << k)), n
+
+
+def test_a_negative_mask_is_refused():
+    phi = LcnfFormula.from_clauses([(1,), (-1, 2)], [(3,), (5,)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        phi.mask_of(-1)
+    s = Solver()
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.add_clause((1, 2), -2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        s.solve((), -1)

@@ -141,11 +141,10 @@ def test_parsed_clauses_come_sorted_and_distinct():
 
 
 def test_minus_zero_inside_a_labelled_clause_is_refused():
-    # "-0" passes the check for a "0" token; its clause is refused once every
-    # line has parsed, with the message LcnfFormula.from_clauses gives
-    text = "p lcnf 2 3\n{1} 1 -0 0\n{2} 2 0\n"
-    with pytest.warns(FormatWarning, match="3 clauses, found 2"):
-        with pytest.raises(ValueError, match="^literal 0 is not allowed in a clause$"):
+    # "-0", "+0" and "00" are the integer 0, refused on their own line
+    for zero in ("-0", "+0", "00"):
+        text = f"p lcnf 2 3\n{{1}} 1 {zero} 0\n{{2}} 2 0\n"
+        with pytest.raises(ParseError, match="^line 2: literal 0 inside a clause$"):
             parse_lcnf(text)
 
 

@@ -7,7 +7,6 @@ from lcnf.bruteforce import (
     GenerationProfile,
     _classify_truth_tables,
     _monotone_equivalent,
-    _subset,
     random_lcnf,
 )
 from lcnf.core import LcnfFormula
@@ -158,8 +157,9 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
     # satisfy them and the assumptions and assign every variable, and every
     # UNSAT answer's failed assumptions and labels must lie inside the
     # solve's and, together, refute the clauses those labels switch on.
-    # Half the solves name their labels by mask, bit i for the i-th label
-    # the clauses met, so label 7, which no clause carries, has no bit
+    # Label l is bit l - 1 of a mask.  Labels are switched on before any
+    # clause carries them, and label 7, which no clause carries, has a bit
+    # past every clause's
     rng = random.Random(31)
     budget_trips = 0
     cores = 0
@@ -167,10 +167,16 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
     units_while_off = 0
     steps = [0, 0, 0, 0]
     moves = {"up": 0, "down": 0}
-    by_mask = 0
+    uncarried = 0
 
     def labels_for():
         return () if rng.random() < 0.3 else tuple(rng.sample(range(1, 7), rng.randint(1, 2)))
+
+    def mask(labels):
+        return sum(1 << (l - 1) for l in labels)
+
+    def labels_in(mask):
+        return {l for l in range(1, 8) if mask >> (l - 1) & 1}
 
     def induced(labels):
         return [c for c, ls in clauses if set(ls) <= labels]
@@ -182,11 +188,8 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
             for _ in range(rng.randint(3 * n, 5 * n))
         ]
         s = Solver()
-        bit = {}
         for c, ls in clauses:
-            s.add_clause(c, ls)
-            for l in ls:
-                bit.setdefault(l, 1 << len(bit))
+            s.add_clause(c, mask(ls))
         asms = []
         on = set()
         for _ in range(60):
@@ -195,9 +198,7 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
                 width = rng.randint(1, 2)
                 c = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width))
                 ls = labels_for() if rng.random() < 0.5 else ()
-                s.add_clause(c, ls)
-                for l in ls:
-                    bit.setdefault(l, 1 << len(bit))
+                s.add_clause(c, mask(ls))
                 clauses.append((c, ls))
                 if width == 1 and not ls and any(not set(l) <= on for _, l in clauses):
                     units_while_off += 1
@@ -220,10 +221,8 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
             elif on:
                 moves["down"] += 1
                 on -= set(rng.sample(sorted(on), rng.randint(1, len(on))))
-            labels = on
-            if rng.random() < 0.5:
-                labels = sum(bit.get(l, 0) for l in on)
-                by_mask += 1
+            labels = mask(on)
+            uncarried += not on <= {l for _, ls in clauses for l in ls}
             outcomes = []
             if r < 0.2:
                 # the query that exceeds its budget is asked again without one
@@ -245,19 +244,20 @@ def test_one_solver_answers_a_query_sequence_like_fresh_solvers():
                     assert all(out.model[abs(a)] == (a > 0) for a in asms)
                     assert all(any(out.model[abs(l)] == (l > 0) for l in c) for c in kept)
             if not expected:
-                failed, labels = s.analyze_final()
+                failed, core = s.analyze_final()
                 assert set(failed) <= set(asms)
-                assert labels <= on
-                assert not solve(induced(labels), failed).satisfiable, (asms, failed, on, labels)
+                assert core & ~labels == 0
+                refuted = induced(labels_in(core))
+                assert not solve(refuted, failed).satisfiable, (asms, failed, on, core)
                 cores += len(failed) < len(set(asms))
-                label_cores += labels < on
+                label_cores += core != labels
     assert budget_trips > 0
     assert cores > 100  # most cores are proper subsets
     assert label_cores > 400, label_cores
     assert units_while_off > 50, units_while_off
     assert min(steps) > 400, steps
     assert min(moves.values()) > 600, moves
-    assert by_mask > 800, by_mask
+    assert uncarried > 600, uncarried
 
 
 def _final(s):
@@ -272,21 +272,21 @@ def _unsat_solver():
     for a, b in ((10, 11), (10, -11), (-10, 11), (-10, -11)):
         s.add_clause((-6, a, b))
     out = s.solve([1, 2, 3])
-    assert not out and _final(s) == ([1, 2], frozenset())
+    assert not out and _final(s) == ([1, 2], 0)
     return s
 
 
 def test_failed_assumptions_cover_each_kind_of_unsat_answer():
     s = Solver([(1, 2), (-1, 2)])
-    assert not s.solve([-2, 7]) and _final(s) == ([-2], frozenset())
+    assert not s.solve([-2, 7]) and _final(s) == ([-2], 0)
     # contradicting assumptions on a variable the clauses lack
-    assert not s.solve([9, 3, -9]) and _final(s) == ([-9, 9], frozenset())
+    assert not s.solve([9, 3, -9]) and _final(s) == ([-9, 9], 0)
     # contradicting assumptions on a clause variable
-    assert not s.solve([1, 3, -1]) and _final(s) == ([-1, 1], frozenset())
+    assert not s.solve([1, 3, -1]) and _final(s) == ([-1, 1], 0)
     # the clauses alone are unsatisfiable
     s.add_clause((-2,))
-    assert not s.solve([1]) and _final(s) == ([], frozenset())
-    assert not s.solve([1]) and _final(s) == ([], frozenset())
+    assert not s.solve([1]) and _final(s) == ([], 0)
+    assert not s.solve([1]) and _final(s) == ([], 0)
 
 
 @pytest.mark.parametrize("after", ["sat answer", "add_clause", "budget", "bad call"])
@@ -310,34 +310,38 @@ def test_failed_assumptions_are_never_stale(after):
 def test_failed_assumptions_follow_the_latest_solve():
     s = _unsat_solver()
     assert not s.solve([4])
-    assert s.analyze_final() == ([4], frozenset())
+    assert s.analyze_final() == ([4], 0)
     with pytest.raises(RuntimeError):
         Solver([(1,)]).analyze_final()  # nothing solved yet
 
 
 def test_switched_off_clauses_still_have_their_variables_assigned():
-    # labels 5 and 6 switch clauses on; a clause takes part only when all its
-    # labels are on, a label no clause carries is ignored, and every model is
-    # total, over exactly the clause variables, even those only switched-off
-    # clauses have (7), and satisfies every clause switched on
+    # labels 5 and 6 (bits 1 and 2) switch clauses on; a clause takes part
+    # only when all its labels are on, a bit no clause carries (99) is
+    # ignored, and every model is total, over exactly the clause variables,
+    # even those only switched-off clauses have (7), and satisfies every
+    # clause switched on
+    bit = {5: 1, 6: 2, 99: 4}
     clauses = [((1, 2), ()), ((-1, 3), ()), ((2, 3, 4), ()), ((1,), (5,)), ((-2,), (5, 6)), ((4, -3), (6,))]
     s = Solver()
     for c, ls in clauses:
-        s.add_clause(c, ls)
-    s.add_clause((1, -4, 7), (6,))
+        s.add_clause(c, sum(bit[l] for l in ls))
+    s.add_clause((1, -4, 7), bit[6])
     clauses.append(((1, -4, 7), (6,)))
     for labels, asms in (
         ({5, 6}, []), ({6}, []), ({5}, []), (set(), []), (set(), [1]), (set(), [-1]),
         ({6, 99}, []), ({5}, [-1]), ({6}, [-1, 2]), ({5, 6}, [-7]), ({6}, [-1, -7]),
     ):
         kept = [c for c, ls in clauses if set(ls) <= labels]
-        out = s.solve(asms, labels)
+        on = sum(bit[l] for l in labels)
+        out = s.solve(asms, on)
         expected = solve(kept, asms).satisfiable
         assert out.satisfiable == expected, (labels, asms)
         if not out:
             failed, core = s.analyze_final()
-            assert core <= labels and set(failed) <= set(asms)
-            assert not solve([c for c, ls in clauses if set(ls) <= core], failed)
+            assert core & ~on == 0 and set(failed) <= set(asms)
+            switched_on = [c for c, ls in clauses if sum(bit[l] for l in ls) & ~core == 0]
+            assert not solve(switched_on, failed)
             continue
         assert set(out.model) == {1, 2, 3, 4, 7}
         assert all(out.model[abs(a)] == (a > 0) for a in asms)
@@ -349,17 +353,17 @@ def test_variables_no_switched_on_clause_holds_keep_their_saved_phase():
     # decision goes to them, and the model gives each its saved phase, the
     # value it had when it was last assigned; every model stays total
     s = Solver()
-    s.add_clause((1, 2), (1,))
-    s.add_clause((-2, 3), (1,))
+    s.add_clause((1, 2), 1)
+    s.add_clause((-2, 3), 1)
     s.add_clause((4, 5))
     picks = []
     pick_branch = s._pick_branch
     s._pick_branch = lambda: picks.append(None) or pick_branch()
     for first in (1, -1, 1, -1):
-        on = s.solve([first], {1}).model
+        on = s.solve([first], 1).model
         assert on[1] == (first > 0)
         picks.clear()
-        off = s.solve((), ()).model
+        off = s.solve().model
         assert set(off) == set(on) == {1, 2, 3, 4, 5}
         assert [off[v] for v in (1, 2, 3)] == [on[v] for v in (1, 2, 3)]
         # one decision on 4 or 5, which sets both, then none is left
@@ -368,11 +372,12 @@ def test_variables_no_switched_on_clause_holds_keep_their_saved_phase():
 
 def _reference_solver(phi):
     """A solver fed each formula clause through the public add_clause, its
-    literals reversed and the first one repeated."""
+    literals reversed and the first one repeated, and its labels as the
+    formula's mask of them."""
     s = Solver()
     for c in phi.clauses:
         lits = sorted(c.literals, reverse=True)
-        s.add_clause([*lits, lits[0]] if lits else lits, phi.labels_of(c))
+        s.add_clause([*lits, lits[0]] if lits else lits, phi.mask_of(phi.labels_of(c)))
     return s
 
 
@@ -384,7 +389,7 @@ def _assert_oracle_matches_reference(phi, rng, queries=12):
         labels = frozenset(l for l in active if rng.random() < 0.5)
         within = labels | {l for l in active if rng.random() < 0.5}
         sat = ora.is_sat_induced(labels)
-        assert sat == ref.solve((), labels).satisfiable, (phi, labels)
+        assert sat == ref.solve((), phi.mask_of(labels)).satisfiable, (phi, labels)
         if sat:
             assert set(ora.model()) == phi.variables
         removed = [
@@ -392,7 +397,8 @@ def _assert_oracle_matches_reference(phi, rng, queries=12):
             if phi.labels_of(c) <= within and not phi.labels_of(c) <= labels
         ]
         expected = all(
-            not ref.solve([-l for l in c.literals], labels).satisfiable for c in removed
+            not ref.solve([-l for l in c.literals], phi.mask_of(labels)).satisfiable
+            for c in removed
         )
         assert ora.is_equivalent_subformula(labels, within) == expected, (phi, labels, within)
         if not expected:
@@ -616,7 +622,7 @@ def test_entailment_answers_settle_later_queries(monkeypatch):
         queries = []
         for mask in range(full - 1, -1, -1):
             absent = full ^ mask
-            queries.append((_subset(active, mask), _subset(active, mask | (absent & -absent))))
+            queries.append((phi.labels_in(mask), phi.labels_in(mask | (absent & -absent))))
         for _ in range(20):
             within = frozenset(l for l in active if rng.random() < 0.8)
             queries.append((frozenset(l for l in within if rng.random() < 0.6), within))
@@ -685,10 +691,10 @@ def test_subsumers_seed_the_entailment_memory():
             assert (None if recorded is None else set(recorded)) == (antichain or None), (n, i)
             for k in antichain:
                 clause = set(lits)
-                for model in models_of(phi.induced(_subset(active, k)).cnf(), universe):
+                for model in models_of(phi.induced(phi.labels_in(k)).cnf(), universe):
                     assert any(model[universe.index(abs(x))] == (x > 0) for x in clause), (n, i, k)
                 seeded += 1
-        truth = _classify_truth_tables(phi, tuple(active))[1]
+        truth = _classify_truth_tables(phi)[1]
         assert _monotone_equivalent(ora, active) == truth, n
         assert _monotone_equivalent(LcnfOracle(phi), active) == truth, n
     assert seeded > 300, seeded
@@ -790,18 +796,19 @@ def test_rotation_scans_only_the_left_out_label_for_falsified_clauses():
             known = frozenset(l for l in within if rng.random() < 0.2)
             expected = _rotate_by_full_scan(phi, model, within, known)
             assert ora.rotate(model, within, known, left_out) == expected, (i, left_out)
-            mask = ora.rotate(model, ora.mask_of(within), ora.mask_of(known), left_out)
-            assert isinstance(mask, int) and ora.labels_in(mask) == expected, (i, left_out)
+            mask = ora.rotate(model, phi.mask_of(within), phi.mask_of(known), left_out)
+            assert isinstance(mask, int) and phi.labels_in(mask) == expected, (i, left_out)
             rotations["none" if left_out is None else "left out"] += bool(expected)
     assert min(rotations.values()) > 30, rotations
 
 
 def test_queries_by_mask_answer_as_queries_by_label_set():
-    # two solvers and two oracles live through the same queries, one asked
-    # by label set and one by mask: every answer, model, core, failed
-    # assumption list, rotation and ValueError must agree.  Label sets draw
-    # on labels no clause carries and labels that are not active; a mask
-    # has no bit for those, and bits past the active labels stand for none
+    # two oracles live through the same queries, one asked by label set and
+    # one by mask, and two solvers, one asked with a bit past every
+    # clause's on: every answer, model, core, failed assumption list,
+    # rotation and ValueError must agree.  Label sets draw on labels no
+    # clause carries and labels that are not active; a mask has no bit for
+    # those, and bits past the active labels stand for none
     rng = random.Random(37)
     seen = dict.fromkeys(("sat", "unsat", "equivalent", "non-equivalent", "ValueError", "rotation"), 0)
     for i in range(160):
@@ -810,28 +817,28 @@ def test_queries_by_mask_answer_as_queries_by_label_set():
         spare = [l for l in range(max(active, default=0) + 3) if l not in phi.active_labels]
         pool = active + spare
         by_set, by_mask = LcnfOracle(phi), LcnfOracle(phi)
-        s_set, s_mask = Solver(), Solver()
-        bit = {}  # the solver's numbering: labels by bit, first seen
+        s_exact, s_spare = Solver(), Solver()
+        bit = {}  # a numbering other than the formula's: labels by bit, first seen
         for lits, ls in phi.rows:
-            ls = sorted(ls)
-            s_set.add_clause(lits, ls)
-            s_mask.add_clause(lits, ls)
-            for l in ls:
+            for l in sorted(ls):
                 bit.setdefault(l, 1 << len(bit))
-        assert by_mask.label_bits == {l: 1 << j for j, l in enumerate(active)}
+            s_exact.add_clause(lits, sum(bit[l] for l in ls))
+            s_spare.add_clause(lits, sum(bit[l] for l in ls))
+        assert phi.label_bits == {l: 1 << j for j, l in enumerate(active)}
 
         def draw():
             labels = frozenset(l for l in pool if rng.random() < 0.6)
-            return labels, by_mask.mask_of(labels) | rng.getrandbits(3) << len(active)
+            return labels, phi.mask_of(labels) | rng.getrandbits(3) << len(active)
 
         for _ in range(12):
             labels, mask = draw()
             asms = [v if rng.random() < 0.5 else -v for v in rng.sample(sorted(phi.variables), 1)]
-            out_set = s_set.solve(asms, labels)
-            out_mask = s_mask.solve(asms, sum(bit.get(l, 0) for l in labels) | 1 << len(bit))
-            assert out_set.model == out_mask.model, i
-            if not out_set:
-                assert s_set.analyze_final() == s_mask.analyze_final(), i
+            on = sum(bit.get(l, 0) for l in labels)
+            out_exact = s_exact.solve(asms, on)
+            out_spare = s_spare.solve(asms, on | 1 << len(bit))
+            assert out_exact.model == out_spare.model, i
+            if not out_exact:
+                assert s_exact.analyze_final() == s_spare.analyze_final(), i
             if by_set.is_sat_induced(labels) != by_mask.is_sat_induced(mask):
                 raise AssertionError((i, labels, mask))
             if by_set._evidence[0] == "model":
@@ -840,7 +847,7 @@ def test_queries_by_mask_answer_as_queries_by_label_set():
             else:
                 seen["unsat"] += 1
                 core = by_mask.core()
-                assert isinstance(core, int) and by_mask.labels_in(core) == by_set.core(), i
+                assert isinstance(core, int) and phi.labels_in(core) == by_set.core(), i
             clause = rng.choice(phi.rows)[0] if phi.rows else (1,)
             assert by_set.entails_clause(labels, clause) == by_mask.entails_clause(mask, clause)
             within, within_mask = draw()
@@ -867,12 +874,13 @@ def test_queries_by_mask_answer_as_queries_by_label_set():
             if len((within & phi.active_labels) - labels) == 1:
                 (left_out,) = (within & phi.active_labels) - labels
                 rotated = by_set.rotate(model, within, known, left_out)
-                assert rotated == by_mask.labels_in(by_mask.rotate(model, within_mask, known_mask, left_out))
+                by_mask_rotated = by_mask.rotate(model, within_mask, known_mask, left_out)
+                assert rotated == phi.labels_in(by_mask_rotated)
                 seen["rotation"] += 1
         with pytest.raises(ValueError):
             by_mask.is_sat_induced(-1)
         with pytest.raises(ValueError):
-            s_mask.solve((), -1)
+            s_spare.solve((), -1)
     assert min(seen.values()) > 40, seen
 
 
@@ -919,7 +927,7 @@ def test_model_check_and_rotation_ignore_inactive_labels():
     assert ora.satisfies(falsifying, 7, {1, 2})
     model = {1: True, 2: True}
     assert ora.rotate(model, {1, 2}, left_out=7) == ora.rotate(model, {1, 2}) == {1, 2}
-    full = ora.mask_of({1, 2})
+    full = phi.mask_of({1, 2})
     assert ora.rotate(model, full, left_out=7) == ora.rotate(model, full) == full
 
 
