@@ -80,7 +80,7 @@ def is_label_redundant(
     """Whether removing ``label`` preserves equivalence with ``phi``."""
     label = _active(phi, label)
     ora = oracle if oracle is not None else LcnfOracle(phi)
-    return ora.is_equivalent_subformula(phi.active_labels - {label})
+    return ora.is_equivalent_subformula(ora.formula.mask_of(phi.active_labels - {label}))
 
 
 def compute_lmes(
@@ -165,7 +165,7 @@ def _shrink(ora: LcnfOracle, current: int, core: int, order: list[int], test) ->
         found = test(current & ~b, current)
         if found is None:
             kept |= b
-            kept |= ora.rotate(ora.model(), current, kept, l)
+            kept |= ora.rotate(ora.model(), current, kept, b)
         else:
             core = current = found
     return ora.formula.labels_in(current)
@@ -242,7 +242,7 @@ def _grow(ora: LcnfOracle, seed: int, order: list[int], holds) -> frozenset:
         if current & b:
             continue
         grown = current | b
-        if ora.satisfies(model, l, grown):
+        if ora.satisfies(model, b, grown):
             current = grown
         elif holds(grown):
             current = grown

@@ -160,13 +160,13 @@ class AnalysisReport:
     def sat_statuses(self) -> list:
         if self.tables is not None:
             return self.tables[0]
-        return _monotone_sat(self.oracle, sorted(self.active_labels))
+        return _monotone_sat(self.oracle)
 
     @cached_property
     def equivalent_statuses(self) -> list:
         if self.tables is not None:
             return self.tables[1]
-        return _monotone_equivalent(self.oracle, sorted(self.active_labels))
+        return _monotone_equivalent(self.oracle)
 
     def _extremal(self, name: str) -> SetFamily:
         statuses, wanted, minimal = _FAMILIES[name]
@@ -315,7 +315,7 @@ def _classify_truth_tables(phi):
     return sat, equivalent
 
 
-def _monotone_sat(oracle, active):
+def _monotone_sat(oracle):
     """Whether each subset is satisfiable, by monotonicity and ``oracle``.
 
     Satisfiability is downward-closed: when the whole formula is satisfiable
@@ -324,7 +324,7 @@ def _monotone_sat(oracle, active):
     subset its neighbours leave open gets one query, by its mask, which
     the oracle reads in the formula's numbering.
     """
-    full = (1 << len(active)) - 1
+    full = (1 << len(oracle.formula.label_bits)) - 1
     sat = [True] * (full + 1)
     if not oracle.is_sat_induced(full):
         for mask in range(full):
@@ -334,7 +334,7 @@ def _monotone_sat(oracle, active):
     return sat
 
 
-def _monotone_equivalent(oracle, active):
+def _monotone_equivalent(oracle):
     """Whether each subset is equivalent to the whole, by monotonicity and ``oracle``.
 
     Equivalence is upward-closed: walking supersets before subsets, a subset
@@ -347,7 +347,7 @@ def _monotone_equivalent(oracle, active):
     sets of subsuming clauses (``LcnfOracle.record_subsumers``), settle most
     of those checks with no solve.
     """
-    full = (1 << len(active)) - 1
+    full = (1 << len(oracle.formula.label_bits)) - 1
     equivalent = [True] * (full + 1)
     oracle.record_subsumers()
     for mask in range(full - 1, -1, -1):

@@ -19,8 +19,9 @@ smallest active label (``label_bits``).  The formula owns that numbering:
 convert, and the solver, the oracle and the truth tables all read them.
 
 The labelling generalises several classical ways of carving up a CNF formula;
-``label`` builds a formula from a plain clause list under one of five schemes
-(per-clause, per-group, per-variable, per-literal, or explicit label sets).
+``label`` builds a formula from a plain clause list under one of three
+schemes (per-clause, per-variable or per-literal); ``from_clauses`` takes
+explicit label sets.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Iterable
 Label = int
 LabelSet = frozenset  # frozenset[int]
 
-_SCHEMES = ("clause", "group", "variable", "literal", "explicit")
+_SCHEMES = ("clause", "variable", "literal")
 
 
 def sort_literals(literals: Iterable[int]) -> tuple:
@@ -205,15 +206,10 @@ class LcnfFormula:
             masks.append(mask)
         return tuple(masks)
 
-    def mask_of(self, labels: Iterable[int] | int) -> int:
-        """The mask of the active labels among ``labels``: an int is a mask
-        already, and keeps only the bits of active labels.  ValueError for
-        a negative mask."""
+    def mask_of(self, labels: Iterable[int]) -> int:
+        """The mask of the active labels among ``labels``; a label that is
+        not active has no bit."""
         bits = self.label_bits
-        if isinstance(labels, int):
-            if labels < 0:
-                raise ValueError("a label mask is a nonnegative int")
-            return labels & (1 << len(bits)) - 1
         mask = 0
         for l in labels:
             mask |= bits.get(int(l), 0)
@@ -265,45 +261,23 @@ class LcnfFormula:
         return f"LcnfFormula({len(self)} clauses, labels {{{labels}}})"
 
 
-def label(
-    formula,
-    scheme: str = "clause",
-    *,
-    labels: Iterable[Iterable[int]] | None = None,
-) -> LcnfFormula:
+def label(formula, scheme: str = "clause") -> LcnfFormula:
     """Build a labelled formula from a plain CNF under a labelling scheme.
 
     Schemes:
 
     * ``clause``: clause i (0-based) gets the singleton label set {i + 1},
       so label subsets correspond one-to-one to clause subsets.
-    * ``group``: ``formula`` must be a partition, a sequence of clause groups
-      with group 0 first.  Clauses of group 0 are unlabelled; clauses of
-      group i get {i}.
     * ``variable``: each clause is labelled by the set of its variables.
     * ``literal``: each clause is labelled by its literals, encoding literal
       l of variable v as label 2v when positive and 2v + 1 when negated.
-    * ``explicit``: per-clause label sets are taken from ``labels``.
 
-    Except under ``group``, ``formula`` is an iterable of clauses, each an
-    iterable of nonzero integer literals, or a labelled formula, whose
-    clauses are labelled afresh from its rows.
+    ``formula`` is an iterable of clauses, each an iterable of nonzero
+    integer literals, or a labelled formula, whose clauses are labelled
+    afresh from its rows.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown labelling scheme {scheme!r}")
-
-    if scheme == "group":
-        groups = [list(g) for g in formula]
-        if not groups:
-            raise ValueError("group labelling requires a partition with group 0")
-        clauses = []
-        labelling = []
-        for gi, group in enumerate(groups):
-            for c in group:
-                clauses.append(c)
-                labelling.append(() if gi == 0 else (gi,))
-        return LcnfFormula.from_clauses(clauses, labelling)
-
     if isinstance(formula, LcnfFormula):
         literals = [lits for lits, _ in formula.rows]
     else:
@@ -312,15 +286,6 @@ def label(
         labelling = [frozenset((i + 1,)) for i in range(len(literals))]
     elif scheme == "variable":
         labelling = [frozenset(map(abs, lits)) for lits in literals]
-    elif scheme == "literal":
+    else:  # literal
         labelling = [frozenset(2 * abs(l) + (l < 0) for l in lits) for lits in literals]
-    else:  # explicit
-        if labels is None:
-            raise ValueError("explicit labelling requires per-clause label sets")
-        labelling = [_as_label_set(ls) for ls in labels]
-        if len(labelling) != len(literals):
-            raise ValueError(
-                f"explicit labelling has {len(labelling)} entries "
-                f"for {len(literals)} clauses"
-            )
     return LcnfFormula(zip(literals, labelling))

@@ -269,7 +269,8 @@ def serialize_dimacs(formula) -> str:
 
 
 def serialize_gcnf(phi: LcnfFormula) -> str:
-    """Group CNF text; requires at most one label per clause."""
+    """Group CNF text; requires at most one label per clause, and none 0,
+    as gcnf group 0 holds the unlabelled clauses."""
     groups = []
     for c in phi.clauses:
         ls = phi.labels_of(c)
@@ -277,6 +278,8 @@ def serialize_gcnf(phi: LcnfFormula) -> str:
             raise ValueError(
                 f"clause {c.index} has {len(ls)} labels; gcnf allows at most one"
             )
+        if 0 in ls:
+            raise ValueError(f"clause {c.index} has label 0; gcnf reads group 0 as unlabelled")
         groups.append(next(iter(ls)) if ls else 0)
     blocks = [f"{{{g}}} " for g in groups]
     return _write("gcnf", phi.cnf(), blocks, max(groups, default=0))
@@ -458,7 +461,7 @@ def _cmd_verify_duality(args) -> int:
 def _cmd_stats(args) -> int:
     phi = _load_formula(args)
     oracle = LcnfOracle(phi, conflict_budget=args.conflict_budget)
-    satisfiable = oracle.is_sat_induced(phi.active_labels)
+    satisfiable = oracle.is_sat_induced(phi.mask_of(phi.active_labels))
     per_label = dict(sorted(Counter(l for _, labels in phi.rows for l in labels).items()))
     stats = {
         "unlabelled_clauses": len(phi.unlabelled_clauses),

@@ -35,29 +35,26 @@ are: each clause's sorted literals with its mask in the formula's own
 numbering (``LcnfFormula.label_masks``), the one that ``classify_all``'s
 subset masks use too.  The formula checked each clause when it made the
 row, and ``Solver.add_clause`` checks a clause from any other caller
-before it takes the same path.  Every oracle method that takes a label
-set takes it either way: an int is a mask, any other iterable a set of
-labels, converted once on entry by ``LcnfFormula.mask_of``.
-Satisfiability, entailment and equivalence queries about any label subset
-are then single ``solve`` calls with that subset switched on, against one
-shared solver; only a clause under test enters as assumptions, its
-negated literals.  Each query leaves its evidence behind: an
-unsatisfiable core of labels after an unsatisfiable answer, and a model
-after a satisfiable or a non-equivalent one.  An equivalence query checks
-the removed clauses latest first, and its entailment answers settle later
-queries: entailment is upward-closed over label sets, so a clause proven
-entailed by the labels of a core stays entailed by every set that keeps
-them, and the oracle records such cores per clause and skips the solves
-they decide.  ``record_subsumers`` seeds that memory, for the exhaustive
-pass that asks about the same clauses many times, with the labels of each
-clause's subsuming clauses.  Each clause's label set and the memory are
-masks, and each label's clause list, built on the first query that needs
-it, is keyed by the label's bit; the deletion and grow sweeps and the
-monotone passes ask by mask, so no query converts a label set.  ``core``
-and ``rotate`` answer with a mask when asked with one.  ``rotate`` turns
-one model into many necessary labels by recursive model rotation, with no
-solve; the per-literal clause index it reads is built on its first call,
-so an oracle that never rotates never pays for it.
+before it takes the same path.  Every oracle method names labels by mask
+in that numbering, and so do its answers; the analysis API and the
+command line convert label sets at their edge (``LcnfFormula.mask_of``
+and ``labels_in``).  Satisfiability, entailment and equivalence queries
+about any label subset are then single ``solve`` calls with that subset
+switched on, against one shared solver; only a clause under test enters
+as assumptions, its negated literals.  Each query leaves its evidence
+behind: an unsatisfiable core of labels after an unsatisfiable answer,
+and a model after a satisfiable or a non-equivalent one.  An equivalence
+query checks the removed clauses latest first, and its entailment answers
+settle later queries: entailment is upward-closed over label sets, so a
+clause proven entailed by the labels of a core stays entailed by every set
+that keeps them, and the oracle records such cores per clause and skips
+the solves they decide.  ``record_subsumers`` seeds that memory, for the
+exhaustive pass that asks about the same clauses many times, with the
+labels of each clause's subsuming clauses.  Each label's clause list,
+built on the first query that needs it, is keyed by the label's bit.
+``rotate`` turns one model into many necessary labels by recursive model
+rotation, with no solve; the per-literal clause index it reads is built
+on its first call, so an oracle that never rotates never pays for it.
 """
 from __future__ import annotations
 
@@ -712,42 +709,50 @@ def solve(
 class LcnfOracle:
     """Query engine for one labelled formula over one labelled solver.
 
-    Gives the solver each clause with its label set once; every query about
-    an induced subformula is then a ``solve`` with the query's labels on,
-    and only a clause under test enters as assumptions, its negated
-    literals.  A query takes its label sets as sets or as int masks in the
-    formula's numbering, bit i for the i-th smallest active label
-    (``LcnfFormula.label_bits``); a mask bit past the active labels, like a
-    label that is not active, stands for no clause.  Learned clauses carry
-    over between queries, each taking part wherever the labels it was
-    resolved from are on, and ``conflict_budget`` bounds the conflicts over
-    every solve of every query.  Instances are not thread-safe.
+    Gives the solver each clause with its label mask once; every query
+    about an induced subformula is then a ``solve`` with the query's labels
+    on, and only a clause under test enters as assumptions, its negated
+    literals.  A query names labels by int mask only, in the formula's
+    numbering, bit i for the i-th smallest active label
+    (``LcnfFormula.label_bits``); ``LcnfFormula.mask_of`` converts a label
+    set.  A negative mask is a ValueError, and a bit past the active labels
+    stands for no clause.  Learned clauses carry over between queries, each
+    taking part wherever the labels it was resolved from are on, and
+    ``conflict_budget`` bounds the conflicts over every solve of every
+    query.  Instances are not thread-safe.
     """
 
     def __init__(self, phi: LcnfFormula, *, conflict_budget: int | None = None):
         self.formula = phi
-        # (sorted literals, label set) per clause, in formula order
-        self._clauses = phi.rows
-        self._masks = phi.label_masks  # per clause: its label mask
+        # (sorted literals, label mask) per clause, in formula order
+        self._rows = list(zip((lits for lits, _ in phi.rows), phi.label_masks))
+        self._full = (1 << len(phi.label_bits)) - 1  # every active label's bit
         self._solver = Solver(conflict_budget=conflict_budget)
-        self._solver._add_rows(zip((lits for lits, _ in self._clauses), self._masks))
+        self._solver._add_rows(self._rows)
         # per clause: None until an entailment solve of is_equivalent_subformula
         # first proves it or record_subsumers finds a subsuming clause, then
         # the label masks K known to make phi|K entail it, none inside another
-        self._entailed_by: list[list[int] | None] = [None] * len(self._clauses)
-        # what the latest query proved: ("model", the model), or ("core",
-        # whether the query named its labels by mask); see _latest
+        self._entailed_by: list[list[int] | None] = [None] * len(self._rows)
+        # what the latest query proved: ("model", the model) or ("core", None);
+        # see _latest
         self._evidence: tuple | None = None
+
+    def _mask(self, mask: int) -> int:
+        """``mask`` less its bits past the active labels; ValueError if it
+        is negative."""
+        if mask < 0:
+            raise ValueError("a label mask is a nonnegative int")
+        return mask & self._full
 
     @cached_property
     def _with_bit(self) -> dict[int, list[int]]:
         """Per label bit, the clauses carrying that label, latest first.
         Built on first use, so an oracle asked only about satisfiability
         never pays for it."""
-        masks = self._masks
+        rows = self._rows
         with_bit: dict[int, list[int]] = {b: [] for b in self.formula.label_bits.values()}
-        for i in range(len(masks) - 1, -1, -1):
-            m = masks[i]
+        for i in range(len(rows) - 1, -1, -1):
+            m = rows[i][1]
             while m:
                 low = m & -m
                 with_bit[low].append(i)
@@ -755,28 +760,23 @@ class LcnfOracle:
         return with_bit
 
     @cached_property
-    def _rotation_index(self) -> tuple[list[tuple], dict[int, list[tuple]], list[int]]:
-        """The ``(sorted literals, label mask)`` row per clause, the rows
-        per literal and the variables, sorted.  Built by the first
-        ``rotate``, so an oracle that never rotates never pays for it."""
-        rows = list(zip((lits for lits, _ in self._clauses), self._masks))
+    def _rotation_index(self) -> tuple[dict[int, list[tuple]], list[int]]:
+        """The rows per literal and the variables, sorted.  Built by the
+        first ``rotate``, so an oracle that never rotates never pays for it."""
         occurs: dict[int, list[tuple]] = {}
-        for clause in rows:
-            for x in clause[0]:
-                occurs.setdefault(x, []).append(clause)
-        return rows, occurs, sorted({abs(x) for x in occurs})
+        for row in self._rows:
+            for x in row[0]:
+                occurs.setdefault(x, []).append(row)
+        return occurs, sorted({abs(x) for x in occurs})
 
-    def is_sat_induced(self, labels: Iterable[int] | int) -> bool:
-        """Satisfiability of the subformula induced by ``labels``.
+    def is_sat_induced(self, mask: int) -> bool:
+        """Satisfiability of the subformula induced by the labels of ``mask``.
 
         Afterwards ``model`` or ``core`` holds the evidence for the answer.
         """
         self._evidence = None
-        outcome = self._solver.solve((), self.formula.mask_of(labels))
-        if outcome.satisfiable:
-            self._evidence = ("model", outcome.model)
-        else:
-            self._evidence = ("core", isinstance(labels, int))
+        outcome = self._solver.solve((), self._mask(mask))
+        self._evidence = ("model", outcome.model) if outcome.satisfiable else ("core", None)
         return outcome.satisfiable
 
     def _latest(self, kind: str):
@@ -789,53 +789,47 @@ class LcnfOracle:
 
         After ``is_sat_induced`` answered True it satisfies the induced
         subformula.  After ``is_equivalent_subformula`` answered False it
-        satisfies the subformula induced by ``labels`` and falsifies one of
-        the removed clauses.
+        satisfies the subformula induced by its ``mask`` and falsifies one
+        of the removed clauses.
         """
         return self._latest("model")
 
-    def core(self) -> frozenset | int:
-        """Labels that induce an unsatisfiable subformula on their own.
+    def core(self) -> int:
+        """The mask of labels that induce an unsatisfiable subformula on
+        their own.
 
         They are the labels of the clauses that the refutation of the latest
         query, an ``is_sat_induced`` answering False, used
-        (``Solver.analyze_final``), so they lie inside the labels it was
-        asked about: their mask if it was asked about a mask.
+        (``Solver.analyze_final``), so they lie inside the mask it was asked
+        about.
         """
-        by_mask = self._latest("core")
-        core = self._solver.analyze_final()[1]
-        return core if by_mask else self.formula.labels_in(core)
+        self._latest("core")
+        return self._solver.analyze_final()[1]
 
-    def satisfies(self, model: dict, label: int, within: Iterable[int] | int) -> bool:
-        """Whether ``model`` satisfies every clause of ``label`` whose label
-        set lies inside ``within``."""
-        phi, clauses, masks = self.formula, self._clauses, self._masks
-        outside = ~phi.mask_of(within)
-        for i in self._with_bit.get(phi.label_bits.get(label), ()):
-            if not masks[i] & outside and not any(
-                model.get(abs(x)) == (x > 0) for x in clauses[i][0]
-            ):
+    def satisfies(self, model: dict, bit: int, within: int) -> bool:
+        """Whether ``model`` satisfies every clause carrying the label of
+        ``bit`` whose label mask lies inside ``within``."""
+        rows = self._rows
+        outside = ~self._mask(within)
+        for i in self._with_bit.get(bit, ()):
+            lits, mask = rows[i]
+            if not mask & outside and not any(model.get(abs(x)) == (x > 0) for x in lits):
                 return False
         return True
 
-    def rotate(
-        self,
-        model: dict,
-        within: Iterable[int] | int,
-        known: Iterable[int] | int = (),
-        left_out: int | None = None,
-    ) -> set | int:
-        """Labels necessary in ``within`` that recursive model rotation proves.
+    def rotate(self, model: dict, within: int, known: int = 0, left_out: int = 0) -> int:
+        """The mask of the labels necessary in ``within`` that recursive
+        model rotation proves.
 
         An assignment that satisfies every clause inside ``within`` (label
-        set a subset of it) without label l and falsifies one with l proves
-        l necessary: ``within - {l}`` is satisfiable and misses a clause of
+        mask a subset of it) without label l and falsifies one with l proves
+        l necessary: ``within`` less l is satisfiable and misses a clause of
         ``within``.  A deletion sweep whose current set stays equivalent or
         unsatisfiable keeps such an l with no solve, as the smaller sets it
         reaches are induced by fewer labels still.
 
         ``model`` comes from a query that left out of ``within`` the label
-        ``left_out``, or none when it is None: it satisfies every clause
+        of bit ``left_out``, or none when it is 0: it satisfies every clause
         inside ``within`` that lacks that label, so only that label's
         clauses can be falsified there.  From ``model``, each variable of the
         clauses it falsifies inside ``within`` is flipped in turn and
@@ -846,21 +840,18 @@ class LcnfOracle:
         model of ``within`` met, ``model`` itself or a flip that falsifies
         nothing there, every variable is flipped once.  ``model`` is a total
         assignment, as ``model()`` hands out, and is left as it was.
-        Returns the labels proven, less ``known``, as a mask if ``within``
-        is one; no solve is made.
+        Returns the labels proven, less ``known``; no solve is made.
         """
-        rows, occurs, variables = self._rotation_index
-        phi = self.formula
-        by_mask = isinstance(within, int)
-        within, known = phi.mask_of(within), phi.mask_of(known)
-        outside = ~within
-        proven = known
+        occurs, variables = self._rotation_index
+        rows = self._rows
+        outside = ~self._mask(within)
+        proven = known = self._mask(known)
         # the assignment as its set of true literals: a clause is falsified
         # exactly when it shares none of them
         true = {v if model[v] else -v for v in variables}
         falsified = []
-        if left_out is not None:
-            for i in self._with_bit.get(phi.label_bits.get(left_out), ()):
+        if left_out:
+            for i in self._with_bit.get(left_out, ()):
                 c = rows[i]
                 if not c[1] & outside and true.isdisjoint(c[0]):
                     falsified.append(c)
@@ -894,35 +885,25 @@ class LcnfOracle:
                     stack.append((set(true), now))
                 true.remove(-lit)
                 true.add(lit)
-        proven &= ~known
-        return proven if by_mask else set(phi.labels_in(proven))
+        return proven & ~known
 
-    def entails_clause(self, labels: Iterable[int] | int, clause) -> bool:
-        """Whether the subformula induced by ``labels`` entails ``clause``.
-
-        A literal on a variable the formula lacks can always be made false,
-        so it stays out of the solve.
-        """
+    def entails_clause(self, mask: int, clause) -> bool:
+        """Whether the subformula induced by the labels of ``mask`` entails
+        ``clause``.  A literal on a variable the formula lacks can always be
+        made false, and a clause holding both a literal and its negation is
+        always entailed; ``Solver.solve`` answers both ways."""
         lits = sort_literals(map(int, clause.literals if isinstance(clause, Clause) else clause))
-        variables = self.formula.variables
-        if not variables.issuperset(map(abs, lits)):
-            if any(-l in lits for l in lits):
-                return True  # a tautology
-            lits = [l for l in lits if abs(l) in variables]
         self._evidence = None
-        outcome = self._solver.solve([-l for l in lits], self.formula.mask_of(labels))
-        return not outcome.satisfiable
+        return not self._solver.solve([-l for l in lits], self._mask(mask)).satisfiable
 
-    def is_equivalent_subformula(
-        self, labels: Iterable[int] | int, within: Iterable[int] | int | None = None
-    ) -> bool:
-        """Whether inducing with ``labels`` preserves equivalence.
+    def is_equivalent_subformula(self, mask: int, within: int | None = None) -> bool:
+        """Whether inducing with the labels of ``mask`` preserves equivalence.
 
         Compares against the whole formula by default, or against the
-        subformula induced by ``within`` (which must contain ``labels``).
+        subformula induced by ``within`` (which must contain ``mask``).
         Checked clause by clause, latest first (reverse formula order): every
         removed clause, one with a label in the comparison set but not in
-        ``labels``, must be entailed by the kept ones; the first non-entailed
+        ``mask``, must be entailed by the kept ones; the first non-entailed
         clause short-circuits, and ``model`` then holds a model of the kept
         clauses that falsifies it.  The order changes which clause that is,
         never the answer.
@@ -930,24 +911,21 @@ class LcnfOracle:
         Entailment is upward-closed over label sets, so an answer settles
         later queries: from the second time an entailment solve proves a
         clause on, the labels its refutation used (``Solver.analyze_final``)
-        are recorded as a set K with phi|K entailing the clause, and a later
-        query whose ``labels`` contain a recorded K skips that clause's
+        are recorded as a mask K with phi|K entailing the clause, and a later
+        query whose ``mask`` contains a recorded K skips that clause's
         solve.  The first proof only marks the clause, so a sweep that asks
         about each clause once pays for no core; a clause that
-        ``record_subsumers`` gave sets records from its first proof on.  Both
-        arguments become label masks once, if they are not masks already,
-        and the walk, the memory, the records and the solves work on masks.
+        ``record_subsumers`` gave masks records from its first proof on.
         """
-        phi = self.formula
-        kept = phi.mask_of(labels)
-        sup = (1 << len(phi.label_bits)) - 1 if within is None else phi.mask_of(within)
+        kept = self._mask(mask)
+        sup = self._full if within is None else self._mask(within)
         if kept & ~sup:
             raise ValueError("labels must be contained in the comparison set")
         self._evidence = None
-        masks = self._masks
+        rows = self._rows
         gone = sup ^ kept
         if gone & (gone - 1):
-            removed = range(len(masks) - 1, -1, -1)  # every clause, latest first
+            removed = range(len(rows) - 1, -1, -1)  # every clause, latest first
         else:
             removed = self._with_bit.get(gone, ())
         entailed_by = self._entailed_by
@@ -955,11 +933,12 @@ class LcnfOracle:
         # the formula's own rows, checked when it made them, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
-            if masks[i] & gone and not masks[i] & outside:
+            lits, m = rows[i]
+            if m & gone and not m & outside:
                 known = entailed_by[i]
                 if known and any(not k & missing for k in known):
                     continue
-                outcome = self._solver.solve(map(neg, self._clauses[i][0]), kept)
+                outcome = self._solver.solve(map(neg, lits), kept)
                 if outcome.satisfiable:
                     self._evidence = ("model", outcome.model)
                     return False
@@ -987,7 +966,7 @@ class LcnfOracle:
         queries ask about the same clauses, as ``classify_all``'s monotone
         pass does; witness sweeps never call it.
         """
-        rows, entailed_by, masks = self._clauses, self._entailed_by, self._masks
+        rows, entailed_by = self._rows, self._entailed_by
         with_literals: dict[tuple, list[int]] = {}
         for j, (lits, _) in enumerate(rows):
             with_literals.setdefault(lits, []).append(j)
@@ -1007,7 +986,7 @@ class LcnfOracle:
                 for key in inside:
                     for j in with_literals.get(key, ()):
                         if j != i:
-                            found.setdefault(i, set()).add(masks[j])
+                            found.setdefault(i, set()).add(rows[j][1])
         for i, ks in found.items():
             ks.update(entailed_by[i] or ())
             entailed_by[i] = sorted(k for k in ks if not any(o != k and not o & ~k for o in ks))

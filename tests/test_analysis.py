@@ -69,9 +69,10 @@ def test_lmes_rejects_unknown_label(worked_example):
 def test_lmes_result_is_equivalent_and_minimal(worked_example):
     ora = LcnfOracle(worked_example)
     got = compute_lmes(worked_example, oracle=ora)
-    assert ora.is_equivalent_subformula(got)
+    mask_of = worked_example.mask_of
+    assert ora.is_equivalent_subformula(mask_of(got))
     for l in got:
-        assert not ora.is_equivalent_subformula(got - {l})
+        assert not ora.is_equivalent_subformula(mask_of(got - {l}))
 
 
 def test_lmes_on_unlabelled_formula_is_empty():
@@ -124,9 +125,9 @@ def test_lmss_rejects_unsat_unlabelled_part():
 def test_lmss_maximality(phi_u):
     ora = LcnfOracle(phi_u)
     got = compute_lmss(phi_u, oracle=ora)
-    assert ora.is_sat_induced(got)
+    assert ora.is_sat_induced(phi_u.mask_of(got))
     for l in phi_u.active_labels - got:
-        assert not ora.is_sat_induced(got | {l})
+        assert not ora.is_sat_induced(phi_u.mask_of(got | {l}))
 
 
 def test_lmns_grow(worked_example):
@@ -159,9 +160,10 @@ def test_lmns_needs_a_nonequivalent_subformula():
 def test_lmns_maximality(worked_example):
     ora = LcnfOracle(worked_example)
     got = compute_lmns(worked_example, oracle=ora)
-    assert not ora.is_equivalent_subformula(got)
+    mask_of = worked_example.mask_of
+    assert not ora.is_equivalent_subformula(mask_of(got))
     for l in worked_example.active_labels - got:
-        assert ora.is_equivalent_subformula(got | {l})
+        assert ora.is_equivalent_subformula(mask_of(got | {l}))
 
 
 def test_label_redundancy(worked_example):
@@ -209,27 +211,27 @@ def test_compute_results_land_in_bruteforce_families():
 def _plain_lmes(phi, order, ora):
     current = set(phi.active_labels)
     for l in order:
-        if ora.is_equivalent_subformula(current - {l}, current):
+        if ora.is_equivalent_subformula(phi.mask_of(current - {l}), phi.mask_of(current)):
             current.discard(l)
     return frozenset(current)
 
 
 def _plain_lmss(phi, seed, order, ora):
-    if not ora.is_sat_induced(seed):
+    if not ora.is_sat_induced(phi.mask_of(seed)):
         return None
     current = set(seed)
     for l in order:
-        if l not in current and ora.is_sat_induced(current | {l}):
+        if l not in current and ora.is_sat_induced(phi.mask_of(current | {l})):
             current.add(l)
     return frozenset(current)
 
 
 def _plain_lmns(phi, seed, order, ora):
-    if ora.is_equivalent_subformula(seed):
+    if ora.is_equivalent_subformula(phi.mask_of(seed)):
         return None
     current = set(seed)
     for l in order:
-        if l not in current and not ora.is_equivalent_subformula(current | {l}):
+        if l not in current and not ora.is_equivalent_subformula(phi.mask_of(current | {l})):
             current.add(l)
     return frozenset(current)
 
@@ -261,13 +263,13 @@ def test_sweeps_that_reuse_evidence_match_plain_sweeps():
         lmes = compute_lmes(phi, order, oracle=ora)
         assert lmes == _plain_lmes(phi, full, plain), (i, order)
         lmus = _or_none(compute_lmus, phi, order, oracle=ora)
-        if plain.is_sat_induced(phi.active_labels):
+        if plain.is_sat_induced(phi.mask_of(phi.active_labels)):
             assert lmus is None, (i, order)
         else:
             assert lmus in classify_all(phi).lmus.members, (i, order)
         lmss = _or_none(compute_lmss, phi, seed, order, oracle=ora)
         expected = None
-        if plain.is_sat_induced(frozenset()):
+        if plain.is_sat_induced(0):
             expected = _plain_lmss(phi, seed, full, plain)
         assert lmss == expected, (i, seed, order)
         lmns = _or_none(compute_lmns, phi, seed, order, oracle=ora)
@@ -279,20 +281,18 @@ def test_sweeps_that_reuse_evidence_match_plain_sweeps():
 
 class _RecordingOracle(LcnfOracle):
     """An oracle that records each satisfiability query: the label set it
-    asked about, its answer and, for a False answer, its core; a label mask
-    and a mask core are recorded as the label sets they stand for."""
+    asked about, its answer and, for a False answer, its core; masks are
+    recorded as the label sets they stand for."""
 
     def __init__(self, phi):
         super().__init__(phi)
         self.queries = []
 
-    def _decoded(self, labels):
-        return self.formula.labels_in(labels) if isinstance(labels, int) else frozenset(labels)
-
-    def is_sat_induced(self, labels):
-        sat = super().is_sat_induced(labels)
-        core = None if sat else self._decoded(self.core())
-        self.queries.append((self._decoded(labels), sat, core))
+    def is_sat_induced(self, mask):
+        sat = super().is_sat_induced(mask)
+        labels_in = self.formula.labels_in
+        core = None if sat else labels_in(self.core())
+        self.queries.append((labels_in(mask), sat, core))
         return sat
 
 
@@ -336,6 +336,6 @@ def test_lmus_sweep_continues_inside_each_core():
             assert lmus in classify_all(phi).lmus.members, (i, order)
         else:
             check = LcnfOracle(phi)
-            assert not check.is_sat_induced(lmus), i
-            assert all(check.is_sat_induced(lmus - {l}) for l in lmus), i
+            assert not check.is_sat_induced(phi.mask_of(lmus)), i
+            assert all(check.is_sat_induced(phi.mask_of(lmus - {l})) for l in lmus), i
     assert unsat[0] > 100 and unsat[1] >= 6 and bounded > 200, (unsat, bounded)

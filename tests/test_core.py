@@ -5,7 +5,7 @@ import pytest
 
 from lcnf.bruteforce import GenerationProfile, random_lcnf
 from lcnf.core import Clause, LcnfFormula, label, sort_literals
-from lcnf.oracle import Solver
+from lcnf.oracle import LcnfOracle, Solver
 
 from conftest import WORKED_CLAUSES, WORKED_LABELS
 
@@ -163,31 +163,12 @@ def test_label_scheme_literal_separates_signs():
     assert pos.labels_of(0) != neg.labels_of(0)
 
 
-def test_label_scheme_group_partition():
-    groups = [[(1,), (2,)], [(3,)], [(-3, 1)]]
-    phi = label(groups, "group")
-    assert phi.labels_of(0) == frozenset()
-    assert phi.labels_of(1) == frozenset()
-    assert phi.labels_of(2) == frozenset({1})
-    assert phi.labels_of(3) == frozenset({2})
-
-
-def test_label_scheme_explicit():
-    phi = label([(1,), (2,)], "explicit", labels=[(3, 4), ()])
-    assert phi.labels_of(0) == frozenset({3, 4})
-    assert phi.labels_of(1) == frozenset()
-
-
-def test_label_scheme_explicit_requires_labels():
-    with pytest.raises(ValueError):
-        label([(1,)], "explicit")
-    with pytest.raises(ValueError):
-        label([(1,), (2,)], "explicit", labels=[(1,)])
-
-
 def test_label_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        label([(1,)], "bogus")
+    # group labelling is read from a gcnf file, and explicit label sets go
+    # through LcnfFormula.from_clauses; neither is a scheme of label
+    for scheme in ("bogus", "group", "explicit"):
+        with pytest.raises(ValueError, match="unknown labelling scheme"):
+            label([(1,)], scheme)
 
 
 def numbered_formulas():
@@ -210,8 +191,8 @@ def test_label_bits_number_the_active_labels_in_sorted_order():
 
 
 def test_mask_of_and_labels_in_convert_both_ways():
-    # a label set keeps its active labels; an int keeps the bits of active
-    # labels; every mask below 2^k names a distinct label set
+    # a label set keeps its active labels; every mask below 2^k names a
+    # distinct label set
     rng = random.Random(29)
     for n, phi in enumerate(numbered_formulas()):
         active = phi.active_labels
@@ -220,7 +201,6 @@ def test_mask_of_and_labels_in_convert_both_ways():
             labels = frozenset(l for l in range(9) if rng.random() < 0.5)
             mask = phi.mask_of(labels)
             assert phi.labels_in(mask) == labels & active, n
-            assert phi.mask_of(mask | rng.getrandbits(4) << k) == mask, n
             assert phi.mask_of(list(labels)) == mask, n
         assert phi.mask_of(active) == (1 << k) - 1, n
         assert len({phi.labels_in(m) for m in range(1 << k)}) == 1 << k, n
@@ -229,8 +209,19 @@ def test_mask_of_and_labels_in_convert_both_ways():
 
 def test_a_negative_mask_is_refused():
     phi = LcnfFormula.from_clauses([(1,), (-1, 2)], [(3,), (5,)])
-    with pytest.raises(ValueError, match="nonnegative"):
-        phi.mask_of(-1)
+    ora = LcnfOracle(phi)
+    model = {1: True, 2: True}
+    for query in (
+        lambda: ora.is_sat_induced(-1),
+        lambda: ora.entails_clause(-1, (2,)),
+        lambda: ora.is_equivalent_subformula(-1),
+        lambda: ora.is_equivalent_subformula(0, -1),
+        lambda: ora.satisfies(model, 1, -1),
+        lambda: ora.rotate(model, -1),
+        lambda: ora.rotate(model, 3, -2),
+    ):
+        with pytest.raises(ValueError, match="nonnegative"):
+            query()
     s = Solver()
     with pytest.raises(ValueError, match="nonnegative"):
         s.add_clause((1, 2), -2)

@@ -295,6 +295,14 @@ def test_serialize_gcnf_rejects_multi_label_clause(worked_example):
         serialize_gcnf(worked_example)
 
 
+def test_serialize_gcnf_rejects_label_zero():
+    # gcnf group 0 holds the unlabelled clauses, so label 0 would come back
+    # as no label at all
+    phi = LcnfFormula.from_clauses([(1,), (-1, 2)], [(0,), (1,)])
+    with pytest.raises(ValueError, match="clause 0 has label 0"):
+        serialize_gcnf(phi)
+
+
 def test_roundtrip_500_random_formulas():
     for seed in range(500):
         phi = random_lcnf(seed)

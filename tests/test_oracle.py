@@ -388,8 +388,9 @@ def _assert_oracle_matches_reference(phi, rng, queries=12):
     for _ in range(queries):
         labels = frozenset(l for l in active if rng.random() < 0.5)
         within = labels | {l for l in active if rng.random() < 0.5}
-        sat = ora.is_sat_induced(labels)
-        assert sat == ref.solve((), phi.mask_of(labels)).satisfiable, (phi, labels)
+        mask = phi.mask_of(labels)
+        sat = ora.is_sat_induced(mask)
+        assert sat == ref.solve((), mask).satisfiable, (phi, labels)
         if sat:
             assert set(ora.model()) == phi.variables
         removed = [
@@ -397,10 +398,10 @@ def _assert_oracle_matches_reference(phi, rng, queries=12):
             if phi.labels_of(c) <= within and not phi.labels_of(c) <= labels
         ]
         expected = all(
-            not ref.solve([-l for l in c.literals], phi.mask_of(labels)).satisfiable
-            for c in removed
+            not ref.solve([-l for l in c.literals], mask).satisfiable for c in removed
         )
-        assert ora.is_equivalent_subformula(labels, within) == expected, (phi, labels, within)
+        equivalent = ora.is_equivalent_subformula(mask, phi.mask_of(within))
+        assert equivalent == expected, (phi, labels, within)
         if not expected:
             assert set(ora.model()) == phi.variables
 
@@ -431,7 +432,7 @@ def test_oracle_built_from_rows_answers_like_clause_by_clause_solver():
         _assert_oracle_matches_reference(phi, rng, queries=40)
     phi = LcnfFormula.from_clauses(*hand_made[2])
     ora = LcnfOracle(phi)
-    assert ora.is_sat_induced(frozenset())
+    assert ora.is_sat_induced(0)
     assert set(ora.model()) == {1, 2, 3, 4, 6, 7}
 
 
@@ -455,7 +456,7 @@ def test_induced_sat_matches_plain_solver_on_induced_cnf():
         active = sorted(phi.active_labels)
         subset = frozenset(l for l in active if rng.random() < 0.5)
         direct = solve(phi.induced(subset).cnf()).satisfiable
-        assert ora.is_sat_induced(subset) == direct
+        assert ora.is_sat_induced(phi.mask_of(subset)) == direct
 
 
 def test_equivalence_matches_model_sets_over_parent_universe():
@@ -469,7 +470,7 @@ def test_equivalence_matches_model_sets_over_parent_universe():
             l for l in sorted(phi.active_labels) if rng.random() < 0.5
         )
         sub_models = models_of(phi.induced(subset).cnf(), universe)
-        assert ora.is_equivalent_subformula(subset) == (sub_models == full_models)
+        assert ora.is_equivalent_subformula(phi.mask_of(subset)) == (sub_models == full_models)
 
 
 def test_one_oracle_answers_a_mixed_query_sequence():
@@ -501,9 +502,10 @@ def test_one_oracle_answers_a_mixed_query_sequence():
                 labels ^= {rng.choice(active)}
                 steps["one"] += 1
             models = models_of(phi.induced(labels).cnf(), universe)
+            mask = phi.mask_of(labels)
             kind = rng.randrange(3)
             if kind == 0:
-                assert ora.is_sat_induced(labels) == bool(models)
+                assert ora.is_sat_induced(mask) == bool(models)
             elif kind == 1:
                 # goal variables reach past the formula's; a repeated variable
                 # may make a tautology
@@ -515,11 +517,12 @@ def test_one_oracle_answers_a_mixed_query_sequence():
                     any(m[index[abs(l)]] == (l > 0) for l in goal)
                     for m in models_of(phi.induced(labels).cnf(), wide)
                 )
-                assert ora.entails_clause(labels, goal) == expected, (labels, goal)
+                assert ora.entails_clause(mask, goal) == expected, (labels, goal)
             elif kind == 2:
                 within = labels | {l for l in active if rng.random() < 0.5}
                 wider = models_of(phi.induced(within).cnf(), universe)
-                assert ora.is_equivalent_subformula(labels, within) == (models == wider)
+                equivalent = ora.is_equivalent_subformula(mask, phi.mask_of(within))
+                assert equivalent == (models == wider)
     assert min(steps.values()) > 200, steps
 
 
@@ -534,18 +537,18 @@ def test_oracle_models_range_over_exactly_the_formula_variables():
         ora = LcnfOracle(phi)
         active = sorted(phi.active_labels)
         for _ in range(15):
-            labels = frozenset(l for l in active if rng.random() < 0.6)
+            mask = phi.mask_of(l for l in active if rng.random() < 0.6)
             kind = rng.randrange(3)
             if kind == 0:
-                if ora.is_sat_induced(labels):
+                if ora.is_sat_induced(mask):
                     assert set(ora.model()) == phi.variables
                     models["sat"] += 1
             elif kind == 1:
                 goal = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 4), 2))
-                ora.entails_clause(labels, goal)
+                ora.entails_clause(mask, goal)
                 with pytest.raises(RuntimeError):
                     ora.model()
-            elif not ora.is_equivalent_subformula(labels):
+            elif not ora.is_equivalent_subformula(mask):
                 assert set(ora.model()) == phi.variables
                 models["non-equivalent"] += 1
     assert min(models.values()) > 100, models
@@ -568,16 +571,17 @@ def test_oracle_evidence_backs_each_answer():
         for _ in range(12):
             labels = frozenset(l for l in active if rng.random() < 0.6)
             kept = phi.induced(labels).clauses
+            mask = phi.mask_of(labels)
             if rng.random() < 0.5:
-                if ora.is_sat_induced(labels):
+                if ora.is_sat_induced(mask):
                     answer = "sat"
                     assert all(_satisfied(ora.model(), c) for c in kept)
                 else:
                     answer = "unsat"
                     core = ora.core()
-                    assert core <= labels
-                    assert not models_of(phi.induced(core).cnf(), range(1, n + 1))
-            elif not ora.is_equivalent_subformula(labels):
+                    assert not core & ~mask
+                    assert not models_of(phi.induced(phi.labels_in(core)).cnf(), range(1, n + 1))
+            elif not ora.is_equivalent_subformula(mask):
                 answer = "non-equivalent"
                 model = ora.model()
                 assert all(_satisfied(model, c) for c in kept)
@@ -629,7 +633,7 @@ def test_entailment_answers_settle_later_queries(monkeypatch):
         for labels, within in queries:
             models = models_of(phi.induced(labels).cnf(), universe)
             expected = models == models_of(phi.induced(within).cnf(), universe)
-            answer = ora.is_equivalent_subformula(labels, within)
+            answer = ora.is_equivalent_subformula(phi.mask_of(labels), phi.mask_of(within))
             assert answer == expected, (labels, within)
             answers[answer] += 1
             # the solves a check of every removed clause, latest first, makes
@@ -695,42 +699,46 @@ def test_subsumers_seed_the_entailment_memory():
                     assert any(model[universe.index(abs(x))] == (x > 0) for x in clause), (n, i, k)
                 seeded += 1
         truth = _classify_truth_tables(phi)[1]
-        assert _monotone_equivalent(ora, active) == truth, n
-        assert _monotone_equivalent(LcnfOracle(phi), active) == truth, n
+        assert _monotone_equivalent(ora) == truth, n
+        assert _monotone_equivalent(LcnfOracle(phi)) == truth, n
     assert seeded > 300, seeded
 
 
 def test_rotation_proves_only_necessary_labels():
     # start from the model an answer leaves: of ``within`` itself, of
     # ``within - {l}`` falsifying one of l's clauses, or of ``within - {l}``
-    # when ``within`` is unsatisfiable, each with the label l its query left
-    # out; a fresh oracle confirms that each label returned is necessary in
-    # ``within``, and none is in ``known``
+    # when ``within`` is unsatisfiable, each with the bit of the label l its
+    # query left out; a fresh oracle confirms that each label returned is
+    # necessary in ``within``, and none is in ``known``
     rng = random.Random(909)
     proven = {"satisfiable": 0, "unsatisfiable": 0}
     for i in range(400):
         phi = sweep_formula(i)
         ora, fresh = LcnfOracle(phi), LcnfOracle(phi)
+        mask_of = phi.mask_of
         within = frozenset(l for l in phi.active_labels if rng.random() < 0.8)
-        satisfiable = ora.is_sat_induced(within)
-        # each model with the label its query left out of ``within``
-        models = [(ora.model(), None)] if satisfiable else []
+        whole = mask_of(within)
+        satisfiable = ora.is_sat_induced(whole)
+        # each model with the bit of the label its query left out of ``within``
+        models = [(ora.model(), 0)] if satisfiable else []
         for l in sorted(within):
+            less = mask_of(within - {l})
             if satisfiable:
-                if not ora.is_equivalent_subformula(within - {l}, within):
-                    models.append((ora.model(), l))
-            elif ora.is_sat_induced(within - {l}):
-                models.append((ora.model(), l))
+                if not ora.is_equivalent_subformula(less, whole):
+                    models.append((ora.model(), phi.label_bits[l]))
+            elif ora.is_sat_induced(less):
+                models.append((ora.model(), phi.label_bits[l]))
         for model, left_out in models:
             before = dict(model)
             known = frozenset(l for l in within if rng.random() < 0.2)
-            labels = ora.rotate(model, set(within), known, left_out)
+            labels = phi.labels_in(ora.rotate(model, whole, mask_of(known), left_out))
             assert model == before
             assert labels <= within - known, (i, within, known, labels)
             for l in labels:
-                assert not fresh.is_equivalent_subformula(within - {l}, within), (i, l)
+                less = mask_of(within - {l})
+                assert not fresh.is_equivalent_subformula(less, whole), (i, l)
                 if not satisfiable:
-                    assert fresh.is_sat_induced(within - {l}), (i, l)
+                    assert fresh.is_sat_induced(less), (i, l)
             proven["satisfiable" if satisfiable else "unsatisfiable"] += len(labels)
     assert min(proven.values()) > 100, proven
 
@@ -777,38 +785,40 @@ def test_rotation_scans_only_the_left_out_label_for_falsified_clauses():
     # a model of ``within - {l}`` can falsify inside ``within`` only clauses
     # that carry l, and a model of ``within`` none; rotation that scans only
     # l's clauses, or none, proves exactly the labels that a scan of every
-    # clause does, by label set and by mask alike
+    # clause does
     rng = random.Random(910)
     rotations = {"left out": 0, "none": 0}
     for i in range(300):
         phi = sweep_formula(i)
         ora = LcnfOracle(phi)
+        mask_of = phi.mask_of
         within = frozenset(l for l in phi.active_labels if rng.random() < 0.8)
-        satisfiable = ora.is_sat_induced(within)
-        models = [(ora.model(), None)] if satisfiable else []
+        whole = mask_of(within)
+        satisfiable = ora.is_sat_induced(whole)
+        models = [(ora.model(), 0)] if satisfiable else []
         for l in sorted(within):
+            less = mask_of(within - {l})
             if satisfiable:
-                if not ora.is_equivalent_subformula(within - {l}, within):
-                    models.append((ora.model(), l))
-            elif ora.is_sat_induced(within - {l}):
-                models.append((ora.model(), l))
+                if not ora.is_equivalent_subformula(less, whole):
+                    models.append((ora.model(), phi.label_bits[l]))
+            elif ora.is_sat_induced(less):
+                models.append((ora.model(), phi.label_bits[l]))
         for model, left_out in models:
             known = frozenset(l for l in within if rng.random() < 0.2)
             expected = _rotate_by_full_scan(phi, model, within, known)
-            assert ora.rotate(model, within, known, left_out) == expected, (i, left_out)
-            mask = ora.rotate(model, phi.mask_of(within), phi.mask_of(known), left_out)
-            assert isinstance(mask, int) and phi.labels_in(mask) == expected, (i, left_out)
-            rotations["none" if left_out is None else "left out"] += bool(expected)
+            mask = ora.rotate(model, whole, mask_of(known), left_out)
+            assert phi.labels_in(mask) == expected, (i, left_out)
+            rotations["left out" if left_out else "none"] += bool(expected)
     assert min(rotations.values()) > 30, rotations
 
 
-def test_queries_by_mask_answer_as_queries_by_label_set():
-    # two oracles live through the same queries, one asked by label set and
-    # one by mask, and two solvers, one asked with a bit past every
-    # clause's on: every answer, model, core, failed assumption list,
-    # rotation and ValueError must agree.  Label sets draw on labels no
-    # clause carries and labels that are not active; a mask has no bit for
-    # those, and bits past the active labels stand for none
+def test_mask_bits_past_every_label_change_no_answer():
+    # two solvers live through the same queries, one asked with a bit past
+    # every clause's on, and two oracles, one asked with exact masks and one
+    # with spare bits past the active labels added: every answer, model,
+    # core, failed assumption list, rotation and ValueError must agree.
+    # Label sets draw on labels no clause carries and labels that are not
+    # active; a mask has no bit for those
     rng = random.Random(37)
     seen = dict.fromkeys(("sat", "unsat", "equivalent", "non-equivalent", "ValueError", "rotation"), 0)
     for i in range(160):
@@ -816,7 +826,7 @@ def test_queries_by_mask_answer_as_queries_by_label_set():
         active = sorted(phi.active_labels)
         spare = [l for l in range(max(active, default=0) + 3) if l not in phi.active_labels]
         pool = active + spare
-        by_set, by_mask = LcnfOracle(phi), LcnfOracle(phi)
+        exact, padded = LcnfOracle(phi), LcnfOracle(phi)
         s_exact, s_spare = Solver(), Solver()
         bit = {}  # a numbering other than the formula's: labels by bit, first seen
         for lits, ls in phi.rows:
@@ -828,10 +838,11 @@ def test_queries_by_mask_answer_as_queries_by_label_set():
 
         def draw():
             labels = frozenset(l for l in pool if rng.random() < 0.6)
-            return labels, phi.mask_of(labels) | rng.getrandbits(3) << len(active)
+            mask = phi.mask_of(labels)
+            return labels, mask, mask | rng.getrandbits(3) << len(active)
 
         for _ in range(12):
-            labels, mask = draw()
+            labels, mask, mask_padded = draw()
             asms = [v if rng.random() < 0.5 else -v for v in rng.sample(sorted(phi.variables), 1)]
             on = sum(bit.get(l, 0) for l in labels)
             out_exact = s_exact.solve(asms, on)
@@ -839,46 +850,42 @@ def test_queries_by_mask_answer_as_queries_by_label_set():
             assert out_exact.model == out_spare.model, i
             if not out_exact:
                 assert s_exact.analyze_final() == s_spare.analyze_final(), i
-            if by_set.is_sat_induced(labels) != by_mask.is_sat_induced(mask):
-                raise AssertionError((i, labels, mask))
-            if by_set._evidence[0] == "model":
+            if exact.is_sat_induced(mask) != padded.is_sat_induced(mask_padded):
+                raise AssertionError((i, labels, mask_padded))
+            if exact._evidence[0] == "model":
                 seen["sat"] += 1
-                assert by_set.model() == by_mask.model(), i
+                assert exact.model() == padded.model(), i
             else:
                 seen["unsat"] += 1
-                core = by_mask.core()
-                assert isinstance(core, int) and phi.labels_in(core) == by_set.core(), i
+                assert exact.core() == padded.core(), i
             clause = rng.choice(phi.rows)[0] if phi.rows else (1,)
-            assert by_set.entails_clause(labels, clause) == by_mask.entails_clause(mask, clause)
-            within, within_mask = draw()
+            assert exact.entails_clause(mask, clause) == padded.entails_clause(mask_padded, clause)
+            within, within_mask, within_padded = draw()
             if rng.random() < 0.7:
-                within, within_mask = within | labels, within_mask | mask
+                within_mask, within_padded = within_mask | mask, within_padded | mask_padded
             try:
-                equivalent = by_set.is_equivalent_subformula(labels, within)
+                equivalent = exact.is_equivalent_subformula(mask, within_mask)
             except ValueError:
                 seen["ValueError"] += 1
                 with pytest.raises(ValueError):
-                    by_mask.is_equivalent_subformula(mask, within_mask)
+                    padded.is_equivalent_subformula(mask_padded, within_padded)
                 continue
-            assert equivalent == by_mask.is_equivalent_subformula(mask, within_mask), i
+            assert equivalent == padded.is_equivalent_subformula(mask_padded, within_padded), i
             if equivalent:
                 seen["equivalent"] += 1
                 continue
             seen["non-equivalent"] += 1
-            model = by_set.model()
-            assert model == by_mask.model(), i
-            for l in active:
-                assert by_set.satisfies(model, l, within) == by_mask.satisfies(model, l, within_mask)
-            known, known_mask = draw()
-            # from a model of ``labels``, as a model of ``within`` less one label
-            if len((within & phi.active_labels) - labels) == 1:
-                (left_out,) = (within & phi.active_labels) - labels
-                rotated = by_set.rotate(model, within, known, left_out)
-                by_mask_rotated = by_mask.rotate(model, within_mask, known_mask, left_out)
-                assert rotated == phi.labels_in(by_mask_rotated)
+            model = exact.model()
+            assert model == padded.model(), i
+            for b in phi.label_bits.values():
+                assert exact.satisfies(model, b, within_mask) == padded.satisfies(model, b, within_padded)
+            _, known, known_padded = draw()
+            # from a model of ``mask``, as a model of ``within`` less one label
+            left_out = within_mask & ~mask
+            if left_out and not left_out & (left_out - 1):
+                rotated = exact.rotate(model, within_mask, known, left_out)
+                assert rotated == padded.rotate(model, within_padded, known_padded, left_out), i
                 seen["rotation"] += 1
-        with pytest.raises(ValueError):
-            by_mask.is_sat_induced(-1)
         with pytest.raises(ValueError):
             s_spare.solve((), -1)
     assert min(seen.values()) > 40, seen
@@ -887,48 +894,52 @@ def test_queries_by_mask_answer_as_queries_by_label_set():
 def test_oracle_model_check_reads_every_clause_inside_the_set(worked_example):
     ora = LcnfOracle(worked_example)
     # all false: clauses {1}: (-2) holds, (2 -4) holds, (3 4) fails
+    bit, mask_of = worked_example.label_bits, worked_example.mask_of
     model = {1: False, 2: False, 3: False, 4: False}
-    assert not ora.satisfies(model, 1, {1})
+    assert not ora.satisfies(model, bit[1], mask_of({1}))
     # label 2: ({1 2}: -1) holds; ({2 3}: -1 2) holds
-    assert ora.satisfies(model, 2, {2})
+    assert ora.satisfies(model, bit[2], mask_of({2}))
     # label 3: ({3}: -2 4) holds; ({2 3}: -1 2) counts only inside {2, 3}
     model[1] = True
-    assert ora.satisfies(model, 3, {3})
-    assert not ora.satisfies(model, 3, {2, 3})
+    assert ora.satisfies(model, bit[3], mask_of({3}))
+    assert not ora.satisfies(model, bit[3], mask_of({2, 3}))
 
 
 def test_equivalence_requires_containment(worked_example):
     ora = LcnfOracle(worked_example)
     with pytest.raises(ValueError):
-        ora.is_equivalent_subformula(frozenset({1, 2}), within=frozenset({1}))
+        ora.is_equivalent_subformula(worked_example.mask_of({1, 2}), worked_example.mask_of({1}))
 
 
 def test_oracle_queries_on_worked_example(worked_example):
     ora = LcnfOracle(worked_example)
-    assert ora.is_sat_induced(frozenset({1}))
-    assert ora.is_equivalent_subformula(frozenset({1, 2}))
-    assert not ora.is_equivalent_subformula(frozenset({1}))
+    mask_of = worked_example.mask_of
+    assert ora.is_sat_induced(mask_of({1}))
+    assert ora.is_equivalent_subformula(mask_of({1, 2}))
+    assert not ora.is_equivalent_subformula(mask_of({1}))
 
 
 def test_oracle_accepts_inactive_labels(worked_example):
+    # an inactive label has no bit, and a bit past the active labels
+    # switches on no clause
     ora = LcnfOracle(worked_example)
-    assert ora.is_sat_induced(frozenset({1, 99})) == ora.is_sat_induced(
-        frozenset({1})
-    )
+    one = worked_example.mask_of({1})
+    assert worked_example.mask_of({1, 99}) == one
+    assert ora.is_sat_induced(one | 1 << 10) == ora.is_sat_induced(one)
 
 
 def test_model_check_and_rotation_ignore_inactive_labels():
-    # a label that is not active carries no clause: no model falsifies one of
-    # its clauses, and leaving it out of a query leaves out no clause
+    # a bit past the active labels carries no clause: no model falsifies one
+    # of its clauses, and leaving it out of a query leaves out no clause
     phi = LcnfFormula.from_clauses([(1,), (2,)], [(1,), (2,)])
     ora = LcnfOracle(phi)
-    falsifying = {1: False, 2: False}
-    assert not ora.satisfies(falsifying, 1, {1, 2})
-    assert ora.satisfies(falsifying, 7, {1, 2})
-    model = {1: True, 2: True}
-    assert ora.rotate(model, {1, 2}, left_out=7) == ora.rotate(model, {1, 2}) == {1, 2}
     full = phi.mask_of({1, 2})
-    assert ora.rotate(model, full, left_out=7) == ora.rotate(model, full) == full
+    spare = 1 << 2
+    falsifying = {1: False, 2: False}
+    assert not ora.satisfies(falsifying, phi.label_bits[1], full)
+    assert ora.satisfies(falsifying, spare, full | spare)
+    model = {1: True, 2: True}
+    assert ora.rotate(model, full | spare, left_out=spare) == ora.rotate(model, full) == full
 
 
 def test_oracle_conflict_budget_propagates():
@@ -936,9 +947,9 @@ def test_oracle_conflict_budget_propagates():
     phi = LcnfFormula.from_clauses([(1,), (1, 2), (1, -2)], [(1,), (), ()])
     ora = LcnfOracle(phi, conflict_budget=0)
     with pytest.raises(ResourceLimitError):
-        ora.is_equivalent_subformula(frozenset())
+        ora.is_equivalent_subformula(0)
     relaxed = LcnfOracle(phi, conflict_budget=50)
-    assert relaxed.is_equivalent_subformula(frozenset())
+    assert relaxed.is_equivalent_subformula(0)
 
 
 def test_unlabelled_clauses_survive_every_induced_query(phi_u):
@@ -946,7 +957,7 @@ def test_unlabelled_clauses_survive_every_induced_query(phi_u):
     clauses = [(1,), (-1,)]
     phi = LcnfFormula.from_clauses(clauses, [(), ()])
     ora = LcnfOracle(phi)
-    assert not ora.is_sat_induced(frozenset())
+    assert not ora.is_sat_induced(0)
     ora_u = LcnfOracle(phi_u)
-    assert ora_u.is_sat_induced(frozenset())
-    assert not ora_u.is_sat_induced(phi_u.active_labels)
+    assert ora_u.is_sat_induced(0)
+    assert not ora_u.is_sat_induced(phi_u.mask_of(phi_u.active_labels))
