@@ -32,10 +32,10 @@ corpora.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import repeat
 from operator import and_
+from typing import NamedTuple
 
 from .core import LcnfFormula
 from .duality import SetFamily
@@ -48,14 +48,23 @@ MAX_VARIABLES = 24  # classify_all refuses formulas with more variables
 DEFAULT_MAX_LABELS = 16  # classify_all refuses more labels unless told otherwise
 
 
-@dataclass(frozen=True)
-class SubsetStatus:
+class SubsetStatus(NamedTuple):
     satisfiable: bool
     equivalent: bool
 
 
-@dataclass(frozen=True)
-class GenerationProfile:
+# a NamedTuple body cannot define __new__, so a subclass checks the fields
+class _ProfileFields(NamedTuple):
+    variables: int
+    clauses: int
+    labels: int
+    clause_labels: int
+    clause_width: int
+    unlabelled_probability: float
+    labelling: str
+
+
+class GenerationProfile(_ProfileFields):
     """Shape parameters for random labelled formulas.
 
     Counts are upper bounds; each generated formula draws its actual sizes
@@ -65,29 +74,36 @@ class GenerationProfile:
     the chance that a clause gets no labels at all.
     """
 
-    variables: int = 5
-    clauses: int = 12
-    labels: int = 4
-    clause_labels: int = 2
-    clause_width: int = 3
-    unlabelled_probability: float = 0.15
-    labelling: str = "free"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.variables <= 8):
+    def __new__(
+        cls,
+        variables: int = 5,
+        clauses: int = 12,
+        labels: int = 4,
+        clause_labels: int = 2,
+        clause_width: int = 3,
+        unlabelled_probability: float = 0.15,
+        labelling: str = "free",
+    ):
+        if not (1 <= variables <= 8):
             raise ValueError("profile allows 1 to 8 variables")
-        if not (1 <= self.clauses <= 20):
+        if not (1 <= clauses <= 20):
             raise ValueError("profile allows 1 to 20 clauses")
-        if not (1 <= self.labels <= 6):
+        if not (1 <= labels <= 6):
             raise ValueError("profile allows 1 to 6 labels")
-        if not (0 <= self.clause_labels <= 3):
+        if not (0 <= clause_labels <= 3):
             raise ValueError("profile allows 0 to 3 labels per clause")
-        if self.clause_width < 1:
+        if clause_width < 1:
             raise ValueError("profile needs a clause width of at least 1")
-        if not (0 <= self.unlabelled_probability <= 1):
+        if not (0 <= unlabelled_probability <= 1):
             raise ValueError("unlabelled probability lies in [0, 1]")
-        if self.labelling not in ("free", "group"):
+        if labelling not in ("free", "group"):
             raise ValueError("labelling is 'free' or 'group'")
+        return tuple.__new__(cls, (
+            variables, clauses, labels, clause_labels,
+            clause_width, unlabelled_probability, labelling,
+        ))
 
 
 def random_lcnf(seed: int, profile: GenerationProfile | None = None) -> LcnfFormula:
@@ -125,7 +141,6 @@ _FAMILIES = {
 }
 
 
-@dataclass
 class AnalysisReport:
     """Complete subset classification of one formula.
 
@@ -144,9 +159,10 @@ class AnalysisReport:
     subformula is already equivalent, so the minimal family is {{}}.
     """
 
-    formula: LcnfFormula
-    # (sat_statuses, equivalent_statuses) from truth tables; None on the oracle path
-    tables: tuple | None = field(default=None, repr=False)
+    def __init__(self, formula: LcnfFormula, tables: tuple | None = None):
+        self.formula = formula
+        # (sat_statuses, equivalent_statuses) from truth tables; None on the oracle path
+        self.tables = tables
 
     @property
     def active_labels(self) -> frozenset:

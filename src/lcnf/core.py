@@ -25,10 +25,9 @@ explicit label sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Label = int
 LabelSet = frozenset  # frozenset[int]
@@ -54,8 +53,13 @@ def _checked_literals(literals: Iterable[int], index: int) -> frozenset:
     return lits
 
 
-@dataclass(frozen=True)
-class Clause:
+# a NamedTuple body cannot define __new__, so a subclass checks the fields
+class _ClauseFields(NamedTuple):
+    literals: frozenset
+    index: int
+
+
+class Clause(_ClauseFields):
     """A propositional clause: a set of nonzero integer literals.
 
     ``index`` is the clause's ordinal position in its formula's clause list;
@@ -63,19 +67,15 @@ class Clause:
     occurrences (clause lists are multi-sets).
     """
 
-    literals: frozenset
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "literals", _checked_literals(self.literals, self.index))
+    def __new__(cls, literals: Iterable[int], index: int):
+        return tuple.__new__(cls, (_checked_literals(literals, index), index))
 
     @classmethod
     def _of_row(cls, literals: tuple, index: int) -> "Clause":
         """The clause of a formula row's literals, which are already checked."""
-        clause = object.__new__(cls)
-        object.__setattr__(clause, "literals", frozenset(literals))
-        object.__setattr__(clause, "index", index)
-        return clause
+        return tuple.__new__(cls, (frozenset(literals), index))
 
     @property
     def variables(self) -> frozenset:

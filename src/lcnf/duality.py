@@ -17,9 +17,8 @@ hitting sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .analysis import duality_obstacle
 from .core import LcnfFormula
@@ -149,8 +148,7 @@ def enumerate_minimal_hitting_sets(
     return SetFamily(found, universe)
 
 
-@dataclass(frozen=True)
-class DualityVerdict:
+class DualityVerdict(NamedTuple):
     """Outcome of checking the duality on one formula.
 
     When the applicability conditions fail, ``applicable`` is False and the

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import warnings
 from collections import Counter
@@ -372,6 +371,8 @@ def _emit(args, phi, fields: dict, lines: Iterable[str]) -> None:
     """Print ``fields`` after the formula's description as JSON under
     ``--json``, else the text ``lines``."""
     if args.json:
+        import json  # here, so that only --json runs pay for it
+
         print(json.dumps({"formula": _formula_info(phi, args.file), **fields}, indent=2))
     else:
         for line in lines:

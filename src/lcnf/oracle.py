@@ -58,31 +58,35 @@ on its first call, so an oracle that never rotates never pays for it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import neg
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Clause, LcnfFormula, sort_literals
 from .errors import ResourceLimitError
 
 
-@dataclass(frozen=True)
-class SatOutcome:
+# a NamedTuple body cannot define __new__, so a subclass checks the fields
+class _SatOutcomeFields(NamedTuple):
+    satisfiable: bool
+    model: dict | None
+
+
+class SatOutcome(_SatOutcomeFields):
     """Result of a satisfiability query.
 
     ``model`` is a total assignment over the variables of the queried clause
     set when satisfiable, and None otherwise.
     """
 
-    satisfiable: bool
-    model: dict | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.satisfiable != (self.model is not None):
+    def __new__(cls, satisfiable: bool, model: dict | None = None):
+        if satisfiable != (model is not None):
             raise ValueError("a model is present exactly when satisfiable")
+        return tuple.__new__(cls, (satisfiable, model))
 
     def __bool__(self):
         return self.satisfiable

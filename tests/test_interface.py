@@ -1,17 +1,19 @@
-"""File formats, the command line and the package's export list."""
+"""File formats, the command line, the package's export list and its records."""
 import json
 import random
 import shutil
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import lcnf
 from lcnf.analysis import REASON_SATISFIABLE
-from lcnf.bruteforce import GenerationProfile, random_lcnf
-from lcnf.core import LcnfFormula, label
+from lcnf.bruteforce import GenerationProfile, SubsetStatus, random_lcnf
+from lcnf.core import Clause, LcnfFormula, label
+from lcnf.duality import DualityVerdict
 from lcnf.errors import ParseError
 from lcnf.interface import (
     FormatWarning,
@@ -23,6 +25,7 @@ from lcnf.interface import (
     serialize_lcnf,
     main,
 )
+from lcnf.oracle import SatOutcome
 
 from conftest import (
     WORKED_CLAUSES,
@@ -708,6 +711,68 @@ def test_console_script_entry_point(worked_example_path):
             text=True,
         )
         assert ran.returncode == 0 and ran.stdout == "1 2\n2 3 4\n"
+
+
+def test_import_leaves_dataclasses_and_json_unloaded(worked_example_path):
+    # every command pays for `import lcnf` in a fresh interpreter, and
+    # dataclasses (with the inspect it pulls in) and json would be a third
+    # of it; json loads only under --json.  The module set is compared
+    # before and after the import, since `site` may preload modules
+    src = str(Path(lcnf.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import lcnf\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'dataclasses', 'inspect', 'json'}))\n"
+        "sys.exit(lcnf.main(['enum', '--family', 'lmes', '--json', sys.argv[2]]))\n"
+    )
+    ran = subprocess.run(
+        [sys.executable, "-c", script, src, worked_example_path],
+        capture_output=True,
+        text=True,
+    )
+    assert ran.returncode == 0, ran.stderr
+    loaded, _, out = ran.stdout.partition("\n")
+    assert loaded == "[]"
+    assert json.loads(out)["sets"] == [[1, 2], [2, 3, 4]]
+
+
+def test_records_are_frozen_values():
+    verdict = DualityVerdict(False, "reason", None, None, None, None)
+    records = [  # (record, an equal one built another way, a field)
+        (SatOutcome(False), SatOutcome(False, None), "model"),
+        (Clause([2, -1], 3), Clause(frozenset({-1, 2}), 3), "literals"),
+        (SubsetStatus(True, False), SubsetStatus(satisfiable=True, equivalent=False), "equivalent"),
+        (GenerationProfile(labels=6), GenerationProfile(5, 12, 6), "labels"),
+        (verdict, DualityVerdict(False, "reason", None, None, None, None, None, None), "reason"),
+    ]
+    for record, twin, field in records:
+        assert record == twin and hash(record) == hash(twin), record
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert SatOutcome(True, {1: True}) == SatOutcome(True, {1: True})
+    assert SatOutcome(True, {1: True}) != SatOutcome(True, {1: False})
+    for satisfiable, model in ((True, None), (False, {})):
+        with pytest.raises(ValueError, match="^a model is present exactly when satisfiable$"):
+            SatOutcome(satisfiable, model)
+    assert repr(SatOutcome(False)) == "UNSAT" and not SatOutcome(False)
+    assert repr(SatOutcome(True, {})) == "SAT" and SatOutcome(True, {})
+    clause = Clause((3, -1, 2), 0)
+    assert clause.literals == frozenset({-1, 2, 3}) and clause.index == 0
+    assert clause.sorted_literals() == (-1, 2, 3) and repr(clause) == "Clause(0: -1 2 3)"
+    assert clause.variables == frozenset({1, 2, 3})
+    default = GenerationProfile()
+    assert (
+        default.variables, default.clauses, default.labels, default.clause_labels,
+        default.clause_width, default.unlabelled_probability, default.labelling,
+    ) == (5, 12, 4, 2, 3, 0.15, "free")
+    group = GenerationProfile(labelling="group", unlabelled_probability=0)
+    assert group.labelling == "group" and group.unlabelled_probability == 0
+    assert group.variables == 5
+    assert verdict.lmes_union is None and verdict.lmns_intersection is None
+    assert not verdict.passed and set(verdict.checks().values()) == {None}
 
 
 def test_export_list_names_each_public_name_once():
