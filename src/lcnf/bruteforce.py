@@ -14,10 +14,13 @@ hold (or lack) that label.  Equivalence is decided by comparing full model
 sets whenever the formula has at most 12 variables: each clause's
 satisfying assignments are packed into one big integer, so a subformula's
 model set is a bitwise AND and equivalence is integer equality.  Clauses
-with the same label set are merged into one group, and a sparse subset-AND
-transform, run over bounded chunks of subsets in one process, builds every
-subset's model set from the few groups inside it, with about one AND per
-subset, and both lists with it.
+with the same label set are merged into one group.  The k wholes less one
+label, one AND over the groups each, fix the irredundant labels: every
+subset without one of them is non-equivalent and satisfiable.  On the
+supersets of the fixed labels alone, a sparse subset-AND transform, run
+over bounded chunks of subsets in one process, builds every subset's model
+set from the few groups inside it, with about one AND per subset, and both
+lists with it.
 This path shares nothing with the clause-learning oracle, which is the
 point: the two can check each other.  Larger formulas go to one oracle, in
 one monotone pass per status kind, run only when a reader of the report
@@ -34,7 +37,7 @@ from __future__ import annotations
 import random
 from functools import cache, cached_property
 from itertools import repeat
-from operator import and_
+from operator import and_, not_
 from typing import NamedTuple
 
 from .core import LcnfFormula
@@ -299,11 +302,22 @@ def _classify_truth_tables(phi):
     """Both status lists of every subset, by a sparse subset-AND transform.
 
     Clauses with the same label mask (``LcnfFormula.label_masks``) are
-    merged into one group, their model sets ANDed.  The subsets are walked
-    in aligned chunks of ``TRUTH_TABLE_CHUNK`` masks.  In the chunk whose high label bits are H,
-    the groups whose high bits lie inside H take part: those with no low
-    bits make the base, and ``_subset_ands`` builds from the others the
-    model set of every subset H + L, whose statuses are read straight off it.
+    merged into one group, their model sets ANDed.  Each one-label-smaller
+    whole is one AND over the groups.  A label whose removal changes the
+    whole's models (an irredundant label, in every LMES, and in every LMUS
+    when the whole is unsatisfiable) fixes every mask without it: that mask
+    lies under the smaller whole, so it is not equivalent, and it is
+    satisfiable, since the smaller whole has models when the whole has
+    (fewer clauses) and when the whole has none (it differs).  The
+    transform runs only over the supersets of the fixed labels, renumbered
+    onto the free label bits and walked in aligned chunks of
+    ``TRUTH_TABLE_CHUNK`` masks.  In the chunk whose high free bits are H,
+    the groups whose high free bits lie inside H take part: those with no
+    low free bits make the base, and ``_subset_ands`` builds from the
+    others the model set of every subset H + L, whose equivalence is
+    written back to its own mask.  A subset of a satisfiable whole is
+    satisfiable; under an unsatisfiable whole, a subset is equivalent iff
+    it is unsatisfiable.
     """
     variables = tuple(sorted(phi.variables))
     k = len(phi.label_bits)
@@ -313,21 +327,39 @@ def _classify_truth_tables(phi):
     for mask, models in zip(phi.label_masks, _clause_masks(phi, variables)):
         groups[mask] = groups.get(mask, universe) & models
         full &= models
-    bits = min(k, TRUTH_TABLE_CHUNK.bit_length() - 1)
+    fixed = 0
+    for b in range(k):
+        smaller = universe
+        for mask, models in groups.items():
+            if not mask >> b & 1:
+                smaller &= models
+        if smaller != full:
+            fixed |= 1 << b
+    free = [b for b in range(k) if not fixed >> b & 1]
+    renumbered = {}  # free-bit mask -> the models of every group it stands for
+    for mask, models in groups.items():
+        r = sum(1 << i for i, b in enumerate(free) if mask >> b & 1)
+        renumbered[r] = renumbered.get(r, universe) & models
+    bits = min(len(free), TRUTH_TABLE_CHUNK.bit_length() - 1)
     low = (1 << bits) - 1
-    sat, equivalent = [], []
-    for high in range(0, 1 << k, low + 1):
+    spread = [0]  # the label mask of each low free-bit mask
+    for b in free[:bits]:
+        spread += [m | 1 << b for m in spread]
+    equivalent = [False] * (1 << k)
+    for high in range(0, 1 << len(free), low + 1):
         base = universe
         lows = []
-        for mask, models in groups.items():
+        for mask, models in renumbered.items():
             if mask & ~(high | low) == 0:
                 if mask & low:
                     lows.append((mask & low, models))
                 else:
                     base &= models
         table = _subset_ands(base, lows, bits)
-        sat.extend(map(bool, table))
-        equivalent.extend(map(full.__eq__, table))
+        offset = fixed | sum(1 << b for i, b in enumerate(free) if high >> i & 1)
+        for m, models in zip(spread, table):
+            equivalent[offset | m] = models == full
+    sat = [True] * (1 << k) if full else list(map(not_, equivalent))
     return sat, equivalent
 
 
@@ -382,10 +414,12 @@ def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> Anal
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
     guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
     ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables both
-    status lists come from truth tables before this returns, by a sparse
-    subset-AND transform over the clauses grouped by label set, run over
-    chunks of at most ``TRUTH_TABLE_CHUNK`` subsets so that memory stays
-    bounded.  Larger formulas are classified by one oracle, and each status
+    status lists come from truth tables before this returns: the k wholes
+    less one label decide every subset that lacks an irredundant label,
+    and a sparse subset-AND transform over the clauses grouped by label set
+    builds the rest, the supersets of the irredundant labels, over chunks of
+    at most ``TRUTH_TABLE_CHUNK`` subsets so that memory stays bounded.
+    Larger formulas are classified by one oracle, and each status
     kind only when a reader of the report first asks for it
     (``AnalysisReport``): LMUS and LMSS need only satisfiability, LMES, LMNS
     and the duality check only equivalence.  Monotonicity reads most statuses off a one-label

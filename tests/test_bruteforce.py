@@ -360,27 +360,131 @@ def brute_families(phi):
     return lmes, lmus, lmns, lmss
 
 
+def contradicted(seed, profile):
+    """``random_lcnf`` plus (1) and (-1), each under a random label: an unsatisfiable whole."""
+    phi = random_lcnf(seed, profile)
+    rng = random.Random(seed)
+    clauses = [lits for lits, _ in phi.rows] + [(1,), (-1,)]
+    units = [(rng.randint(1, profile.labels),) for _ in range(2)]
+    return LcnfFormula.from_clauses(clauses, [labels for _, labels in phi.rows] + units)
+
+
+def duplicated(seed, profile):
+    """Every clause of ``random_lcnf`` twice, under two labels: no label is irredundant."""
+    rng = random.Random(seed)
+    clauses, labelling = [], []
+    for lits, _ in random_lcnf(seed, profile).rows:
+        for l in rng.sample(range(1, profile.labels + 1), 2):
+            clauses.append(lits)
+            labelling.append((l,))
+    return LcnfFormula.from_clauses(clauses, labelling)
+
+
 def test_classification_matches_independent_model_enumeration(monkeypatch):
     # chunks of 1, 2, 4 and 16 subsets split the transform over the high
-    # label bits; the default chunk holds every subset of these formulas.
-    # Clauses with up to three labels nest label masks inside the low bits,
-    # so the recursion of the transform goes two levels deep
+    # free label bits; the default chunk holds every subset of these
+    # formulas.  Clauses with up to three labels nest label masks inside the
+    # low bits, so the recursion of the transform goes two levels deep.  The
+    # truth tables fix the irredundant labels (every LMES holds them) and,
+    # under an unsatisfiable whole, the labels in every LMUS; the counts
+    # below make sure that many formulas fix some labels but not all, for
+    # each kind, and that some fix none
     small = GenerationProfile(variables=4, clauses=8, labels=4, clause_labels=2)
     six_labels = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
     nested = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=3)
+    unlabelled = GenerationProfile(variables=4, clauses=7, labels=5, clause_labels=0)
+    corpora = (
+        ("small", small, random_lcnf),
+        ("six labels", six_labels, random_lcnf),
+        ("nested", nested, random_lcnf),
+        ("unsatisfiable whole", six_labels, contradicted),
+        ("no irredundant label", unlabelled, duplicated),
+    )
     default = bruteforce.TRUTH_TABLE_CHUNK
     three_label_clauses = 0
-    for profile in (small, six_labels, nested):
+    partly_fixed = {"equivalence": 0, "satisfiability": 0}
+    for name, profile, build in corpora:
         for seed in range(40):
-            phi = random_lcnf(seed, profile)
+            phi = build(seed, profile)
             three_label_clauses += sum(len(labels) == 3 for _, labels in phi.rows)
             expected = brute_families(phi)
+            lmes, lmus = expected[:2]
+            k = len(phi.active_labels)
+            irredundant = frozenset.intersection(*lmes)
+            assert name != "no irredundant label" or not irredundant
+            assert name != "unsatisfiable whole" or lmus
+            # under an unsatisfiable whole lmus == lmes
+            partly_fixed["satisfiability" if lmus else "equivalence"] += 0 < len(irredundant) < k
             for chunk in (1, 2, 4, 16, default):
                 monkeypatch.setattr(bruteforce, "TRUTH_TABLE_CHUNK", chunk)
                 report = classify_all(phi)
-                where = f"{profile.labels} labels, seed {seed}, chunk {chunk}"
+                where = f"{name}, seed {seed}, chunk {chunk}"
                 assert (report.lmes, report.lmus, report.lmns, report.lmss) == expected, where
     assert three_label_clauses >= 40
+    assert partly_fixed["equivalence"] >= 12
+    assert partly_fixed["satisfiability"] >= 35
+
+
+def spy_tables(monkeypatch):
+    """The length of every table ``_subset_ands`` builds from now on, nested ones too."""
+    built = []
+    real = bruteforce._subset_ands
+
+    def spy(base, groups, bits):
+        table = real(base, groups, bits)
+        built.append(len(table))
+        return table
+
+    monkeypatch.setattr(bruteforce, "_subset_ands", spy)
+    return built
+
+
+def test_truth_tables_run_only_over_supersets_of_the_fixed_labels(monkeypatch):
+    # every group has one label, so the transform never recurses and each
+    # table it builds covers one chunk of the free labels' subsets
+    built = spy_tables(monkeypatch)
+    # satisfiable, 8 labels: (1) under 1 and (2) under 2 are irredundant,
+    # (3 v 4) under each of 3..8 is not.  Every subset is satisfiable, which
+    # the whole alone decides: one table, over the subsets of 3..8
+    sat = LcnfFormula.from_clauses([(1,), (2,)] + [(3, 4)] * 6, [(l,) for l in range(1, 9)])
+    report = classify_all(sat)
+    assert built == [1 << (8 - 2)]
+    assert report.sat_statuses == [True] * (1 << 8)
+    assert report.lmes == {frozenset({1, 2, l}) for l in range(3, 9)}
+    # unsatisfiable, 7 labels: (1), (-1 v 2) and (-2) under 1, 2 and 3 form
+    # the one LMUS, and (3 v 4) under each of 4..7 lies in none
+    built.clear()
+    unsat = LcnfFormula.from_clauses(
+        [(1,), (-1, 2), (-2,)] + [(3, 4)] * 4, [(l,) for l in range(1, 8)]
+    )
+    report = classify_all(unsat)
+    assert built == [1 << (7 - 3)]
+    assert report.lmus == {frozenset({1, 2, 3})}
+    assert report.lmss == {frozenset(range(1, 8)) - {l} for l in (1, 2, 3)}
+
+
+def test_truth_table_chunks_bound_every_table(monkeypatch):
+    # memory stays bounded by the chunk even when the free labels, the
+    # labels the transform runs over, outnumber the chunk's bits: no table
+    # the transform builds, nested or not, is longer than the chunk, and the
+    # statuses are those of one chunk over every subset
+    nested = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=3)
+    unlabelled = GenerationProfile(variables=4, clauses=7, labels=6, clause_labels=0)
+    formulas = [random_lcnf(seed, nested) for seed in range(20)]
+    formulas += [duplicated(seed, unlabelled) for seed in range(20)]
+    expected = [statuses(classify_all(phi)) for phi in formulas]
+    built = spy_tables(monkeypatch)
+    for chunk in (2, 4, 16):
+        monkeypatch.setattr(bruteforce, "TRUTH_TABLE_CHUNK", chunk)
+        wider = 0
+        for phi, want in zip(formulas, expected):
+            built.clear()
+            report = classify_all(phi)
+            assert statuses(report) == want, f"chunk {chunk}"
+            assert max(built) <= chunk, f"chunk {chunk}"
+            free = len(phi.active_labels) - len(frozenset.intersection(*report.lmes))
+            wider += (1 << free) > chunk
+        assert wider >= 10, f"chunk {chunk}"
 
 
 def test_truth_table_path_makes_no_solver_call(tmp_path, monkeypatch):
