@@ -255,12 +255,12 @@ def duality_obstacle(phi: LcnfFormula, has_irredundant_label: Callable[[], bool]
 
     The duality between minimal equivalence-preserving sets and complements
     of maximal non-equivalent sets requires at least one active label and,
-    when unlabelled clauses are present, at least one irredundant label; only
-    then is ``has_irredundant_label`` called.
+    when a clause is unlabelled (label mask 0), at least one irredundant
+    label; only then is ``has_irredundant_label`` called.
     """
     if not phi.active_labels:
         return "no active labels"
-    if phi.unlabelled_clauses and not has_irredundant_label():
+    if 0 in phi.label_masks and not has_irredundant_label():
         return "unlabelled clauses are present and every label is redundant"
     return None
 

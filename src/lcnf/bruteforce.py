@@ -1,33 +1,27 @@
 """Brute-force ground truth: exhaustive classification of all label subsets.
 
-``classify_all`` decides, for every subset of a formula's active labels,
+``classify_all`` decides, for every subset of a formula's k active labels,
 whether the induced subformula is satisfiable and whether it is equivalent
-to the whole: two per-subset status lists, one per kind.  The report it
-returns builds each witness family from one of them when the family is
-first read, by one rule: the four families are the minimal or maximal label
-sets on which one status has one value.  Since equivalence is upward-closed
-over label sets and satisfiability is downward-closed, minimality and
-maximality are decided against the one-label neighbours of each subset
-alone, for all subsets at once: the status list becomes one 2^k-bit int,
-and each label's neighbours are one shift of it, masked by the subsets that
-hold (or lack) that label.  Equivalence is decided by comparing full model
-sets whenever the formula has at most 12 variables: each clause's
-satisfying assignments are packed into one big integer, so a subformula's
-model set is a bitwise AND and equivalence is integer equality.  Clauses
-with the same label set are merged into one group.  The k wholes less one
-label, one AND over the groups each, fix the irredundant labels: every
-subset without one of them is non-equivalent and satisfiable.  On the
-supersets of the fixed labels alone, a sparse subset-AND transform, run
-over bounded chunks of subsets in one process, builds every subset's model
-set from the few groups inside it, with about one AND per subset, and both
-lists with it.
-This path shares nothing with the clause-learning oracle, which is the
-point: the two can check each other.  Larger formulas go to one oracle, in
-one monotone pass per status kind, run only when a reader of the report
-first asks for that kind: most statuses follow from a one-label
-neighbour's, and each of the others costs one query, whose clause checks
-the oracle settles without a solve when an earlier query's entailment, or
-a clause whose literals lie inside the checked one, already decides them.
+to the whole.  The report keeps each status kind as one packed 2^k-bit int,
+bit m for label mask m (``LcnfFormula.label_bits``), and builds each witness
+family from one of them when the family is first read, by one rule: the four
+families are the minimal or maximal label sets on which one status has one
+value.  Since equivalence is upward-closed over label sets and
+satisfiability is downward-closed, minimality and maximality are decided
+against the one-label neighbours of each subset alone, for all subsets at
+once: each label's neighbours are one shift of the packed int, masked by
+the subsets that hold (or lack) that label.  A family stays a list of label
+masks (``SetFamily.from_masks``) until the API or the CLI reads its sets.
+
+Whenever the formula has at most 12 variables, the statuses come from truth
+tables: each clause's satisfying assignments are packed into one big
+integer, so a subformula's model set is a bitwise AND and equivalence is
+integer equality (``_classify_truth_tables``).  This path shares nothing
+with the clause-learning oracle, which is the point: the two can check each
+other.  Larger formulas go to one oracle, in one monotone pass per status
+kind, run only when a reader of the report first asks for that kind
+(``_monotone_sat``, ``_monotone_equivalent``).  Either path writes its
+statuses as digits into a ``bytearray`` and packs it once.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -37,7 +31,7 @@ from __future__ import annotations
 import random
 from functools import cache, cached_property
 from itertools import repeat
-from operator import and_, not_
+from operator import and_
 from typing import NamedTuple
 
 from .core import LcnfFormula
@@ -132,73 +126,61 @@ def random_lcnf(seed: int, profile: GenerationProfile | None = None) -> LcnfForm
     return LcnfFormula.from_clauses(clauses, labelling)
 
 
-# family -> (status list, wanted value, minimal): the members are the label
-# sets whose status has the wanted value while no one-label neighbour below
-# (minimal) or above (maximal) has it.  Equivalence is upward-closed and
-# satisfiability downward-closed, so the neighbours decide.
+# family -> (packed statuses, wanted value, minimal): the members are the
+# label sets whose status has the wanted value while no one-label neighbour
+# below (minimal) or above (maximal) has it.  Equivalence is upward-closed
+# and satisfiability downward-closed, so the neighbours decide.
 _FAMILIES = {
-    "lmes": ("equivalent_statuses", True, True),
-    "lmus": ("sat_statuses", False, True),
-    "lmns": ("equivalent_statuses", False, False),
-    "lmss": ("sat_statuses", True, False),
+    "lmes": ("equivalent_bits", True, True),
+    "lmus": ("sat_bits", False, True),
+    "lmns": ("equivalent_bits", False, False),
+    "lmss": ("sat_bits", True, False),
 }
 
 
 class AnalysisReport:
     """Complete subset classification of one formula.
 
-    ``sat_statuses`` and ``equivalent_statuses`` hold one bool per label
-    mask of the formula (``LcnfFormula.label_bits``): is that subset's
-    subformula satisfiable, is it equivalent to the whole.  LMUS, LMSS,
-    co-LMSS and ``satisfiable`` read only the first; LMES, LMNS, co-LMNS
-    and ``empty_lmes`` only the second; ``classification`` (label subset
-    -> status) both.  The truth tables give both lists at once
-    (``tables``); on the oracle path each is computed by its own monotone
-    pass on the shared ``oracle`` when first read, so a command pays only
-    for the kind it reads.  Everything else
-    is also built when first read.  Maximal non-equivalent sets exist
-    unless every subformula is equivalent, maximal satisfiable sets unless
-    the unlabelled clauses are unsatisfiable; ``empty_lmes`` says the empty
-    subformula is already equivalent, so the minimal family is {{}}.
+    ``sat_bits`` and ``equivalent_bits`` pack the statuses of the 2^k label
+    masks of the formula (``LcnfFormula.label_bits``) into one int each:
+    bit m says whether mask m's subformula is satisfiable, or equivalent to
+    the whole.  LMUS, LMSS, co-LMSS and ``satisfiable`` read only the
+    first; LMES, LMNS, co-LMNS and ``empty_lmes`` only the second;
+    ``classification`` (label subset -> status) both.  The truth tables
+    give both at once (as ``tables``); on the oracle path each is made by
+    its own monotone pass on the shared ``oracle`` when first read, so a
+    command pays only for the kind it reads.  Each family is a
+    ``SetFamily`` of masks, which makes label sets only when they are
+    read.  Everything else is also built when first read.  Maximal
+    non-equivalent sets exist unless every subformula is equivalent,
+    maximal satisfiable sets unless the unlabelled clauses are
+    unsatisfiable; ``empty_lmes`` says the empty subformula is already
+    equivalent, so the minimal family is {}.
     """
 
     def __init__(self, formula: LcnfFormula, tables: tuple | None = None):
         self.formula = formula
-        # (sat_statuses, equivalent_statuses) from truth tables; None on the oracle path
-        self.tables = tables
+        if tables is not None:  # (sat_bits, equivalent_bits)
+            self.sat_bits, self.equivalent_bits = tables
 
-    @property
-    def active_labels(self) -> frozenset:
-        return self.formula.active_labels
-
-    @cached_property
-    def oracle(self) -> LcnfOracle:
-        return LcnfOracle(self.formula)
-
-    @cached_property
-    def sat_statuses(self) -> list:
-        if self.tables is not None:
-            return self.tables[0]
-        return _monotone_sat(self.oracle)
-
-    @cached_property
-    def equivalent_statuses(self) -> list:
-        if self.tables is not None:
-            return self.tables[1]
-        return _monotone_equivalent(self.oracle)
+    active_labels = property(lambda self: self.formula.active_labels)
+    oracle = cached_property(lambda self: LcnfOracle(self.formula))
+    sat_bits = cached_property(lambda self: _monotone_sat(self.oracle))
+    equivalent_bits = cached_property(lambda self: _monotone_equivalent(self.oracle))
 
     def _extremal(self, name: str) -> SetFamily:
         statuses, wanted, minimal = _FAMILIES[name]
-        # bit m of ``has`` is whether mask m's status has the wanted value
-        has = int(bytes(getattr(self, statuses))[::-1].translate(_DIGITS[wanted]), 2)
+        k = len(self.formula.label_bits)
+        has = getattr(self, statuses)  # bit m: mask m's status has the wanted value
+        if not wanted:
+            has ^= (1 << (1 << k)) - 1
         blocked = 0  # the masks with a wanted one-label neighbour below or above
-        for b, pattern in enumerate(_label_patterns(len(self.active_labels))):
+        for b, pattern in enumerate(_label_patterns(k)):
             if minimal:
                 blocked |= has << (1 << b) & pattern
             else:
                 blocked |= has >> (1 << b) & ~pattern
-        members = _subsets(has & ~blocked, self.formula)
-        return SetFamily(members, self.active_labels)
+        return SetFamily.from_masks(_set_bits(has & ~blocked), tuple(self.formula.label_bits))
 
     lmes = cached_property(lambda self: self._extremal("lmes"))
     lmus = cached_property(lambda self: self._extremal("lmus"))
@@ -206,26 +188,35 @@ class AnalysisReport:
     lmss = cached_property(lambda self: self._extremal("lmss"))
     colmns = cached_property(lambda self: self.lmns.complements())
     colmss = cached_property(lambda self: self.lmss.complements())
-    satisfiable = property(lambda self: self.sat_statuses[-1])
-    empty_lmes = property(lambda self: self.equivalent_statuses[0])
+    # the full mask's bit is the top one of 2^k
+    satisfiable = property(lambda self: self.sat_bits.bit_length() == 1 << len(self.active_labels))
+    empty_lmes = property(lambda self: bool(self.equivalent_bits & 1))
     lmns_exists = property(lambda self: bool(self.lmns))
     lmss_exists = property(lambda self: bool(self.lmss))
 
     @cached_property
     def classification(self) -> dict:
-        statuses = zip(self.sat_statuses, self.equivalent_statuses)
-        return {self.formula.labels_in(m): SubsetStatus(*st) for m, st in enumerate(statuses)}
+        width = f"0{1 << len(self.active_labels)}b"
+        sat, equivalent = (format(b, width)[::-1] for b in (self.sat_bits, self.equivalent_bits))
+        return {
+            self.formula.labels_in(m): SubsetStatus(s == "1", e == "1")
+            for m, (s, e) in enumerate(zip(sat, equivalent))
+        }
 
 
-def _has_neighbour(values: list, mask: int, flips: int, value: bool) -> bool:
-    """Whether ``values`` holds ``value`` at ``mask`` with one bit of ``flips`` flipped."""
-    while flips and values[mask ^ (flips & -flips)] != value:
+def _has_neighbour(digits: bytearray, mask: int, flips: int, value: int) -> bool:
+    """Whether ``digits`` holds ``value`` at ``mask`` with one bit of ``flips`` flipped."""
+    while flips and digits[mask ^ (flips & -flips)] != value:
         flips &= flips - 1
     return flips != 0
 
 
-# status byte (0 or 1) -> binary digit, for the wanted value True or False
-_DIGITS = {True: bytes.maketrans(b"\0\1", b"01"), False: bytes.maketrans(b"\0\1", b"10")}
+_ZERO, _ONE = b"01"  # a status, as the digit it is written in before packing
+
+
+def _packed(digits: bytearray) -> int:
+    """The int whose bit m is ``digits[m]``, an ASCII "0" or "1"."""
+    return int(digits[::-1], 2)
 
 
 @cache
@@ -244,13 +235,13 @@ def _label_patterns(k: int) -> tuple:
     return tuple(patterns)
 
 
-def _subsets(bits: int, phi: LcnfFormula) -> list:
-    """The label sets of ``phi``'s masks m whose bit m is set in ``bits``."""
+def _set_bits(bits: int) -> list:
+    """The positions of the set bits of ``bits``, ascending."""
     digits = format(bits, "b")[::-1]
     out = []
     m = digits.find("1")
     while m >= 0:
-        out.append(phi.labels_in(m))
+        out.append(m)
         m = digits.find("1", m + 1)
     return out
 
@@ -299,7 +290,7 @@ def _subset_ands(base, groups, bits):
 
 
 def _classify_truth_tables(phi):
-    """Both status lists of every subset, by a sparse subset-AND transform.
+    """Both packed statuses of every subset, by a sparse subset-AND transform.
 
     Clauses with the same label mask (``LcnfFormula.label_masks``) are
     merged into one group, their model sets ANDed.  Each one-label-smaller
@@ -345,7 +336,7 @@ def _classify_truth_tables(phi):
     spread = [0]  # the label mask of each low free-bit mask
     for b in free[:bits]:
         spread += [m | 1 << b for m in spread]
-    equivalent = [False] * (1 << k)
+    digits = bytearray(b"0") * (1 << k)  # the equivalence statuses, packed once
     for high in range(0, 1 << len(free), low + 1):
         base = universe
         lows = []
@@ -358,13 +349,15 @@ def _classify_truth_tables(phi):
         table = _subset_ands(base, lows, bits)
         offset = fixed | sum(1 << b for i, b in enumerate(free) if high >> i & 1)
         for m, models in zip(spread, table):
-            equivalent[offset | m] = models == full
-    sat = [True] * (1 << k) if full else list(map(not_, equivalent))
-    return sat, equivalent
+            if models == full:
+                digits[offset | m] = _ONE
+    equivalent = _packed(digits)
+    everything = (1 << (1 << k)) - 1
+    return (everything if full else everything ^ equivalent), equivalent
 
 
 def _monotone_sat(oracle):
-    """Whether each subset is satisfiable, by monotonicity and ``oracle``.
+    """The packed satisfiability statuses, by monotonicity and ``oracle``.
 
     Satisfiability is downward-closed: when the whole formula is satisfiable
     every subset is, and otherwise, walking subsets before supersets, a
@@ -373,17 +366,17 @@ def _monotone_sat(oracle):
     the oracle reads in the formula's numbering.
     """
     full = (1 << len(oracle.formula.label_bits)) - 1
-    sat = [True] * (full + 1)
-    if not oracle.is_sat_induced(full):
-        for mask in range(full):
-            decided = _has_neighbour(sat, mask, mask, False)
-            sat[mask] = not decided and oracle.is_sat_induced(mask)
-        sat[full] = False
-    return sat
+    if oracle.is_sat_induced(full):
+        return (1 << (full + 1)) - 1
+    digits = bytearray(b"0") * (full + 1)
+    for mask in range(full):
+        if not _has_neighbour(digits, mask, mask, _ZERO) and oracle.is_sat_induced(mask):
+            digits[mask] = _ONE
+    return _packed(digits)
 
 
 def _monotone_equivalent(oracle):
-    """Whether each subset is equivalent to the whole, by monotonicity and ``oracle``.
+    """The packed equivalence statuses, by monotonicity and ``oracle``.
 
     Equivalence is upward-closed: walking supersets before subsets, a subset
     with a non-equivalent one-label superset is non-equivalent.  A subset S
@@ -396,16 +389,15 @@ def _monotone_equivalent(oracle):
     of those checks with no solve.
     """
     full = (1 << len(oracle.formula.label_bits)) - 1
-    equivalent = [True] * (full + 1)
+    digits = bytearray(b"1") * (full + 1)
     oracle.record_subsumers()
     for mask in range(full - 1, -1, -1):
         absent = full ^ mask
-        if _has_neighbour(equivalent, mask, absent, False):
-            equivalent[mask] = False
-        else:
-            within = mask | (absent & -absent)
-            equivalent[mask] = oracle.is_equivalent_subformula(mask, within)
-    return equivalent
+        if _has_neighbour(digits, mask, absent, _ZERO) or not oracle.is_equivalent_subformula(
+            mask, mask | (absent & -absent)
+        ):
+            digits[mask] = _ZERO
+    return _packed(digits)
 
 
 def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> AnalysisReport:
@@ -414,20 +406,13 @@ def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> Anal
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
     guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
     ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables both
-    status lists come from truth tables before this returns: the k wholes
-    less one label decide every subset that lacks an irredundant label,
-    and a sparse subset-AND transform over the clauses grouped by label set
-    builds the rest, the supersets of the irredundant labels, over chunks of
-    at most ``TRUTH_TABLE_CHUNK`` subsets so that memory stays bounded.
-    Larger formulas are classified by one oracle, and each status
-    kind only when a reader of the report first asks for it
-    (``AnalysisReport``): LMUS and LMSS need only satisfiability, LMES, LMNS
-    and the duality check only equivalence.  Monotonicity reads most statuses off a one-label
-    neighbour's: a satisfiable formula costs one satisfiability solve, and a
-    subset is queried for equivalence only when every one-label superset is
-    equivalent, and then only on the clauses of one absent label; a clause
-    that an earlier query's entailment answer, or a subsuming clause,
-    already decides costs no solve.  Both paths run in one process.
+    status kinds come from truth tables before this returns
+    (``_classify_truth_tables``), over chunks of at most
+    ``TRUTH_TABLE_CHUNK`` subsets so that memory stays bounded.  Larger
+    formulas are classified by one oracle, and each status kind only when
+    a reader of the report first asks for it (``AnalysisReport``): LMUS and
+    LMSS need only satisfiability, LMES, LMNS and the duality check only
+    equivalence.  Both paths run in one process.
     """
     k = len(phi.active_labels)
     if k > max_labels:

@@ -13,11 +13,14 @@ single element.  This is what ``is_irreducible_hitting_set`` checks.  For a
 set that hits every member, irreducible and inclusion-minimal coincide.  A
 set whose element has lost its private member never regains one as the set
 grows, so the enumeration prunes such sets at once and reaches only minimal
-hitting sets.
+hitting sets.  It is an MMCS search over ints: a family (``SetFamily``) is a
+list of label masks, and stays one through dualization and comparison until
+the API or the CLI reads its label sets.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .analysis import duality_obstacle
@@ -28,38 +31,53 @@ if TYPE_CHECKING:  # pragma: no cover
     from .bruteforce import AnalysisReport
 
 
-def _canonical(sets: Iterable[frozenset]) -> list[frozenset]:
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
-
-
 class SetFamily:
     """An unordered family of label sets over a universe.
 
-    Equality and hashing consider the members only; iteration is in a
-    canonical order (members sorted as tuples of sorted labels).
+    The members are distinct int masks, ``masks``, over ``labels``, the
+    sorted universe: bit i is the i-th smallest label, as in the formula's
+    ``label_bits``.  ``from_masks`` makes a family of masks as they are,
+    and ``members``, one frozenset per member, is built only when first
+    read.  Equality and hashing consider the members only; iteration is in
+    a canonical order (members sorted as tuples of sorted labels).
     """
 
     def __init__(self, members: Iterable[Iterable[int]], universe: Iterable[int] | None = None):
         self.members = frozenset(frozenset(int(l) for l in m) for m in members)
         if universe is None:
-            self.universe = frozenset().union(*self.members) if self.members else frozenset()
+            universe = frozenset().union(*self.members)
         else:
-            self.universe = frozenset(int(l) for l in universe)
+            universe = frozenset(int(l) for l in universe)
         for m in self.members:
-            if not m <= self.universe:
+            if not m <= universe:
                 raise ValueError(f"member {sorted(m)} is not within the universe")
+        self.labels = tuple(sorted(universe))
+        bits = {l: 1 << i for i, l in enumerate(self.labels)}
+        self.masks = [sum(bits[l] for l in m) for m in self.members]
+
+    @classmethod
+    def from_masks(cls, masks: list, labels: tuple) -> "SetFamily":
+        """The family of the distinct ``masks`` over the sorted ``labels``."""
+        family = cls.__new__(cls)
+        family.masks, family.labels = masks, labels
+        return family
+
+    universe = property(lambda self: frozenset(self.labels))
+    members = cached_property(lambda self: frozenset(map(frozenset, self.canonical())))
 
     def __iter__(self):
-        return iter(_canonical(self.members))
+        return map(frozenset, self.canonical())
 
     def __len__(self):
-        return len(self.members)
+        return len(self.masks)
 
     def __contains__(self, labels):
         return frozenset(labels) in self.members
 
     def __eq__(self, other):
         if isinstance(other, SetFamily):
+            if self.labels == other.labels:
+                return set(self.masks) == set(other.masks)
             return self.members == other.members
         if isinstance(other, (set, frozenset)):
             return self.members == frozenset(frozenset(m) for m in other)
@@ -70,11 +88,13 @@ class SetFamily:
 
     def canonical(self) -> list[list[int]]:
         """Members as sorted lists, in canonical family order."""
-        return [sorted(m) for m in self]
+        labels = self.labels
+        return sorted([l for i, l in enumerate(labels) if m >> i & 1] for m in self.masks)
 
     def complements(self) -> "SetFamily":
         """The family of member complements within the universe."""
-        return SetFamily((self.universe - m for m in self.members), self.universe)
+        full = (1 << len(self.labels)) - 1
+        return SetFamily.from_masks([full ^ m for m in self.masks], self.labels)
 
     def __repr__(self):
         body = ", ".join("{" + " ".join(map(str, m)) + "}" for m in self.canonical())
@@ -103,12 +123,14 @@ def enumerate_minimal_hitting_sets(
 ) -> SetFamily:
     """All irreducible hitting sets of a family of finite integer sets.
 
-    An MMCS-style search (Murakami & Uno, 2014) that reaches only minimal
-    sets, each once: it branches on the unhit member with the fewest
-    candidates, tries them in numeric order, drops each tried one from the
-    candidates of its later siblings, and prunes a partial set as soon as one
-    of its elements has no private member.  The empty family has the single
-    hitting set {} and a family containing the empty set has none.
+    An MMCS search (Murakami & Uno, 2014) over int masks that reaches only
+    minimal sets, each once: it branches on the unhit member with the
+    fewest candidates, tries them in numeric order, drops each tried one
+    from the candidates of its later siblings, and prunes a partial set as
+    soon as one of its elements has no private member.  Sets are masks
+    over the family's ``labels``, and sets of members are masks over the
+    members.  The empty family has the single hitting set {} and a family
+    containing the empty set has none.
 
     Raises ResourceLimitError when more than ``limit`` minimal sets are found,
     and ValueError when ``limit`` is negative.
@@ -116,36 +138,37 @@ def enumerate_minimal_hitting_sets(
     if limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     family = _as_family(family)
-    universe = family.universe
-    if frozenset() in family.members:
-        return SetFamily([], universe)
-    # member i is bit i of a mask; hits[e] masks the members that contain e
-    members = list(family.members)
-    hits = {e: sum(1 << i for i, m in enumerate(members) if e in m) for e in universe}
-    found: list[frozenset] = []
+    members, k = family.masks, len(family.labels)
+    if 0 in members:
+        return SetFamily.from_masks([], family.labels)
+    # element bit e -> the members holding it, member i as bit i
+    hits = [sum(1 << i for i, m in enumerate(members) if m >> e & 1) for e in range(k)]
+    found: list[int] = []
 
-    def descend(private: dict, unhit: int, candidates: frozenset):
-        # private: each chosen element -> the members it alone hits (never 0)
+    def descend(chosen: int, private: list, unhit: int, candidates: int):
+        # private: per chosen element, the members it alone hits (never 0)
         if not unhit:
-            found.append(frozenset(private))
+            found.append(chosen)
             if len(found) > limit:
                 raise ResourceLimitError(
                     f"hitting set enumeration exceeded the output limit of {limit}"
                 )
             return
-        member = min(
-            (m for i, m in enumerate(members) if unhit >> i & 1),
-            key=lambda m: len(m & candidates),
+        branch = min(
+            (m & candidates for i, m in enumerate(members) if unhit >> i & 1),
+            key=int.bit_count,
         )
-        branch = sorted(member & candidates)
-        for i, e in enumerate(branch):
-            kept = {f: p & ~hits[e] for f, p in private.items()}
-            if all(kept.values()):
-                kept[e] = unhit & hits[e]
-                descend(kept, unhit & ~hits[e], candidates.difference(branch[: i + 1]))
+        while branch:
+            e = branch & -branch
+            branch ^= e
+            candidates ^= e
+            h = hits[e.bit_length() - 1]
+            kept = [p & ~h for p in private]
+            if all(kept):
+                descend(chosen | e, [*kept, unhit & h], unhit & ~h, candidates)
 
-    descend({}, (1 << len(members)) - 1, universe)
-    return SetFamily(found, universe)
+    descend(0, [], (1 << len(members)) - 1, (1 << k) - 1)
+    return SetFamily.from_masks(found, family.labels)
 
 
 class DualityVerdict(NamedTuple):
@@ -166,13 +189,7 @@ class DualityVerdict(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return bool(
-            self.applicable
-            and self.colmns_from_lmes
-            and self.lmes_from_colmns
-            and self.union_intersection
-            and self.complements_consistent
-        )
+        return bool(self.applicable and all(self.checks().values()))
 
     def checks(self) -> dict:
         return {
@@ -196,40 +213,38 @@ def verify_duality(phi: LcnfFormula, ground_truth: "AnalysisReport") -> DualityV
     non-equivalent family; and each member C of the complement family is
     read against the per-subset statuses, which must say that the active
     labels minus C are not equivalent while adding back any one label of C
-    makes them equivalent.
+    makes them equivalent.  All of it reads label masks until the verdict
+    names the union and the intersection.
     """
+    full = (1 << len(phi.label_bits)) - 1
     lmes = ground_truth.lmes
-    reason = duality_obstacle(
-        phi, lambda: bool(reduce(frozenset.__and__, lmes.members))
-    )
+    reason = duality_obstacle(phi, lambda: reduce(and_, lmes.masks, full) != 0)
     if reason is not None:
         return DualityVerdict(False, reason, None, None, None, None)
-    active = phi.active_labels
     lmns = ground_truth.lmns
     colmns = ground_truth.colmns
 
-    a = enumerate_minimal_hitting_sets(lmes).members == colmns.members
-    b = enumerate_minimal_hitting_sets(colmns).members == lmes.members
-    union = frozenset().union(*lmes.members) if lmes.members else frozenset()
-    inter = reduce(frozenset.__and__, lmns.members) if lmns.members else active
-    c = union == active - inter
+    a = enumerate_minimal_hitting_sets(lmes) == colmns
+    b = enumerate_minimal_hitting_sets(colmns) == lmes
+    union = reduce(or_, lmes.masks, 0)
+    inter = reduce(and_, lmns.masks, full)
+    c = union == full ^ inter
     d = _complements_consistent(ground_truth)
-    return DualityVerdict(True, None, a, b, c, d, union, inter)
+    return DualityVerdict(True, None, a, b, c, d, phi.labels_in(union), phi.labels_in(inter))
 
 
 def _complements_consistent(report: "AnalysisReport") -> bool:
     """Whether every co-LMNS member complements a maximal non-equivalent set.
 
-    Read off ``report.equivalent_statuses`` (one bool per label mask of
-    the formula), not off the families, so the check never asks for the
-    satisfiability statuses.
+    Read off ``report.equivalent_bits`` (bit m: is label mask m of the
+    formula equivalent), not off the families, so the check never asks
+    for the satisfiability statuses.
     """
-    phi = report.formula
-    bits = phi.label_bits
-    full = phi.mask_of(phi.active_labels)
-    equivalent = report.equivalent_statuses
-    for member in report.colmns.members:
-        mask = full ^ phi.mask_of(member)
-        if equivalent[mask] or not all(equivalent[mask | bits[l]] for l in member):
-            return False
-    return True
+    k = len(report.formula.label_bits)
+    full = (1 << k) - 1
+    digits = format(report.equivalent_bits, f"0{full + 1}b")[::-1]  # digit m: mask m
+    return all(
+        digits[full ^ c] == "0"
+        and all(digits[(full ^ c) | 1 << b] == "1" for b in range(k) if c >> b & 1)
+        for c in report.colmns.masks
+    )

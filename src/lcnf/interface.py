@@ -435,7 +435,7 @@ def _cmd_enum(args) -> int:
         raise PreconditionError(REASON_ALL_REDUNDANT)
     if args.family in ("lmss", "colmss") and not report.lmss_exists:
         raise PreconditionError(REASON_UNSAT_UNLABELLED)
-    _emit_sets(args, phi, args.family, getattr(report, args.family).members)
+    _emit_sets(args, phi, args.family, getattr(report, args.family).canonical())
     return EXIT_OK
 
 

@@ -118,12 +118,17 @@ def thirteen_variables(*extra):
 
 
 def truth_table_statuses(phi):
-    """(sat_statuses, equivalent_statuses) of ``phi`` from its truth tables."""
+    """(sat_bits, equivalent_bits) of ``phi`` from its truth tables."""
     return bruteforce._classify_truth_tables(phi)
 
 
 def statuses(report):
-    return report.sat_statuses, report.equivalent_statuses
+    return report.sat_bits, report.equivalent_bits
+
+
+def packed(values):
+    """The int whose bit m is the m-th bool of ``values``."""
+    return int("".join("1" if v else "0" for v in reversed(values)), 2)
 
 
 def neighbour_walk(statuses, wanted, minimal, active):
@@ -157,16 +162,16 @@ def status_lists(rng):
 
 def test_family_reads_match_a_one_neighbour_walk():
     # the bit-parallel family read of AnalysisReport against a per-mask walk
-    # of one-label neighbours, for all four families and either status list;
-    # the report's formula holds one unit clause per label, so its active
-    # labels are ``active``
+    # of one-label neighbours, for all four families and either status list,
+    # each packed into the report's ints; the report's formula holds one
+    # unit clause per label, so its active labels are ``active``
     rng = random.Random(17)
     for n, (active, listed) in enumerate(status_lists(rng)):
         flipped = [not s for s in listed]
         phi = LcnfFormula.from_clauses([(1,)] * len(active), [(l,) for l in active])
-        report = AnalysisReport(phi, (listed, flipped))
+        report = AnalysisReport(phi, (packed(listed), packed(flipped)))
         for name, (kind, wanted, minimal) in bruteforce._FAMILIES.items():
-            values = listed if kind == "sat_statuses" else flipped
+            values = listed if kind == "sat_bits" else flipped
             expected = neighbour_walk(values, wanted, minimal, active)
             assert getattr(report, name).members == expected, (n, name)
 
@@ -241,7 +246,7 @@ def test_each_read_runs_only_its_own_pass(monkeypatch):
                 where = f"seed {seed}, {getattr(read, '__name__', read)}"
                 assert queries[other] == 0, where
                 assert queries[kind] > 0 or not phi.active_labels, where
-                assert getattr(report, f"{kind}_statuses") == truth[kind], where
+                assert getattr(report, f"{kind}_bits") == truth[kind], where
 
 
 def test_cli_lmus_refusal_on_the_oracle_path_costs_one_solve(tmp_path, monkeypatch):
@@ -449,7 +454,7 @@ def test_truth_tables_run_only_over_supersets_of_the_fixed_labels(monkeypatch):
     sat = LcnfFormula.from_clauses([(1,), (2,)] + [(3, 4)] * 6, [(l,) for l in range(1, 9)])
     report = classify_all(sat)
     assert built == [1 << (8 - 2)]
-    assert report.sat_statuses == [True] * (1 << 8)
+    assert report.sat_bits == (1 << (1 << 8)) - 1
     assert report.lmes == {frozenset({1, 2, l}) for l in range(3, 9)}
     # unsatisfiable, 7 labels: (1), (-1 v 2) and (-2) under 1, 2 and 3 form
     # the one LMUS, and (3 v 4) under each of 4..7 lies in none

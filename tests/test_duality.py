@@ -5,7 +5,7 @@ import pytest
 
 from lcnf.analysis import duality_preconditions
 from lcnf.bruteforce import classify_all, random_lcnf
-from lcnf.core import LcnfFormula
+from lcnf.core import Clause, LcnfFormula
 from lcnf.duality import (
     DualityVerdict,
     SetFamily,
@@ -15,7 +15,7 @@ from lcnf.duality import (
 )
 from lcnf.errors import ResourceLimitError
 
-from conftest import WORKED_COLMNS, WORKED_LMES, WORKED_LMNS
+from conftest import WORKED_COLMNS, WORKED_LMES, WORKED_LMNS, run_cli
 
 
 def test_set_family_canonical_order():
@@ -131,6 +131,49 @@ def test_hitting_set_enumeration_is_sound_complete_and_involutive():
         assert twice.members == frozenset(minimal)
 
 
+def test_mask_search_matches_a_subset_scan_on_sparse_labels():
+    # labels from 0 to 60, so bit i of a mask is the i-th smallest label and
+    # not label i; the reference is the frozenset scan of
+    # is_irreducible_hitting_set over every subset of the universe.  Each
+    # family goes in as a list, a plain SetFamily and one built from masks
+    rng = random.Random(23)
+    with_zero = above_bits = nontrivial = 0
+    for n in range(400):
+        universe = sorted(rng.sample(range(61), rng.randint(1, 7)))
+        if n % 2:
+            universe = sorted({0, *universe[1:]})
+        members = [
+            frozenset(rng.sample(universe, rng.randint(0 if n % 25 == 0 else 1, len(universe))))
+            for _ in range(rng.randint(0, 6))
+        ]
+        direct = set()
+        for mask in range(1 << len(universe)):
+            cand = frozenset(l for i, l in enumerate(universe) if mask >> i & 1)
+            if is_irreducible_hitting_set(cand, members):
+                direct.add(cand)
+        distinct = sorted(set(members), key=sorted)
+        masks = [sum(1 << universe.index(l) for l in m) for m in distinct]
+        inputs = (
+            members,
+            SetFamily(members, universe),
+            SetFamily.from_masks(masks, tuple(universe)),
+        )
+        for family in inputs:
+            fam = enumerate_minimal_hitting_sets(family)
+            where = (n, universe, distinct, type(family).__name__)
+            assert fam.members == frozenset(direct), where
+            assert len(fam) == len(direct) == len(set(fam.masks)), where
+            # the limit counts minimal sets: it trips at one more than it allows
+            assert enumerate_minimal_hitting_sets(family, limit=len(direct)) == fam, where
+            if direct:
+                with pytest.raises(ResourceLimitError):
+                    enumerate_minimal_hitting_sets(family, limit=len(direct) - 1)
+        with_zero += 0 in universe and any(0 in h for h in direct)
+        above_bits += universe[-1] >= len(universe)
+        nontrivial += len(direct) >= 3
+    assert with_zero >= 100 and above_bits >= 350 and nontrivial >= 100
+
+
 def test_verify_duality_passes_on_worked_example(worked_example):
     verdict = verify_duality(worked_example, classify_all(worked_example))
     assert verdict.applicable
@@ -168,6 +211,19 @@ def test_verify_duality_random_corpus():
     assert passed >= 60
 
 
+def test_duality_gate_builds_no_clause_objects(tmp_path, monkeypatch):
+    # the gate asks whether some row has label mask 0, so verify-duality on
+    # a formula with an unlabelled clause makes no Clause object at all
+    def refuse(*args):
+        raise AssertionError("a Clause object was built")
+
+    monkeypatch.setattr(Clause, "_of_row", classmethod(refuse))
+    path = tmp_path / "gate.lcnf"
+    path.write_text("p lcnf 2 3\n{} 1 0\n{1} 1 2 0\n{2} 2 0\n")
+    code, out = run_cli("verify-duality", str(path))
+    assert (code, out.splitlines()[-1]) == (0, "result: pass")
+
+
 def test_complements_consistent_reads_the_statuses(worked_example):
     report = classify_all(worked_example)
     lmes, lmns, colmns = report.lmes, report.lmns, report.colmns  # cached from here on
@@ -175,7 +231,9 @@ def test_complements_consistent_reads_the_statuses(worked_example):
     active = sorted(report.active_labels)
     member = next(iter(colmns))
     mask = sum(1 << i for i, l in enumerate(active) if l not in member)
-    report.equivalent_statuses[mask] = True
+    # the check reads the packed statuses: set the bit of mask, a non-equivalent set
+    assert not report.equivalent_bits >> mask & 1
+    report.equivalent_bits |= 1 << mask
     verdict = verify_duality(worked_example, report)
     assert verdict.applicable
     assert not verdict.complements_consistent

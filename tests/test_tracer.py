@@ -43,6 +43,9 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     ) == originals
     counts = tracer.counts
     assert counts["duality.verify"] == 1 and counts["bruteforce.classify"] == 1
+    # verify_duality dualizes twice by the public name the tracer wraps; a
+    # call routed around it would zero the duality.hitting_set_calls metric
+    assert counts["duality.hitting_sets"] == 2
     assert counts["oracle.build"] == 0
     assert counts["duality.precondition_solves"] == 0
 
