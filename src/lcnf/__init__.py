@@ -27,7 +27,7 @@ from .bruteforce import (
     classify_all,
     random_lcnf,
 )
-from .core import Clause, LcnfFormula, label
+from .core import LcnfFormula, label
 from .duality import (
     DualityVerdict,
     SetFamily,
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "Clause",
     "DualityVerdict",
     "GenerationProfile",
     "LcnfError",

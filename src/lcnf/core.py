@@ -1,17 +1,18 @@
 """Labelled CNF data model.
 
-A labelled CNF formula pairs a CNF formula (an ordered multi-set of clauses)
-with a total labelling function mapping every clause to a finite set of
-integer labels.  Subformulas are obtained by removing labels, never individual
-clauses: the subformula induced by a label set L keeps exactly the clauses
-whose labels all lie in L.  Clauses with an empty label set are unlabelled and
-survive in every subformula.
+A labelled CNF formula is a clause list, an ordered multi-set of clauses,
+with a total labelling function that maps every clause to a finite set of
+integer labels.  Subformulas are obtained by removing labels, never
+individual clauses: the subformula induced by a label set L keeps exactly
+the clauses whose labels all lie in L.  Clauses with an empty label set are
+unlabelled and survive in every subformula.
 
-A formula stores one row per clause: its literals as a tuple, distinct and
-in the canonical order of ``sort_literals`` (by variable, the positive one
-first), and its labels as a frozenset.  A clause is checked once, when its
-row is made (literal 0, a complementary pair, a negative label); the
-oracle, the truth tables and ``label`` read rows as they are.
+``LcnfFormula`` is its rows and nothing more: one ``(literals, labels)``
+row per clause, in clause order.  The literals are a tuple, distinct and in
+the canonical order of ``sort_literals`` (by variable, the positive one
+first); the labels are a frozenset.  A clause is checked once, when its row
+is made (literal 0, a complementary pair, a negative label); the oracle,
+the truth tables, the serializers and ``label`` read rows as they are.
 
 Below the public API a label set is an int mask, bit i for the i-th
 smallest active label (``label_bits``).  The formula owns that numbering:
@@ -26,11 +27,7 @@ explicit label sets.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import neg
-from typing import Iterable, NamedTuple
-
-Label = int
-LabelSet = frozenset  # frozenset[int]
+from typing import Iterable
 
 _SCHEMES = ("clause", "variable", "literal")
 
@@ -41,57 +38,31 @@ def sort_literals(literals: Iterable[int]) -> tuple:
     return tuple(sorted(sorted(literals, reverse=True), key=abs))
 
 
-def _checked_literals(literals: Iterable[int], index: int) -> frozenset:
-    """The literals of clause ``index`` as a set of ints; ValueError for a
-    literal 0 or a complementary pair."""
-    lits = frozenset(map(int, literals))
-    if 0 in lits:
-        raise ValueError("literal 0 is not allowed in a clause")
-    if not lits.isdisjoint(map(neg, lits)):
-        v = next(abs(l) for l in lits if -l in lits)
-        raise ValueError(f"clause {index} contains both {v} and its negation")
-    return lits
-
-
-# a NamedTuple body cannot define __new__, so a subclass checks the fields
-class _ClauseFields(NamedTuple):
-    literals: frozenset
-    index: int
-
-
-class Clause(_ClauseFields):
-    """A propositional clause: a set of nonzero integer literals.
-
-    ``index`` is the clause's ordinal position in its formula's clause list;
-    two syntactically identical clauses at different positions are distinct
-    occurrences (clause lists are multi-sets).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, literals: Iterable[int], index: int):
-        return tuple.__new__(cls, (_checked_literals(literals, index), index))
-
-    @classmethod
-    def _of_row(cls, literals: tuple, index: int) -> "Clause":
-        """The clause of a formula row's literals, which are already checked."""
-        return tuple.__new__(cls, (frozenset(literals), index))
-
-    @property
-    def variables(self) -> frozenset:
-        return frozenset(abs(l) for l in self.literals)
-
-    def sorted_literals(self) -> tuple:
-        return sort_literals(self.literals)
-
-    def __repr__(self):
-        body = " ".join(str(l) for l in self.sorted_literals())
-        return f"Clause({self.index}: {body})"
+def complementary_variable(literals: Iterable[int]) -> int:
+    """The variable of the first literal, in input order, whose negation came
+    before it; 0 when no variable occurs with both signs."""
+    seen = set()
+    for l in literals:
+        if -l in seen:
+            return abs(l)
+        seen.add(l)
+    return 0
 
 
 def _canonical(clauses: Iterable[Iterable[int]]) -> list[tuple]:
-    """The sorted literal tuple of each clause, checked."""
-    return [sort_literals(_checked_literals(c, i)) for i, c in enumerate(clauses)]
+    """The row literals of each clause: distinct, in the canonical order.
+    ValueError for a literal 0 or a complementary pair."""
+    rows = []
+    for i, clause in enumerate(clauses):
+        clause = list(map(int, clause))
+        lits = sort_literals(set(clause))
+        if 0 in lits:
+            raise ValueError("literal 0 is not allowed in a clause")
+        if len(set(map(abs, lits))) < len(lits):
+            v = complementary_variable(clause)
+            raise ValueError(f"clause {i} contains both {v} and its negation")
+        rows.append(lits)
+    return rows
 
 
 def _as_label_set(labels) -> frozenset:
@@ -103,23 +74,17 @@ def _as_label_set(labels) -> frozenset:
 
 
 class LcnfFormula:
-    """A labelled CNF formula.
+    """A labelled CNF formula: its ``rows``, one ``(sorted literal tuple,
+    label frozenset)`` per clause, in clause order (see the module docstring).
 
-    It keeps the rows of its clauses (see the module docstring), and makes
-    ``Clause`` objects from them when first asked for.
-
-    Instances are immutable.  ``induced`` returns a view sharing the parent's
-    rows, so clause identity (the ``index`` field) is stable across
-    subformulas.
+    Instances are immutable; ``induced`` returns a fresh formula of the rows
+    it keeps, numbered from 0 like any other.
     """
 
-    def __init__(self, rows: Iterable[tuple], *, _indices: tuple | None = None):
-        """A formula of checked ``(sorted literal tuple, label frozenset)``
-        rows; build one from unchecked input with ``from_clauses``."""
-        self._all_rows = tuple(rows)
-        if _indices is None:
-            _indices = tuple(range(len(self._all_rows)))
-        self._indices = _indices
+    def __init__(self, rows: Iterable[tuple]):
+        """A formula of checked rows; build one from unchecked input with
+        ``from_clauses``."""
+        self.rows = tuple(rows)
 
     @classmethod
     def from_clauses(
@@ -141,51 +106,20 @@ class LcnfFormula:
                 raise ValueError("labelling must assign a label set to every clause")
         return cls(zip(literals, labels))
 
-    # -- clause access ------------------------------------------------------
-
-    @cached_property
-    def rows(self) -> tuple:
-        """``(sorted literal tuple, label frozenset)`` per surviving clause,
-        in original order."""
-        rows = self._all_rows
-        if len(self._indices) == len(rows):
-            return rows
-        return tuple(rows[i] for i in self._indices)
-
-    @cached_property
-    def _all_clauses(self) -> tuple:
-        return tuple(Clause._of_row(lits, i) for i, (lits, _) in enumerate(self._all_rows))
-
-    @property
-    def clauses(self) -> tuple:
-        """Surviving clauses, in original order."""
-        return tuple(self._all_clauses[i] for i in self._indices)
-
-    def __iter__(self):
-        return iter(self.clauses)
-
     def __len__(self):
-        return len(self._indices)
+        return len(self.rows)
 
-    def labels_of(self, clause) -> frozenset:
-        """Label set of a clause (accepts a ``Clause`` or its index)."""
-        index = clause.index if isinstance(clause, Clause) else int(clause)
-        if index not in self._index_set:
+    def labels_of(self, index: int) -> frozenset:
+        """The label set of the clause at ``index``."""
+        if not 0 <= index < len(self.rows):
             raise ValueError(f"clause {index} is not part of this formula")
-        literals, labels = self._all_rows[index]
-        if isinstance(clause, Clause) and clause.literals != frozenset(literals):
-            raise ValueError(f"clause {index} does not match this formula's clause")
-        return labels
-
-    @cached_property
-    def _index_set(self) -> frozenset:
-        return frozenset(self._indices)
+        return self.rows[index][1]
 
     # -- label structure ----------------------------------------------------
 
     @cached_property
     def active_labels(self) -> frozenset:
-        """Union of the label sets of all surviving clauses."""
+        """Union of the label sets of all clauses."""
         return frozenset().union(*(ls for _, ls in self.rows))
 
     @cached_property
@@ -196,7 +130,7 @@ class LcnfFormula:
 
     @cached_property
     def label_masks(self) -> tuple:
-        """The label mask of each surviving clause, in original order."""
+        """The label mask of each clause, in clause order."""
         bits = self.label_bits
         masks = []
         for _, labels in self.rows:
@@ -219,32 +153,15 @@ class LcnfFormula:
         """The active labels whose bits ``mask`` holds."""
         return frozenset(l for l, b in self.label_bits.items() if mask & b)
 
-    @property
-    def unlabelled_clauses(self) -> tuple:
-        """Clauses with an empty label set; they survive in every subformula."""
-        return tuple(c for c, (_, ls) in zip(self.clauses, self.rows) if not ls)
-
     @cached_property
     def variables(self) -> frozenset:
         return frozenset(abs(l) for lits, _ in self.rows for l in lits)
 
-    def cnf(self) -> tuple:
-        """The CNF part: surviving clauses as frozensets of literals."""
-        return tuple(c.literals for c in self.clauses)
-
-    # -- subformulas --------------------------------------------------------
-
     def induced(self, labels: Iterable[int]) -> "LcnfFormula":
-        """The subformula induced by a label set.
-
-        Keeps exactly the surviving clauses whose label set is contained in
-        ``labels``; unlabelled clauses always survive.  ``labels`` need not be
-        a subset of the active labels.
-        """
-        want = frozenset(int(l) for l in labels)
-        rows = self._all_rows
-        kept = tuple(i for i in self._indices if rows[i][1] <= want)
-        return LcnfFormula(rows, _indices=kept)
+        """The subformula induced by a label set: the rows whose label set
+        lies in ``labels``, which need not be a subset of the active labels."""
+        want = frozenset(map(int, labels))
+        return LcnfFormula(row for row in self.rows if row[1] <= want)
 
     # -- identity -----------------------------------------------------------
 

@@ -53,7 +53,7 @@ from .analysis import (
     is_label_redundant,
 )
 from .bruteforce import DEFAULT_MAX_LABELS, classify_all
-from .core import LcnfFormula, label, sort_literals
+from .core import LcnfFormula, complementary_variable, label, sort_literals
 from .duality import verify_duality
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .oracle import LcnfOracle
@@ -130,14 +130,10 @@ def _clause(literals: list[int], lineno: int) -> tuple:
     lits = sort_literals(literals)
     if len(set(map(abs, lits))) < len(lits):
         # a literal repeated, or a complementary pair
-        seen: set[int] = set()
-        for l in literals:
-            if -l in seen:
-                raise ParseError(
-                    f"clause contains variable {abs(l)} with both signs", lineno
-                )
-            seen.add(l)
-        lits = sort_literals(seen)
+        v = complementary_variable(literals)
+        if v:
+            raise ParseError(f"clause contains variable {v} with both signs", lineno)
+        lits = sort_literals(set(literals))
     return lits
 
 
@@ -160,7 +156,7 @@ def parse_dimacs(text: str) -> list[tuple]:
 
     Comment lines start with ``c``.  Clauses are zero-terminated and may span
     lines.  Each clause's literals come distinct and in the canonical order
-    (``sort_literals``).  Clause-count or variable-count disagreement with
+    (``sort_literals``).  A clause or variable count that disagrees with
     the header is a warning, not an error.
     """
     header, lines = _read(text, "cnf", 2)
@@ -247,50 +243,41 @@ def parse_lcnf(text: str) -> LcnfFormula:
 # serialization
 
 
-def _clause_body(literals: Iterable[int]) -> str:
-    return " ".join(str(l) for l in sort_literals(literals)) + " 0"
-
-
-def _write(kind: str, clauses, blocks: Iterable[str], *counts: int) -> str:
-    """A ``p kind`` file: the header, then each clause after its block."""
+def _write(kind: str, phi: LcnfFormula, blocks: Iterable[str], *counts: int) -> str:
+    """A ``p kind`` file: the header, then each row's literals after its block."""
+    clauses = [lits for lits, _ in phi.rows]
     max_var = max((abs(l) for c in clauses for l in c), default=0)
     header = " ".join(str(x) for x in ("p", kind, max_var, len(clauses), *counts))
-    rows = (block + _clause_body(c) for block, c in zip(blocks, clauses))
+    rows = (block + " ".join(map(str, c)) + " 0" for block, c in zip(blocks, clauses))
     return "\n".join([header, *rows]) + "\n"
 
 
 def serialize_dimacs(formula) -> str:
-    """DIMACS text for a clause list or the CNF part of a labelled formula."""
-    clauses = formula.cnf() if isinstance(formula, LcnfFormula) else [
-        tuple(c) for c in formula
-    ]
-    return _write("cnf", clauses, repeat(""))
+    """DIMACS text for a clause list or the CNF part of a labelled formula.
+    A clause list is checked as ``LcnfFormula.from_clauses`` checks it."""
+    if not isinstance(formula, LcnfFormula):
+        formula = LcnfFormula.from_clauses(formula)
+    return _write("cnf", formula, repeat(""))
 
 
 def serialize_gcnf(phi: LcnfFormula) -> str:
     """Group CNF text; requires at most one label per clause, and none 0,
     as gcnf group 0 holds the unlabelled clauses."""
     groups = []
-    for c in phi.clauses:
-        ls = phi.labels_of(c)
+    for i, (_, ls) in enumerate(phi.rows):
         if len(ls) > 1:
-            raise ValueError(
-                f"clause {c.index} has {len(ls)} labels; gcnf allows at most one"
-            )
+            raise ValueError(f"clause {i} has {len(ls)} labels; gcnf allows at most one")
         if 0 in ls:
-            raise ValueError(f"clause {c.index} has label 0; gcnf reads group 0 as unlabelled")
+            raise ValueError(f"clause {i} has label 0; gcnf reads group 0 as unlabelled")
         groups.append(next(iter(ls)) if ls else 0)
     blocks = [f"{{{g}}} " for g in groups]
-    return _write("gcnf", phi.cnf(), blocks, max(groups, default=0))
+    return _write("gcnf", phi, blocks, max(groups, default=0))
 
 
 def serialize_lcnf(phi: LcnfFormula) -> str:
     """Labelled CNF text with every clause's full label set."""
-    blocks = [
-        "{" + " ".join(str(l) for l in sorted(phi.labels_of(c))) + "} "
-        for c in phi.clauses
-    ]
-    return _write("lcnf", phi.cnf(), blocks)
+    blocks = ["{" + " ".join(map(str, sorted(ls))) + "} " for _, ls in phi.rows]
+    return _write("lcnf", phi, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +451,16 @@ def _cmd_stats(args) -> int:
     oracle = LcnfOracle(phi, conflict_budget=args.conflict_budget)
     satisfiable = oracle.is_sat_induced(phi.mask_of(phi.active_labels))
     per_label = dict(sorted(Counter(l for _, labels in phi.rows for l in labels).items()))
+    unlabelled = phi.label_masks.count(0)
     stats = {
-        "unlabelled_clauses": len(phi.unlabelled_clauses),
+        "unlabelled_clauses": unlabelled,
         "clauses_per_label": per_label,
         "satisfiable": satisfiable,
     }
     lines = [
         f"variables: {len(phi.variables)}",
         f"clauses: {len(phi)}",
-        f"unlabelled-clauses: {len(phi.unlabelled_clauses)}",
+        f"unlabelled-clauses: {unlabelled}",
         "active-labels: " + " ".join(str(l) for l in sorted(phi.active_labels)),
         *(f"label {l}: {n} clauses" for l, n in per_label.items()),
         f"status: {'SAT' if satisfiable else 'UNSAT'}",

@@ -64,7 +64,7 @@ from math import comb
 from operator import neg
 from typing import Iterable, NamedTuple
 
-from .core import Clause, LcnfFormula, sort_literals
+from .core import LcnfFormula, sort_literals
 from .errors import ResourceLimitError
 
 
@@ -896,7 +896,7 @@ class LcnfOracle:
         ``clause``.  A literal on a variable the formula lacks can always be
         made false, and a clause holding both a literal and its negation is
         always entailed; ``Solver.solve`` answers both ways."""
-        lits = sort_literals(map(int, clause.literals if isinstance(clause, Clause) else clause))
+        lits = sort_literals(map(int, clause))
         self._evidence = None
         return not self._solver.solve([-l for l in lits], self._mask(mask)).satisfiable
 

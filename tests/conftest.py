@@ -107,8 +107,7 @@ def models_of(clauses, variables):
     for bits in itertools.product((False, True), repeat=len(vs)):
         ok = True
         for c in clauses:
-            lits = c.literals if hasattr(c, "literals") else c
-            if not any(bits[index[abs(l)]] == (l > 0) for l in lits):
+            if not any(bits[index[abs(l)]] == (l > 0) for l in c):
                 ok = False
                 break
         if ok:
@@ -129,8 +128,13 @@ def sweep_formula(i):
     scheme = list(SWEEP_PROFILES)[i % 4]
     phi = random_lcnf(i, SWEEP_PROFILES[scheme])
     if scheme in ("clause", "variable"):
-        phi = label(phi.cnf(), scheme)
+        phi = label(phi, scheme)
     return phi
+
+
+def cnf(phi):
+    """The literal tuples of a formula's rows, in clause order."""
+    return [lits for lits, _ in phi.rows]
 
 
 def variables_of(clauses):

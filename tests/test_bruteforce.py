@@ -31,6 +31,7 @@ from conftest import (
     PHI_U_COLMSS,
     PHI_U_LMSS,
     PHI_U_LMUS,
+    cnf,
     models_of,
     run_cli_streams,
 )
@@ -284,16 +285,16 @@ def test_random_lcnf_respects_profile_caps():
     for seed in range(80):
         phi = random_lcnf(seed, prof)
         assert len(phi) <= 5
-        assert all(abs(l) <= 3 for c in phi for l in c.literals)
+        assert all(abs(l) <= 3 for lits, _ in phi.rows for l in lits)
         assert phi.active_labels <= frozenset({1, 2})
-        assert all(len(phi.labels_of(c)) <= 1 for c in phi)
+        assert all(len(ls) <= 1 for _, ls in phi.rows)
 
 
 def test_random_lcnf_group_profile_is_single_label():
     prof = GenerationProfile(labelling="group", clause_labels=3)
     for seed in range(40):
         phi = random_lcnf(seed, prof)
-        assert all(len(phi.labels_of(c)) <= 1 for c in phi)
+        assert all(len(ls) <= 1 for _, ls in phi.rows)
 
 
 def test_random_lcnf_zero_clause_labels_is_unlabelled():
@@ -338,12 +339,12 @@ def brute_families(phi):
     """Independent family extraction from model sets, no package helpers."""
     active = sorted(phi.active_labels)
     universe = phi.variables
-    full = models_of(phi.cnf(), universe)
+    full = models_of(cnf(phi), universe)
     status = {}
     for r in range(len(active) + 1):
         for combo in itertools.combinations(active, r):
             sub = frozenset(combo)
-            ms = models_of(phi.induced(sub).cnf(), universe)
+            ms = models_of(cnf(phi.induced(sub)), universe)
             status[sub] = (bool(ms), ms == full)
     subsets = list(status)
     lmes = {
@@ -510,7 +511,7 @@ def test_truth_table_path_makes_no_solver_call(tmp_path, monkeypatch):
     assert len(twelve.variables) == bruteforce.MODEL_ENUMERATION_LIMIT
     profile = GenerationProfile(variables=8, clauses=14, labels=6, clause_labels=3)
     formulas = [twelve] + [random_lcnf(seed, profile) for seed in range(30)]
-    assert sum(bool(phi.unlabelled_clauses) for phi in formulas) >= 5
+    assert sum(0 in phi.label_masks for phi in formulas) >= 5
     for phi in formulas:
         report = classify_all(phi)
         for name in ("lmes", "lmus", "lmns", "lmss", "colmns", "colmss",

@@ -1,30 +1,30 @@
-"""Formula representation: clauses, labelling, induced subformulas, schemes."""
+"""Formula representation: rows, labelling, induced subformulas, schemes."""
 import random
 
 import pytest
 
 from lcnf.bruteforce import GenerationProfile, random_lcnf
-from lcnf.core import Clause, LcnfFormula, label, sort_literals
+from lcnf.core import LcnfFormula, label, sort_literals
 from lcnf.oracle import LcnfOracle, Solver
 
-from conftest import WORKED_CLAUSES, WORKED_LABELS
+from conftest import WORKED_CLAUSES, WORKED_LABELS, cnf
 
 
 def test_clause_rejects_zero_literal():
-    with pytest.raises(ValueError):
-        Clause(frozenset({1, 0}), 0)
+    for make in (LcnfFormula.from_clauses, label):
+        with pytest.raises(ValueError, match="^literal 0 is not allowed in a clause$"):
+            make([(2,), (1, 0)])
 
 
 def test_clause_rejects_complementary_pair():
-    with pytest.raises(ValueError):
-        Clause(frozenset({2, -2, 3}), 0)
+    for make in (LcnfFormula.from_clauses, label):
+        with pytest.raises(ValueError, match="^clause 1 contains both 2 and its negation$"):
+            make([(1,), (2, -2, 3)])
 
 
 def test_clause_sorted_literals_by_variable_then_sign():
-    c = Clause(frozenset({-3, 1, 2}), 0)
-    assert c.sorted_literals() == (1, 2, -3)
-    c2 = Clause(frozenset({-2, 5, -4}), 1)
-    assert c2.sorted_literals() == (-2, -4, 5)
+    phi = LcnfFormula.from_clauses([(-3, 1, 2), (-2, 5, -4, 5)])
+    assert cnf(phi) == [(1, 2, -3), (-2, -4, 5)]
 
 
 def test_sort_literals_is_the_variable_then_sign_order():
@@ -38,15 +38,9 @@ def test_sort_literals_is_the_variable_then_sign_order():
 
 def test_relabelling_a_formula_reads_its_rows(worked_example):
     for scheme in ("clause", "variable", "literal"):
-        assert label(worked_example, scheme) == label(worked_example.cnf(), scheme)
+        assert label(worked_example, scheme) == label(cnf(worked_example), scheme)
     sub = worked_example.induced({1, 2})
-    assert label(sub, "clause") == label(sub.cnf(), "clause")
-
-
-def test_clause_variables():
-    c = Clause(frozenset({-3, 1}), 7)
-    assert c.variables == frozenset({1, 3})
-    assert c.index == 7
+    assert label(sub, "clause") == label(cnf(sub), "clause")
 
 
 def test_labels_rejects_negative():
@@ -57,7 +51,7 @@ def test_labels_rejects_negative():
 def test_from_clauses_defaults_to_unlabelled():
     phi = LcnfFormula.from_clauses([(1,), (2,)])
     assert phi.active_labels == frozenset()
-    assert len(phi.unlabelled_clauses) == 2
+    assert phi.rows == (((1,), frozenset()), ((2,), frozenset()))
 
 
 def test_labelling_length_mismatch():
@@ -67,29 +61,31 @@ def test_labelling_length_mismatch():
 
 def test_active_labels_and_per_label_clauses(worked_example):
     assert worked_example.active_labels == frozenset({1, 2, 3, 4})
-    assert len(worked_example.unlabelled_clauses) == 1
+    assert worked_example.label_masks.count(0) == 1
 
 
 def test_labels_of_by_clause_and_index(worked_example):
-    c4 = worked_example.clauses[3]
-    assert worked_example.labels_of(c4) == frozenset({1, 2})
+    # a clause is named by its index in the formula's rows
     assert worked_example.labels_of(3) == frozenset({1, 2})
     assert worked_example.labels_of(4) == frozenset()
+    assert [worked_example.labels_of(i) for i in range(8)] == [ls for _, ls in worked_example.rows]
 
 
-def test_labels_of_rejects_foreign_clause(worked_example):
-    other = LcnfFormula.from_clauses([(9,)])
-    with pytest.raises(ValueError):
-        worked_example.labels_of(other.clauses[0])
+def test_labels_of_refuses_an_index_out_of_range(worked_example):
+    # a negative index does not wrap round to the last row
+    for index in (-1, -8, len(worked_example)):
+        with pytest.raises(ValueError, match=f"^clause {index} is not part of this formula$"):
+            worked_example.labels_of(index)
 
 
 def test_labels_of_rejects_clause_outside_induced_subformula(worked_example):
+    # the induced formula keeps clauses 4 and 7 of its parent, as its 0 and 1
     sub = worked_example.induced({4})
-    assert sub.labels_of(7) == frozenset({4})
-    with pytest.raises(ValueError, match="clause 0 is not part of this formula"):
-        sub.labels_of(0)
-    with pytest.raises(ValueError, match="clause 0 is not part of this formula"):
-        sub.labels_of(worked_example.clauses[0])
+    assert sub.labels_of(0) == frozenset()
+    assert sub.labels_of(1) == frozenset({4})
+    for index in (2, 7, -1):
+        with pytest.raises(ValueError, match=f"^clause {index} is not part of this formula$"):
+            sub.labels_of(index)
 
 
 def test_variables(worked_example):
@@ -100,13 +96,13 @@ def test_induced_keeps_clauses_within_label_set(worked_example):
     sub = worked_example.induced({1, 2})
     # clauses 1-4 carry labels within {1,2}; clause 5 is unlabelled
     assert len(sub) == 5
-    assert all(sub.labels_of(c) <= frozenset({1, 2}) for c in sub)
+    assert all(labels <= frozenset({1, 2}) for _, labels in sub.rows)
 
 
 def test_induced_empty_set_keeps_only_unlabelled(worked_example):
     sub = worked_example.induced(frozenset())
     assert len(sub) == 1
-    assert sub.clauses[0].literals == frozenset({1, 2, 3})
+    assert sub.rows == (((1, 2, 3), frozenset()),)
 
 
 def test_induced_ignores_inactive_labels(worked_example):
@@ -119,14 +115,20 @@ def test_induced_monotone_under_label_growth(worked_example):
     for _ in range(25):
         small = frozenset(l for l in active if rng.random() < 0.4)
         big = small | frozenset(l for l in active if rng.random() < 0.4)
-        inner = {c.index for c in worked_example.induced(small)}
-        outer = {c.index for c in worked_example.induced(big)}
-        assert inner <= outer
+        # the rows of the smaller set are a subsequence of the larger's
+        outer = iter(worked_example.induced(big).rows)
+        assert all(row in outer for row in worked_example.induced(small).rows)
 
 
-def test_induced_preserves_clause_indices(worked_example):
-    sub = worked_example.induced({4})
-    assert [c.index for c in sub] == [4, 7]
+def test_induced_is_the_formula_of_the_kept_rows():
+    # a fresh formula numbered from 0: it keeps no numbering of its parent's
+    rng = random.Random(13)
+    for n, phi in enumerate(numbered_formulas()):
+        labels = frozenset(l for l in range(8) if rng.random() < 0.5)
+        kept = [(lits, ls) for lits, ls in phi.rows if ls <= labels]
+        sub = phi.induced(labels)
+        assert sub == LcnfFormula.from_clauses([c for c, _ in kept], [ls for _, ls in kept]), n
+        assert [sub.labels_of(i) for i in range(len(sub))] == [ls for _, ls in kept], n
 
 
 def test_formula_equality_is_content_based(worked_example):
@@ -136,10 +138,11 @@ def test_formula_equality_is_content_based(worked_example):
     assert worked_example.induced(worked_example.active_labels) == worked_example
 
 
-def test_cnf_returns_plain_clauses(worked_example):
-    cnf = worked_example.cnf()
-    assert len(cnf) == 8
-    assert cnf[0] == frozenset({-2})
+def test_rows_pair_sorted_literals_with_label_sets(worked_example):
+    rows = worked_example.rows
+    assert len(rows) == len(worked_example) == 8
+    assert rows[0] == ((-2,), frozenset({1}))
+    assert rows[5] == ((-1, 2), frozenset({2, 3}))
 
 
 def test_label_scheme_clause():
@@ -151,8 +154,8 @@ def test_label_scheme_clause():
 def test_label_scheme_variable():
     clauses = [(1, -3), (2,), (-1, 2, 4)]
     phi = label(clauses, "variable")
-    for c in phi:
-        assert phi.labels_of(c) == c.variables
+    for lits, labels in phi.rows:
+        assert labels == {abs(l) for l in lits}
 
 
 def test_label_scheme_literal_separates_signs():

@@ -12,7 +12,7 @@ import pytest
 import lcnf
 from lcnf.analysis import REASON_SATISFIABLE
 from lcnf.bruteforce import GenerationProfile, SubsetStatus, random_lcnf
-from lcnf.core import Clause, LcnfFormula, label
+from lcnf.core import LcnfFormula, label
 from lcnf.duality import DualityVerdict
 from lcnf.errors import ParseError
 from lcnf.interface import (
@@ -32,6 +32,7 @@ from conftest import (
     WORKED_LABELS,
     WORKED_LCNF,
     PHI_U_GCNF,
+    cnf,
     run_cli,
     run_cli_streams,
 )
@@ -143,6 +144,20 @@ def test_parsed_clauses_come_sorted_and_distinct():
         parse_dimacs("p cnf 4 1\n2 3 1\n-3 -2 0\n")
 
 
+def test_a_complementary_pair_is_named_by_the_first_literal_whose_negation_came_before():
+    # the parsers and from_clauses share one finder and keep their own
+    # messages; by input order, -2 is the first such literal, not -1
+    clause = (2, -2, 1, -1)
+    with pytest.raises(ParseError, match="^line 2: clause contains variable 2 with both signs$"):
+        parse_dimacs("p cnf 2 1\n2 -2 1 -1 0\n")
+    with pytest.raises(ParseError, match="^line 2: clause contains variable 2 with both signs$"):
+        parse_lcnf("p lcnf 2 1\n{1} 2 -2 1 -1 0\n")
+    with pytest.raises(ValueError, match="^clause 0 contains both 2 and its negation$"):
+        LcnfFormula.from_clauses([clause])
+    with pytest.raises(ValueError, match="^clause 1 contains both 1 and its negation$"):
+        label([(1,), (1, 2, -1, -2)])
+
+
 def test_minus_zero_inside_a_labelled_clause_is_refused():
     # "-0", "+0" and "00" are the integer 0, refused on their own line
     for zero in ("-0", "+0", "00"):
@@ -182,7 +197,7 @@ def test_parse_gcnf_basic():
     phi = parse_gcnf("p gcnf 1 2 1\n{0} 1 0\n{1} -1 0\n")
     assert phi.labels_of(0) == frozenset()
     assert phi.labels_of(1) == frozenset({1})
-    assert phi.cnf() == (frozenset({1}), frozenset({-1}))
+    assert cnf(phi) == [(1,), (-1,)]
 
 
 def test_parse_gcnf_all_group_zero_has_no_active_labels():
@@ -282,6 +297,20 @@ def test_parse_lcnf_rejects_clause_before_header():
 def test_serialize_dimacs_sorted_literals():
     text = serialize_dimacs([(3, -1, 2)])
     assert text == "p cnf 3 1\n-1 2 3 0\n"
+
+
+def test_serialize_dimacs_checks_a_clause_list_as_from_clauses_does():
+    # written as it stood, [1, 0] would read back as two clauses and [1, -1]
+    # not at all
+    with pytest.raises(ValueError, match="^literal 0 is not allowed in a clause$"):
+        serialize_dimacs([[1, 0]])
+    with pytest.raises(ValueError, match="^clause 0 contains both 1 and its negation$"):
+        serialize_dimacs([[1, -1]])
+    text = serialize_dimacs([[2, 1, 2, -3, 1]])
+    assert text == "p cnf 3 1\n1 2 -3 0\n"
+    assert parse_dimacs(text) == [(1, 2, -3)]
+    phi = LcnfFormula.from_clauses([[2, 1, 2, -3, 1]])
+    assert serialize_dimacs(phi) == text
 
 
 def test_serialize_lcnf_worked_example(worked_example):
@@ -626,8 +655,8 @@ def test_cli_labelling_variable_matches_clause_variables(tmp_path):
     f = tmp_path / "v.cnf"
     f.write_text("p cnf 3 3\n1 -3 0\n2 0\n-1 2 3 0\n")
     phi = label(parse_dimacs(f.read_text()), "variable")
-    for c in phi:
-        assert phi.labels_of(c) == c.variables
+    for lits, labels in phi.rows:
+        assert labels == {abs(l) for l in lits}
     code, out = run_cli("stats", "--labelling", "variable", str(f))
     assert code == 0 and "active-labels: 1 2 3" in out
 
@@ -743,7 +772,6 @@ def test_records_are_frozen_values():
     verdict = DualityVerdict(False, "reason", None, None, None, None)
     records = [  # (record, an equal one built another way, a field)
         (SatOutcome(False), SatOutcome(False, None), "model"),
-        (Clause([2, -1], 3), Clause(frozenset({-1, 2}), 3), "literals"),
         (SubsetStatus(True, False), SubsetStatus(satisfiable=True, equivalent=False), "equivalent"),
         (GenerationProfile(labels=6), GenerationProfile(5, 12, 6), "labels"),
         (verdict, DualityVerdict(False, "reason", None, None, None, None, None, None), "reason"),
@@ -759,10 +787,6 @@ def test_records_are_frozen_values():
             SatOutcome(satisfiable, model)
     assert repr(SatOutcome(False)) == "UNSAT" and not SatOutcome(False)
     assert repr(SatOutcome(True, {})) == "SAT" and SatOutcome(True, {})
-    clause = Clause((3, -1, 2), 0)
-    assert clause.literals == frozenset({-1, 2, 3}) and clause.index == 0
-    assert clause.sorted_literals() == (-1, 2, 3) and repr(clause) == "Clause(0: -1 2 3)"
-    assert clause.variables == frozenset({1, 2, 3})
     default = GenerationProfile()
     assert (
         default.variables, default.clauses, default.labels, default.clause_labels,
@@ -786,3 +810,5 @@ def test_export_list_names_each_public_name_once():
     }
     assert len(lcnf.__all__) == len(set(lcnf.__all__))
     assert set(lcnf.__all__) == public
+    # a formula is its rows; there is no clause object to export
+    assert "Clause" not in namespace and not hasattr(lcnf.core, "Clause")

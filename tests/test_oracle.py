@@ -17,7 +17,7 @@ from lcnf.oracle import (
     solve,
 )
 
-from conftest import models_of, sweep_formula
+from conftest import cnf, models_of, sweep_formula
 
 
 def random_cnf(rng, max_vars=5, max_clauses=14, max_width=3):
@@ -375,9 +375,9 @@ def _reference_solver(phi):
     literals reversed and the first one repeated, and its labels as the
     formula's mask of them."""
     s = Solver()
-    for c in phi.clauses:
-        lits = sorted(c.literals, reverse=True)
-        s.add_clause([*lits, lits[0]] if lits else lits, phi.mask_of(phi.labels_of(c)))
+    for lits, ls in phi.rows:
+        lits = sorted(lits, reverse=True)
+        s.add_clause([*lits, lits[0]] if lits else lits, phi.mask_of(ls))
     return s
 
 
@@ -393,12 +393,9 @@ def _assert_oracle_matches_reference(phi, rng, queries=12):
         assert sat == ref.solve((), mask).satisfiable, (phi, labels)
         if sat:
             assert set(ora.model()) == phi.variables
-        removed = [
-            c for c in phi.clauses
-            if phi.labels_of(c) <= within and not phi.labels_of(c) <= labels
-        ]
+        removed = [lits for lits, ls in phi.rows if ls <= within and not ls <= labels]
         expected = all(
-            not ref.solve([-l for l in c.literals], mask).satisfiable for c in removed
+            not ref.solve([-l for l in c], mask).satisfiable for c in removed
         )
         equivalent = ora.is_equivalent_subformula(mask, phi.mask_of(within))
         assert equivalent == expected, (phi, labels, within)
@@ -455,7 +452,7 @@ def test_induced_sat_matches_plain_solver_on_induced_cnf():
         ora = LcnfOracle(phi)
         active = sorted(phi.active_labels)
         subset = frozenset(l for l in active if rng.random() < 0.5)
-        direct = solve(phi.induced(subset).cnf()).satisfiable
+        direct = solve(cnf(phi.induced(subset))).satisfiable
         assert ora.is_sat_induced(phi.mask_of(subset)) == direct
 
 
@@ -465,11 +462,11 @@ def test_equivalence_matches_model_sets_over_parent_universe():
         phi, n = random_lcnf_inputs(rng)
         ora = LcnfOracle(phi)
         universe = phi.variables
-        full_models = models_of(phi.cnf(), universe)
+        full_models = models_of(cnf(phi), universe)
         subset = frozenset(
             l for l in sorted(phi.active_labels) if rng.random() < 0.5
         )
-        sub_models = models_of(phi.induced(subset).cnf(), universe)
+        sub_models = models_of(cnf(phi.induced(subset)), universe)
         assert ora.is_equivalent_subformula(phi.mask_of(subset)) == (sub_models == full_models)
 
 
@@ -501,7 +498,7 @@ def test_one_oracle_answers_a_mixed_query_sequence():
             elif active and r < 0.85:
                 labels ^= {rng.choice(active)}
                 steps["one"] += 1
-            models = models_of(phi.induced(labels).cnf(), universe)
+            models = models_of(cnf(phi.induced(labels)), universe)
             mask = phi.mask_of(labels)
             kind = rng.randrange(3)
             if kind == 0:
@@ -515,12 +512,12 @@ def test_one_oracle_answers_a_mixed_query_sequence():
                 index = {v: i for i, v in enumerate(wide)}
                 expected = all(
                     any(m[index[abs(l)]] == (l > 0) for l in goal)
-                    for m in models_of(phi.induced(labels).cnf(), wide)
+                    for m in models_of(cnf(phi.induced(labels)), wide)
                 )
                 assert ora.entails_clause(mask, goal) == expected, (labels, goal)
             elif kind == 2:
                 within = labels | {l for l in active if rng.random() < 0.5}
-                wider = models_of(phi.induced(within).cnf(), universe)
+                wider = models_of(cnf(phi.induced(within)), universe)
                 equivalent = ora.is_equivalent_subformula(mask, phi.mask_of(within))
                 assert equivalent == (models == wider)
     assert min(steps.values()) > 200, steps
@@ -555,7 +552,7 @@ def test_oracle_models_range_over_exactly_the_formula_variables():
 
 
 def _satisfied(model, clause):
-    return any(model.get(abs(l)) == (l > 0) for l in clause.literals)
+    return any(model.get(abs(l)) == (l > 0) for l in clause)
 
 
 def test_oracle_evidence_backs_each_answer():
@@ -570,7 +567,7 @@ def test_oracle_evidence_backs_each_answer():
         active = sorted(phi.active_labels)
         for _ in range(12):
             labels = frozenset(l for l in active if rng.random() < 0.6)
-            kept = phi.induced(labels).clauses
+            kept = cnf(phi.induced(labels))
             mask = phi.mask_of(labels)
             if rng.random() < 0.5:
                 if ora.is_sat_induced(mask):
@@ -580,12 +577,12 @@ def test_oracle_evidence_backs_each_answer():
                     answer = "unsat"
                     core = ora.core()
                     assert not core & ~mask
-                    assert not models_of(phi.induced(phi.labels_in(core)).cnf(), range(1, n + 1))
+                    assert not models_of(cnf(phi.induced(phi.labels_in(core))), range(1, n + 1))
             elif not ora.is_equivalent_subformula(mask):
                 answer = "non-equivalent"
                 model = ora.model()
                 assert all(_satisfied(model, c) for c in kept)
-                assert not all(_satisfied(model, c) for c in phi.clauses)
+                assert not all(_satisfied(model, c) for c in cnf(phi))
             else:
                 answer = "equivalent"
             answers[answer] += 1
@@ -631,14 +628,13 @@ def test_entailment_answers_settle_later_queries(monkeypatch):
             within = frozenset(l for l in active if rng.random() < 0.8)
             queries.append((frozenset(l for l in within if rng.random() < 0.6), within))
         for labels, within in queries:
-            models = models_of(phi.induced(labels).cnf(), universe)
-            expected = models == models_of(phi.induced(within).cnf(), universe)
+            models = models_of(cnf(phi.induced(labels)), universe)
+            expected = models == models_of(cnf(phi.induced(within)), universe)
             answer = ora.is_equivalent_subformula(phi.mask_of(labels), phi.mask_of(within))
             assert answer == expected, (labels, within)
             answers[answer] += 1
             # the solves a check of every removed clause, latest first, makes
-            for c in reversed(phi.clauses):
-                ls = phi.labels_of(c)
+            for c, ls in reversed(phi.rows):
                 if ls <= within and not ls <= labels:
                     checks += 1
                     if any(not _satisfied(dict(zip(universe, m)), c) for m in models):
@@ -695,7 +691,7 @@ def test_subsumers_seed_the_entailment_memory():
             assert (None if recorded is None else set(recorded)) == (antichain or None), (n, i)
             for k in antichain:
                 clause = set(lits)
-                for model in models_of(phi.induced(phi.labels_in(k)).cnf(), universe):
+                for model in models_of(cnf(phi.induced(phi.labels_in(k))), universe):
                     assert any(model[universe.index(abs(x))] == (x > 0) for x in clause), (n, i, k)
                 seeded += 1
         truth = _classify_truth_tables(phi)[1]
