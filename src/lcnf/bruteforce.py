@@ -18,10 +18,13 @@ tables: each clause's satisfying assignments are packed into one big
 integer, so a subformula's model set is a bitwise AND and equivalence is
 integer equality (``_classify_truth_tables``).  This path shares nothing
 with the clause-learning oracle, which is the point: the two can check each
-other.  Larger formulas go to one oracle, in one monotone pass per status
-kind, run only when a reader of the report first asks for that kind
-(``_monotone_sat``, ``_monotone_equivalent``).  Either path writes its
-statuses as digits into a ``bytearray`` and packs it once.
+other.  The tables write the equivalence statuses as digits into a
+``bytearray`` and pack it once.  Larger formulas go to one oracle, in one
+pass per status kind, run only when a reader of the report first asks for
+that kind (``_closure_pass``).  The pass keeps what it has decided as
+packed ints too, and each oracle answer decides a whole down- or up-set of
+masks at once: a model every mask whose subformula it satisfies, a core
+every mask that holds it.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -29,7 +32,7 @@ corpora.
 from __future__ import annotations
 
 import random
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import repeat
 from operator import and_
 from typing import NamedTuple
@@ -148,9 +151,11 @@ class AnalysisReport:
     first; LMES, LMNS, co-LMNS and ``empty_lmes`` only the second;
     ``classification`` (label subset -> status) both.  The truth tables
     give both at once (as ``tables``); on the oracle path each is made by
-    its own monotone pass on the shared ``oracle`` when first read, so a
-    command pays only for the kind it reads.  Each family is a
-    ``SetFamily`` of masks, which makes label sets only when they are
+    its own pass on the shared ``oracle`` when first read
+    (``_closure_pass``), so a command pays only for the kind it reads;
+    under an unsatisfiable whole the equivalence pass decides
+    satisfiability, and keeps only the equivalence it gives.  Each family
+    is a ``SetFamily`` of masks, which makes label sets only when they are
     read.  Everything else is also built when first read.  Maximal
     non-equivalent sets exist unless every subformula is equivalent,
     maximal satisfiable sets unless the unlabelled clauses are
@@ -165,8 +170,8 @@ class AnalysisReport:
 
     active_labels = property(lambda self: self.formula.active_labels)
     oracle = cached_property(lambda self: LcnfOracle(self.formula))
-    sat_bits = cached_property(lambda self: _monotone_sat(self.oracle))
-    equivalent_bits = cached_property(lambda self: _monotone_equivalent(self.oracle))
+    sat_bits = cached_property(lambda self: _closure_pass(self.oracle, False))
+    equivalent_bits = cached_property(lambda self: _closure_pass(self.oracle, True))
 
     def _extremal(self, name: str) -> SetFamily:
         statuses, wanted, minimal = _FAMILIES[name]
@@ -204,14 +209,7 @@ class AnalysisReport:
         }
 
 
-def _has_neighbour(digits: bytearray, mask: int, flips: int, value: int) -> bool:
-    """Whether ``digits`` holds ``value`` at ``mask`` with one bit of ``flips`` flipped."""
-    while flips and digits[mask ^ (flips & -flips)] != value:
-        flips &= flips - 1
-    return flips != 0
-
-
-_ZERO, _ONE = b"01"  # a status, as the digit it is written in before packing
+_ONE = ord("1")  # a true status, as the digit it is written in before packing
 
 
 def _packed(digits: bytearray) -> int:
@@ -356,48 +354,90 @@ def _classify_truth_tables(phi):
     return (everything if full else everything ^ equivalent), equivalent
 
 
-def _monotone_sat(oracle):
-    """The packed satisfiability statuses, by monotonicity and ``oracle``.
+def _closure_pass(oracle, equivalence: bool) -> int:
+    """The packed satisfiability or equivalence statuses, from ``oracle``'s
+    answers and their closures.
 
-    Satisfiability is downward-closed: when the whole formula is satisfiable
-    every subset is, and otherwise, walking subsets before supersets, a
-    subset with an unsatisfiable one-label subset is unsatisfiable.  Each
-    subset its neighbours leave open gets one query, by its mask, which
-    the oracle reads in the formula's numbering.
+    The decided statuses are packed 2^k-bit ints, bit m for mask m.  Up(K),
+    the masks that contain K, is the AND of K's ``_label_patterns``.  Each
+    step asks about the highest undecided mask S.  A model M of S's
+    subformula decides Sat(M), the masks whose subformula M satisfies: the
+    AND, over the rows M falsifies, of the complement of Up(row mask).
+    Satisfiability is downward-closed, and an unsatisfiable core K decides
+    Up(K) unsatisfiable.  The satisfiability pass asks ``is_sat_induced``,
+    so a satisfiable whole costs one solve.
+
+    Equivalence is the AND, over the labelled rows i, of Up(row i's mask)
+    | U_i, where U_i holds the masks whose subformula entails row i; U_i is
+    upward-closed and starts as the Up(K) of row i's subsumers
+    (``LcnfOracle.record_subsumers``).  The equivalence pass asks
+    ``entails_clause`` about S and the latest row whose term lacks S.  A
+    model of S's subformula that falsifies the row decides Sat(M), and
+    every mask there is not equivalent either: M satisfies its subformula
+    and not the whole.  A core K adds Up(K) to U_i, unless the refutation
+    used none of the row's negated literals: then phi|K, and so the whole,
+    is unsatisfiable, where a mask is equivalent iff it is unsatisfiable,
+    and the pass goes on as the satisfiability pass from Up(K) and the
+    models it has, and returns the complement.
     """
-    full = (1 << len(oracle.formula.label_bits)) - 1
-    if oracle.is_sat_induced(full):
-        return (1 << (full + 1)) - 1
-    digits = bytearray(b"0") * (full + 1)
-    for mask in range(full):
-        if not _has_neighbour(digits, mask, mask, _ZERO) and oracle.is_sat_induced(mask):
-            digits[mask] = _ONE
-    return _packed(digits)
+    phi = oracle.formula
+    everything = (1 << (1 << len(phi.label_bits))) - 1
+    patterns = _label_patterns(len(phi.label_bits))
+    ups = {0: everything}
+    rows = list(zip((lits for lits, _ in phi.rows), phi.label_masks))
 
+    def up(mask):
+        got = ups.get(mask)
+        if got is None:
+            low = mask & -mask
+            got = ups[mask] = up(mask ^ low) & patterns[low.bit_length() - 1]
+        return got
 
-def _monotone_equivalent(oracle):
-    """The packed equivalence statuses, by monotonicity and ``oracle``.
+    def closure(model):
+        true = {v if x else -v for v, x in model.items()}
+        got = everything
+        for m in {m for lits, m in rows if true.isdisjoint(lits)}:
+            got &= ~up(m)
+        return got
 
-    Equivalence is upward-closed: walking supersets before subsets, a subset
-    with a non-equivalent one-label superset is non-equivalent.  A subset S
-    its neighbours leave open gets one query; for one absent label l,
-    phi|S == phi holds iff phi|S+l == phi (known) and phi|S == phi|S+l,
-    which entails only the clauses that l removes.  The walk asks about the
-    same clauses again and again, so the oracle's recorded entailments
-    (``LcnfOracle.is_equivalent_subformula``), seeded first with the label
-    sets of subsuming clauses (``LcnfOracle.record_subsumers``), settle most
-    of those checks with no solve.
-    """
-    full = (1 << len(oracle.formula.label_bits)) - 1
-    digits = bytearray(b"1") * (full + 1)
-    oracle.record_subsumers()
-    for mask in range(full - 1, -1, -1):
-        absent = full ^ mask
-        if _has_neighbour(digits, mask, absent, _ZERO) or not oracle.is_equivalent_subformula(
-            mask, mask | (absent & -absent)
-        ):
-            digits[mask] = _ZERO
-    return _packed(digits)
+    # the masks known satisfiable, each also not equivalent when a
+    # non-entailment found it, and those known unsatisfiable
+    sat = unsat = 0
+    tests = None  # per labelled row, latest first: [literals, Up(mask) | U_i]
+    if equivalence:
+        tests = []
+        for (lits, m), subsumers in zip(rows[::-1], oracle.record_subsumers()[::-1]):
+            term = up(m)
+            for k in subsumers:
+                term |= up(k)
+            if term != everything:
+                tests.append([lits, term])
+    while True:
+        if tests is None:
+            decided = sat | unsat
+        else:
+            equivalent = reduce(and_, (t[1] for t in tests), everything)
+            decided = equivalent | sat
+        if decided == everything:
+            break
+        s = (everything ^ decided).bit_length() - 1
+        if tests is None:
+            if oracle.is_sat_induced(s):
+                sat |= closure(oracle.model())
+            else:
+                unsat |= up(oracle.core())
+            continue
+        test = next(t for t in tests if not t[1] >> s & 1)
+        if not oracle.entails_clause(s, test[0]):
+            sat |= closure(oracle.model())
+        elif oracle.core_unsatisfiable():  # so is the whole
+            tests = None
+            unsat = up(oracle.core())
+        else:
+            test[1] |= up(oracle.core())
+    if equivalence and tests is not None:
+        return equivalent
+    return everything ^ sat if equivalence else sat
 
 
 def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> AnalysisReport:

@@ -42,16 +42,17 @@ and ``labels_in``).  Satisfiability, entailment and equivalence queries
 about any label subset are then single ``solve`` calls with that subset
 switched on, against one shared solver; only a clause under test enters
 as assumptions, its negated literals.  Each query leaves its evidence
-behind: an unsatisfiable core of labels after an unsatisfiable answer,
-and a model after a satisfiable or a non-equivalent one.  An equivalence
-query checks the removed clauses latest first, and its entailment answers
-settle later queries: entailment is upward-closed over label sets, so a
-clause proven entailed by the labels of a core stays entailed by every set
-that keeps them, and the oracle records such cores per clause and skips
-the solves they decide.  ``record_subsumers`` seeds that memory, for the
-exhaustive pass that asks about the same clauses many times, with the
-labels of each clause's subsuming clauses.  Each label's clause list,
-built on the first query that needs it, is keyed by the label's bit.
+behind: a core of labels after an unsatisfiable or an entailed answer,
+and a model of the formula's variables after a satisfiable, a
+non-entailed or a non-equivalent one.  An equivalence query checks the
+removed clauses latest first, and its entailment answers settle later
+queries: entailment is upward-closed over label sets, so a clause proven
+entailed by the labels of a core stays entailed by every set that keeps
+them, and the oracle records such cores per clause and skips the solves
+they decide.  ``record_subsumers`` gives the exhaustive pass, which keeps
+its own such sets, the labels of each clause's subsuming clauses.  Each
+label's clause list, built on the first query that needs it, is keyed by
+the label's bit.
 ``rotate`` turns one model into many necessary labels by recursive model
 rotation, with no solve; the per-literal clause index it reads is built
 on its first call, so an oracle that never rotates never pays for it.
@@ -734,8 +735,8 @@ class LcnfOracle:
         self._solver = Solver(conflict_budget=conflict_budget)
         self._solver._add_rows(self._rows)
         # per clause: None until an entailment solve of is_equivalent_subformula
-        # first proves it or record_subsumers finds a subsuming clause, then
-        # the label masks K known to make phi|K entail it, none inside another
+        # first proves it, then the label masks K known to make phi|K entail
+        # it, none inside another
         self._entailed_by: list[list[int] | None] = [None] * len(self._rows)
         # what the latest query proved: ("model", the model) or ("core", None);
         # see _latest
@@ -789,26 +790,40 @@ class LcnfOracle:
         return self._evidence[1]
 
     def model(self) -> dict:
-        """A model of the clauses the latest query kept.
+        """A model of the clauses the latest query kept, over exactly the
+        formula's variables.
 
         After ``is_sat_induced`` answered True it satisfies the induced
-        subformula.  After ``is_equivalent_subformula`` answered False it
-        satisfies the subformula induced by its ``mask`` and falsifies one
-        of the removed clauses.
+        subformula.  After ``entails_clause`` answered False it satisfies
+        the subformula induced by its ``mask`` and falsifies every literal
+        of the clause on a variable of the formula.  After
+        ``is_equivalent_subformula`` answered False it satisfies the
+        subformula induced by its ``mask`` and falsifies one of the removed
+        clauses.
         """
         return self._latest("model")
 
     def core(self) -> int:
-        """The mask of labels that induce an unsatisfiable subformula on
-        their own.
+        """The mask of the labels behind the latest UNSAT answer.
 
         They are the labels of the clauses that the refutation of the latest
-        query, an ``is_sat_induced`` answering False, used
-        (``Solver.analyze_final``), so they lie inside the mask it was asked
-        about.
+        query used (``Solver.analyze_final``), so they lie inside the mask it
+        was asked about.  After ``is_sat_induced`` answered False they induce
+        an unsatisfiable subformula on their own.  After ``entails_clause``
+        answered True they induce a subformula that entails the clause, and
+        an unsatisfiable one when ``core_unsatisfiable`` says so.
         """
         self._latest("core")
         return self._solver.analyze_final()[1]
+
+    def core_unsatisfiable(self) -> bool:
+        """Whether the labels of ``core`` induce an unsatisfiable subformula.
+
+        Always so after ``is_sat_induced``; after ``entails_clause``, exactly
+        when the refutation used none of the clause's negated literals.
+        """
+        self._latest("core")
+        return not self._solver.analyze_final()[0]
 
     def satisfies(self, model: dict, bit: int, within: int) -> bool:
         """Whether ``model`` satisfies every clause carrying the label of
@@ -893,12 +908,26 @@ class LcnfOracle:
 
     def entails_clause(self, mask: int, clause) -> bool:
         """Whether the subformula induced by the labels of ``mask`` entails
-        ``clause``.  A literal on a variable the formula lacks can always be
-        made false, and a clause holding both a literal and its negation is
-        always entailed; ``Solver.solve`` answers both ways."""
+        ``clause``.
+
+        A literal on a variable the formula lacks can always be made false,
+        and a clause holding both a literal and its negation is always
+        entailed; ``Solver.solve`` answers both ways.  Afterwards ``model``
+        or ``core`` holds the evidence for the answer.
+        """
         lits = sort_literals(map(int, clause))
         self._evidence = None
-        return not self._solver.solve([-l for l in lits], self._mask(mask)).satisfiable
+        outcome = self._solver.solve([-l for l in lits], self._mask(mask))
+        if not outcome.satisfiable:
+            self._evidence = ("core", None)
+            return True
+        model = outcome.model
+        # the solver puts the variables of the clause that it lacks in its model
+        for l in lits:
+            if abs(l) not in self.formula.variables:
+                model.pop(abs(l), None)
+        self._evidence = ("model", model)
+        return False
 
     def is_equivalent_subformula(self, mask: int, within: int | None = None) -> bool:
         """Whether inducing with the labels of ``mask`` preserves equivalence.
@@ -918,8 +947,7 @@ class LcnfOracle:
         are recorded as a mask K with phi|K entailing the clause, and a later
         query whose ``mask`` contains a recorded K skips that clause's
         solve.  The first proof only marks the clause, so a sweep that asks
-        about each clause once pays for no core; a clause that
-        ``record_subsumers`` gave masks records from its first proof on.
+        about each clause once pays for no core.
         """
         kept = self._mask(mask)
         sup = self._full if within is None else self._mask(within)
@@ -954,23 +982,25 @@ class LcnfOracle:
                     entailed_by[i] = [k for k in known if core & ~k] + [core]
         return True
 
-    def record_subsumers(self):
-        """Record, for each clause, the label masks of the clauses that subsume it.
+    def record_subsumers(self) -> list[list[int]]:
+        """Per clause, the antichain of the label masks of the clauses that
+        subsume it, ascending.
 
         When clause d's literals are a subset of clause c's, phi|K entails c
         for K the labels of d, with no solve (syntactic subsumption; Een &
-        Biere, SAT 2005), so ``is_equivalent_subformula`` may skip c's
-        solve wherever it keeps K.  Each clause's entailment memory gains
-        the label masks of the other clauses whose literals lie inside its
-        own, and stays an antichain.  Rows are sorted, so each in-order
-        sub-tuple of a row is a literal tuple that may key other rows; per
-        clause and per width the formula has, the lookup enumerates those
-        sub-tuples or scans the keys of that width, whichever are fewer, so
-        wide clauses cost no more than a scan.  Worth its cost where many
-        queries ask about the same clauses, as ``classify_all``'s monotone
-        pass does; witness sweeps never call it.
+        Biere, SAT 2005), so a caller may skip c's solve wherever it keeps
+        K.  Each clause gets the label masks of the other clauses whose
+        literals lie inside its own, less each one that contains another;
+        a clause with no subsumer gets an empty list.  Rows are sorted, so
+        each in-order sub-tuple of a row is a literal tuple that may key
+        other rows; per clause and per width the formula has, the lookup
+        enumerates those sub-tuples or scans the keys of that width,
+        whichever are fewer, so wide clauses cost no more than a scan.
+        Worth its cost where many queries ask about the same clauses, as
+        ``classify_all``'s equivalence pass does; witness sweeps never call
+        it.
         """
-        rows, entailed_by = self._rows, self._entailed_by
+        rows = self._rows
         with_literals: dict[tuple, list[int]] = {}
         for j, (lits, _) in enumerate(rows):
             with_literals.setdefault(lits, []).append(j)
@@ -991,6 +1021,7 @@ class LcnfOracle:
                     for j in with_literals.get(key, ()):
                         if j != i:
                             found.setdefault(i, set()).add(rows[j][1])
+        subsumers: list[list[int]] = [[] for _ in rows]
         for i, ks in found.items():
-            ks.update(entailed_by[i] or ())
-            entailed_by[i] = sorted(k for k in ks if not any(o != k and not o & ~k for o in ks))
+            subsumers[i] = sorted(k for k in ks if not any(o != k and not o & ~k for o in ks))
+        return subsumers

@@ -22,7 +22,7 @@ from lcnf.core import LcnfFormula
 from lcnf.duality import verify_duality
 from lcnf.errors import ResourceLimitError
 from lcnf.interface import serialize_lcnf
-from lcnf.oracle import LcnfOracle, Solver
+from lcnf.oracle import LcnfOracle, Solver, solve
 
 from conftest import (
     WORKED_COLMNS,
@@ -215,12 +215,18 @@ def test_oracle_path_matches_truth_tables(monkeypatch):
 
 def test_each_read_runs_only_its_own_pass(monkeypatch):
     # on the oracle path a fresh report computes a status kind only when it
-    # is read: the satisfiability reads make no equivalence query and the
+    # is read: the satisfiability reads make no entailment query, and the
     # equivalence reads (the duality check among them) no satisfiability
-    # query, and the list each computes still matches the truth tables
+    # query unless an entailment core proves the whole unsatisfiable, where
+    # equivalence is unsatisfiability; neither asks is_equivalent_subformula,
+    # and the list each computes still matches the truth tables
     monkeypatch.setattr(bruteforce, "MODEL_ENUMERATION_LIMIT", 0)
     queries = {}
-    for kind, name in (("sat", "is_sat_induced"), ("equivalent", "is_equivalent_subformula")):
+    for kind, name in (
+        ("sat", "is_sat_induced"),
+        ("equivalent", "entails_clause"),
+        ("subformula", "is_equivalent_subformula"),
+    ):
         real = getattr(LcnfOracle, name)
 
         def counted(self, *args, _real=real, _kind=kind, **kwargs):
@@ -233,21 +239,146 @@ def test_each_read_runs_only_its_own_pass(monkeypatch):
         "equivalent": ["lmes", "lmns", "colmns", "empty_lmes", verify_duality],
     }
     profile = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
+    switched = 0
     for seed in range(40):
         phi = random_lcnf(seed, profile)
         truth = dict(zip(("sat", "equivalent"), truth_table_statuses(phi)))
+        satisfiable = truth["sat"].bit_length() == 1 << len(phi.active_labels)
         for kind, other in (("sat", "equivalent"), ("equivalent", "sat")):
             for read in reads[kind]:
-                queries.update(sat=0, equivalent=0)
+                queries.update(sat=0, equivalent=0, subformula=0)
                 report = classify_all(phi)
                 if callable(read):
                     read(phi, report)
                 else:
                     getattr(report, read)
                 where = f"seed {seed}, {getattr(read, '__name__', read)}"
-                assert queries[other] == 0, where
-                assert queries[kind] > 0 or not phi.active_labels, where
+                assert queries[other] == 0 or kind == "equivalent" and not satisfiable, where
+                assert queries["subformula"] == 0, where
+                # subsuming clauses may settle every mask equivalent
+                settled = kind == "equivalent" and truth[kind] == (1 << (1 << len(phi.active_labels))) - 1
+                assert queries[kind] > 0 or settled, where
                 assert getattr(report, f"{kind}_bits") == truth[kind], where
+                switched += queries[other] > 0
+    assert switched >= 20, switched
+
+
+SPARSE = (0, 3, 7, 12, 31, 64)  # label l of ``random_lcnf`` becomes SPARSE[l - 1]
+
+
+def sparse(phi):
+    """``phi`` with label l renamed SPARSE[l - 1]: label 0, and labels far apart."""
+    return LcnfFormula.from_clauses(
+        [lits for lits, _ in phi.rows],
+        [[SPARSE[l - 1] for l in labels] for _, labels in phi.rows],
+    )
+
+
+def test_each_closure_pass_matches_the_truth_tables(monkeypatch):
+    # a zero limit sends small formulas down the oracle path, and each status
+    # kind is read from a fresh report, so each pass runs on its own: the
+    # satisfiability pass, and the equivalence pass, which goes on as the
+    # satisfiability pass once an entailment core proves the whole
+    # unsatisfiable.  Rows carry up to three labels, label 0 and labels far
+    # apart take their bits in the formula's numbering, and half the wholes
+    # are made unsatisfiable
+    monkeypatch.setattr(bruteforce, "MODEL_ENUMERATION_LIMIT", 0)
+    nested = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=3)
+    group = GenerationProfile(variables=6, clauses=16, labels=6, labelling="group")
+    builds = {
+        "random": random_lcnf,
+        "unsatisfiable": contradicted,
+        "sparse": lambda seed, profile: sparse(random_lcnf(seed, profile)),
+        "sparse unsatisfiable": lambda seed, profile: sparse(contradicted(seed, profile)),
+    }
+    seen = {"unsatisfiable": 0, "label 0": 0, "three labels": 0}
+    for profile in (nested, group):
+        for name, build in builds.items():
+            for seed in range(60):
+                phi = build(seed, profile)
+                sat, equivalent = truth_table_statuses(phi)
+                where = f"{profile.labelling}, {name}, seed {seed}"
+                assert classify_all(phi).sat_bits == sat, where
+                assert classify_all(phi).equivalent_bits == equivalent, where
+                seen["unsatisfiable"] += sat.bit_length() < 1 << len(phi.active_labels)
+                seen["label 0"] += 0 in phi.active_labels
+                seen["three labels"] += any(len(labels) == 3 for _, labels in phi.rows)
+    assert seen["unsatisfiable"] >= 240 and seen["label 0"] >= 100 and seen["three labels"] >= 40, seen
+
+
+def three_clause(rng, variables):
+    return tuple(v if rng.random() < 0.5 else -v for v in rng.sample(variables, 3))
+
+
+def shape_a():
+    """20 unsatisfiable random 3-SAT formulas at ratio 5, 14-20 variables,
+    each clause in one of 8-10 groups: most masks are satisfiable."""
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(14, 20)
+        groups = rng.randint(8, 10)
+        while True:
+            clauses = [three_clause(rng, range(1, n + 1)) for _ in range(5 * n)]
+            if not solve(clauses):
+                break
+        yield LcnfFormula.from_clauses(clauses, [(rng.randint(1, groups),) for _ in clauses])
+
+
+def shape_b():
+    """10 formulas over 16 variables and 10 groups: groups 1-5 are each an
+    unsatisfiable 40-clause 3-CNF over 6 of the variables, and groups 6-10
+    six random 3-clauses each, so most masks are unsatisfiable."""
+    rng = random.Random(5)
+    for _ in range(10):
+        clauses, labelling = [], []
+        for group in range(1, 6):
+            variables = rng.sample(range(1, 17), 6)
+            while True:
+                block = [three_clause(rng, variables) for _ in range(40)]
+                if not solve(block):
+                    break
+            clauses += block
+            labelling += [(group,)] * 40
+        for group in range(6, 11):
+            clauses += [three_clause(rng, range(1, 17)) for _ in range(6)]
+            labelling += [(group,)] * 6
+        yield LcnfFormula.from_clauses(clauses, labelling)
+
+
+@pytest.mark.parametrize("shape, bounds", [(shape_a, (1000, 1500)), (shape_b, (300, 500))])
+def test_closure_passes_on_unsatisfiable_wholes_query_near_the_boundary(shape, bounds, monkeypatch):
+    # each answer decides its whole down- or up-set, so the passes query
+    # near the boundary between the statuses, on either shape.  A walk that
+    # queried each mask its one-label neighbours leave open made, on shape
+    # A, 12601 satisfiability solves bottom-up and 2572 equivalence solves
+    # top-down; on shape B, 380 and 12338.  These passes make 447 and 587 on
+    # A, 134 and 177 on B.  Under an unsatisfiable whole a mask is
+    # equivalent iff it is unsatisfiable, and a few masks per formula are
+    # checked by a one-shot solve that shares nothing with the oracle
+    solves = 0
+    real_solve = Solver.solve
+
+    def counted_solve(self, *args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return real_solve(self, *args, **kwargs)
+
+    formulas = list(shape())
+    monkeypatch.setattr(Solver, "solve", counted_solve)
+    counts, lists = [], []
+    for kind in ("sat_bits", "equivalent_bits"):
+        solves = 0
+        lists.append([getattr(AnalysisReport(phi), kind) for phi in formulas])
+        counts.append(solves)
+    monkeypatch.undo()
+    rng = random.Random(3)
+    for phi, sat, equivalent in zip(formulas, *lists):
+        k = len(phi.active_labels)
+        assert sat.bit_length() < 1 << k and sat ^ equivalent == (1 << (1 << k)) - 1
+        for mask in rng.sample(range(1 << k), 12):
+            kept = [lits for lits, labels in phi.rows if phi.mask_of(labels) & ~mask == 0]
+            assert bool(solve(kept)) == bool(sat >> mask & 1), mask
+    assert counts[0] < bounds[0] and counts[1] < bounds[1], counts
 
 
 def test_cli_lmus_refusal_on_the_oracle_path_costs_one_solve(tmp_path, monkeypatch):

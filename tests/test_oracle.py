@@ -6,7 +6,7 @@ import pytest
 from lcnf.bruteforce import (
     GenerationProfile,
     _classify_truth_tables,
-    _monotone_equivalent,
+    _closure_pass,
     random_lcnf,
 )
 from lcnf.core import LcnfFormula
@@ -526,9 +526,10 @@ def test_one_oracle_answers_a_mixed_query_sequence():
 def test_oracle_models_range_over_exactly_the_formula_variables():
     # whatever queries came before, a model the oracle hands out assigns
     # each variable of the formula and nothing else: no helper variable,
-    # and no variable of an entailment goal the formula lacks
+    # and no variable of an entailment goal the formula lacks, though the
+    # solver assigns such a variable of its assumptions
     rng = random.Random(35)
-    models = {"sat": 0, "non-equivalent": 0}
+    models = {"sat": 0, "non-entailed": 0, "non-equivalent": 0}
     for _ in range(100):
         phi, n = random_lcnf_inputs(rng, max_vars=5, max_clauses=10, max_labels=5)
         ora = LcnfOracle(phi)
@@ -542,9 +543,9 @@ def test_oracle_models_range_over_exactly_the_formula_variables():
                     models["sat"] += 1
             elif kind == 1:
                 goal = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 4), 2))
-                ora.entails_clause(mask, goal)
-                with pytest.raises(RuntimeError):
-                    ora.model()
+                if not ora.entails_clause(mask, goal):
+                    assert set(ora.model()) == phi.variables
+                    models["non-entailed"] += 1
             elif not ora.is_equivalent_subformula(mask):
                 assert set(ora.model()) == phi.variables
                 models["non-equivalent"] += 1
@@ -592,6 +593,47 @@ def test_oracle_evidence_backs_each_answer():
             if answer in ("unsat", "equivalent"):
                 with pytest.raises(RuntimeError):
                     ora.model()
+    assert min(answers.values()) > 50, answers
+
+
+def test_entailment_evidence_backs_each_answer():
+    # after an entailed answer, a core inside the queried labels whose
+    # clauses entail the goal, and whose clauses are unsatisfiable on their
+    # own when core_unsatisfiable says so; after a non-entailed one, a model
+    # of the kept clauses over the formula's variables that falsifies each
+    # goal literal on them.  Goals reach past the formula's variables
+    rng = random.Random(37)
+    answers = {"entailed": 0, "refuted": 0, "not entailed": 0}
+    for _ in range(150):
+        phi, n = random_lcnf_inputs(rng, max_vars=5, max_clauses=12, max_labels=5)
+        ora = LcnfOracle(phi)
+        active = sorted(phi.active_labels)
+        universe = range(1, n + 1)
+        for _ in range(10):
+            labels = frozenset(l for l in active if rng.random() < 0.6)
+            mask = phi.mask_of(labels)
+            goal = tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 3), 2))
+            if ora.entails_clause(mask, goal):
+                core = ora.core()
+                assert not core & ~mask
+                models = models_of(cnf(phi.induced(phi.labels_in(core))), universe)
+                if ora.core_unsatisfiable():
+                    answer = "refuted"
+                    assert not models
+                else:
+                    answer = "entailed"
+                    assert all(_satisfied(dict(zip(universe, m)), goal) for m in models)
+                with pytest.raises(RuntimeError):
+                    ora.model()
+            else:
+                answer = "not entailed"
+                model = ora.model()
+                assert set(model) == phi.variables
+                assert all(_satisfied(model, c) for c in cnf(phi.induced(labels)))
+                assert not _satisfied(model, goal)
+                with pytest.raises(RuntimeError):
+                    ora.core()
+            answers[answer] += 1
     assert min(answers.values()) > 50, answers
 
 
@@ -668,15 +710,18 @@ def subsumer_formulas():
 
 
 def test_subsumers_seed_the_entailment_memory():
-    # after record_subsumers each clause's memory is the antichain of the
-    # label masks of the other clauses whose literals lie inside its own,
-    # found here pair by pair; each such K makes phi|K entail the clause by
-    # the model sets, and the monotone pass on the seeded oracle still gives
-    # the truth tables' statuses
+    # record_subsumers gives each clause the antichain of the label masks
+    # of the other clauses whose literals lie inside its own, found here
+    # pair by pair; each such K makes phi|K entail the clause by the model
+    # sets.  It leaves the entailment memory of is_equivalent_subformula
+    # empty; the equivalence pass seeds the masks it knows entailing each
+    # clause with them, and still gives the truth tables' statuses
     seeded = 0
     for n, phi in enumerate(subsumer_formulas()):
         ora = LcnfOracle(phi)
-        ora.record_subsumers()
+        returned = ora.record_subsumers()
+        assert len(returned) == len(phi.rows), n
+        assert ora._entailed_by == [None] * len(phi.rows), n
         active = sorted(phi.active_labels)
         bit = {l: 1 << i for i, l in enumerate(active)}
         masks = [sum(bit[l] for l in ls) for _, ls in phi.rows]
@@ -687,16 +732,14 @@ def test_subsumers_seed_the_entailment_memory():
                 if j != i and set(other) <= set(lits)
             }
             antichain = {k for k in subsumers if not any(o != k and o & k == o for o in subsumers)}
-            recorded = ora._entailed_by[i]
-            assert (None if recorded is None else set(recorded)) == (antichain or None), (n, i)
+            assert returned[i] == sorted(antichain), (n, i)
             for k in antichain:
                 clause = set(lits)
                 for model in models_of(cnf(phi.induced(phi.labels_in(k))), universe):
                     assert any(model[universe.index(abs(x))] == (x > 0) for x in clause), (n, i, k)
                 seeded += 1
         truth = _classify_truth_tables(phi)[1]
-        assert _monotone_equivalent(ora) == truth, n
-        assert _monotone_equivalent(LcnfOracle(phi)) == truth, n
+        assert _closure_pass(ora, True) == truth, n
     assert seeded > 300, seeded
 
 
