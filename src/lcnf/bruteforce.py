@@ -21,10 +21,12 @@ with the clause-learning oracle, which is the point: the two can check each
 other.  The tables write the equivalence statuses as digits into a
 ``bytearray`` and pack it once.  Larger formulas go to one oracle, in one
 pass per status kind, run only when a reader of the report first asks for
-that kind (``_closure_pass``).  The pass keeps what it has decided as
-packed ints too, and each oracle answer decides a whole down- or up-set of
-masks at once: a model every mask whose subformula it satisfies, a core
-every mask that holds it.
+that kind (``_closure_pass``).  Both kinds are one question: a subformula
+is unsatisfiable iff it entails the empty clause, and equivalent iff it
+entails every clause it drops, so one loop decides both.  It keeps what
+it has decided as packed ints too, and each oracle answer decides a whole
+down- or up-set of masks at once: a model every mask whose subformula it
+satisfies, a core every mask that holds it.
 
 The module also hosts the seeded random-formula generator used to build test
 corpora.
@@ -152,13 +154,14 @@ class AnalysisReport:
     ``classification`` (label subset -> status) both.  The truth tables
     give both at once (as ``tables``); on the oracle path each is made by
     its own pass on the shared ``oracle`` when first read
-    (``_closure_pass``), so a command pays only for the kind it reads;
-    under an unsatisfiable whole the equivalence pass decides
-    satisfiability, and keeps only the equivalence it gives.  Each family
-    is a ``SetFamily`` of masks, which makes label sets only when they are
-    read.  Everything else is also built when first read.  Maximal
-    non-equivalent sets exist unless every subformula is equivalent,
-    maximal satisfiable sets unless the unlabelled clauses are
+    (``_closure_pass``), so a command pays only for the kind it reads.
+    Under an unsatisfiable whole a mask is equivalent iff it is
+    unsatisfiable, so a pass that ends on the empty-clause test there
+    gives both kinds, and both are kept: the second read makes no solve.
+    Each family is a ``SetFamily`` of masks, which makes label sets only
+    when they are read.  Everything else is also built when first read.
+    Maximal non-equivalent sets exist unless every subformula is
+    equivalent, maximal satisfiable sets unless the unlabelled clauses are
     unsatisfiable; ``empty_lmes`` says the empty subformula is already
     equivalent, so the minimal family is {}.
     """
@@ -170,8 +173,14 @@ class AnalysisReport:
 
     active_labels = property(lambda self: self.formula.active_labels)
     oracle = cached_property(lambda self: LcnfOracle(self.formula))
-    sat_bits = cached_property(lambda self: _closure_pass(self.oracle, False))
-    equivalent_bits = cached_property(lambda self: _closure_pass(self.oracle, True))
+
+    def _passed(self, name: str) -> int:
+        # a pass may decide both kinds, and each it decides is kept
+        self.__dict__.update(_closure_pass(self.oracle, name == "equivalent_bits"))
+        return self.__dict__[name]
+
+    sat_bits = cached_property(lambda self: self._passed("sat_bits"))
+    equivalent_bits = cached_property(lambda self: self._passed("equivalent_bits"))
 
     def _extremal(self, name: str) -> SetFamily:
         statuses, wanted, minimal = _FAMILIES[name]
@@ -354,31 +363,39 @@ def _classify_truth_tables(phi):
     return (everything if full else everything ^ equivalent), equivalent
 
 
-def _closure_pass(oracle, equivalence: bool) -> int:
-    """The packed satisfiability or equivalence statuses, from ``oracle``'s
-    answers and their closures.
+def _closure_pass(oracle, equivalence: bool) -> dict:
+    """The packed statuses that ``oracle``'s answers and their closures
+    decide, by ``AnalysisReport`` attribute name.
 
     The decided statuses are packed 2^k-bit ints, bit m for mask m.  Up(K),
-    the masks that contain K, is the AND of K's ``_label_patterns``.  Each
-    step asks about the highest undecided mask S.  A model M of S's
-    subformula decides Sat(M), the masks whose subformula M satisfies: the
-    AND, over the rows M falsifies, of the complement of Up(row mask).
-    Satisfiability is downward-closed, and an unsatisfiable core K decides
-    Up(K) unsatisfiable.  The satisfiability pass asks ``is_sat_induced``,
-    so a satisfiable whole costs one solve.
+    the masks that contain K, is the AND of K's ``_label_patterns``.  The
+    pass keeps a list of tests, one per clause, each with a term: the masks
+    known to entail the clause or to hold it.  Both kinds of status are an
+    AND of terms.  Equivalence is the AND, over the labelled rows i, of
+    Up(row i's mask) | U_i, where U_i holds the masks whose subformula
+    entails row i; U_i is upward-closed and starts as the Up(K) of row i's
+    subsumers (``LcnfOracle.record_subsumers``).  Unsatisfiability is
+    entailment of the empty clause: the satisfiability pass has that one
+    test, whose term is the masks known unsatisfiable, and asks it through
+    ``is_sat_induced``.
 
-    Equivalence is the AND, over the labelled rows i, of Up(row i's mask)
-    | U_i, where U_i holds the masks whose subformula entails row i; U_i is
-    upward-closed and starts as the Up(K) of row i's subsumers
-    (``LcnfOracle.record_subsumers``).  The equivalence pass asks
-    ``entails_clause`` about S and the latest row whose term lacks S.  A
-    model of S's subformula that falsifies the row decides Sat(M), and
-    every mask there is not equivalent either: M satisfies its subformula
-    and not the whole.  A core K adds Up(K) to U_i, unless the refutation
-    used none of the row's negated literals: then phi|K, and so the whole,
-    is unsatisfiable, where a mask is equivalent iff it is unsatisfiable,
-    and the pass goes on as the satisfiability pass from Up(K) and the
-    models it has, and returns the complement.
+    Each step asks about the highest mask S that is neither in the AND nor
+    known satisfiable, and the latest test whose term lacks S.  A model M
+    of S's subformula that falsifies the test's clause decides Sat(M), the
+    masks whose subformula M satisfies: the AND, over the rows M
+    falsifies, of the complement of Up(row mask).  None of them entails
+    that clause, so none is equivalent, or unsatisfiable.  A core K adds
+    Up(K) to the test's term.  A core whose refutation used none of the
+    clause's negated literals proves phi|K, and so the whole,
+    unsatisfiable, where a mask is equivalent iff it is unsatisfiable: the
+    list becomes the one empty-clause test, its term the AND so far and
+    Up(K), and the models found so far are kept.
+
+    A pass whose list ends as the one empty-clause test decides
+    satisfiability, the complement of its term, and under an unsatisfiable
+    whole equivalence too, the term itself; any other pass decides
+    equivalence alone.  A satisfiable whole costs the satisfiability pass
+    one solve.
     """
     phi = oracle.formula
     everything = (1 << (1 << len(phi.label_bits))) - 1
@@ -400,10 +417,7 @@ def _closure_pass(oracle, equivalence: bool) -> int:
             got &= ~up(m)
         return got
 
-    # the masks known satisfiable, each also not equivalent when a
-    # non-entailment found it, and those known unsatisfiable
-    sat = unsat = 0
-    tests = None  # per labelled row, latest first: [literals, Up(mask) | U_i]
+    tests = [[(), 0]]  # per clause, latest first: [literals, term]
     if equivalence:
         tests = []
         for (lits, m), subsumers in zip(rows[::-1], oracle.record_subsumers()[::-1]):
@@ -412,32 +426,28 @@ def _closure_pass(oracle, equivalence: bool) -> int:
                 term |= up(k)
             if term != everything:
                 tests.append([lits, term])
+    sat = 0  # the masks a model decided: satisfiable, and outside the AND
     while True:
-        if tests is None:
-            decided = sat | unsat
-        else:
-            equivalent = reduce(and_, (t[1] for t in tests), everything)
-            decided = equivalent | sat
-        if decided == everything:
+        known = reduce(and_, (t[1] for t in tests), everything)
+        if known | sat == everything:
             break
-        s = (everything ^ decided).bit_length() - 1
-        if tests is None:
-            if oracle.is_sat_induced(s):
-                sat |= closure(oracle.model())
-            else:
-                unsat |= up(oracle.core())
-            continue
+        s = (everything ^ (known | sat)).bit_length() - 1
         test = next(t for t in tests if not t[1] >> s & 1)
-        if not oracle.entails_clause(s, test[0]):
+        if test[0]:
+            entailed = oracle.entails_clause(s, test[0])
+        else:  # the empty clause
+            entailed = not oracle.is_sat_induced(s)
+        if not entailed:
             sat |= closure(oracle.model())
         elif oracle.core_unsatisfiable():  # so is the whole
-            tests = None
-            unsat = up(oracle.core())
+            tests = [[(), known | up(oracle.core())]]
         else:
             test[1] |= up(oracle.core())
-    if equivalence and tests is not None:
-        return equivalent
-    return everything ^ sat if equivalence else sat
+    if len(tests) != 1 or tests[0][0]:  # not the one empty-clause test
+        return {"equivalent_bits": known}
+    if known >> (everything.bit_length() - 1):  # the whole is unsatisfiable
+        return {"sat_bits": everything ^ known, "equivalent_bits": known}
+    return {"sat_bits": everything ^ known}
 
 
 def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> AnalysisReport:

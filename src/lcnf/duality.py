@@ -242,9 +242,9 @@ def _complements_consistent(report: "AnalysisReport") -> bool:
     """
     k = len(report.formula.label_bits)
     full = (1 << k) - 1
-    digits = format(report.equivalent_bits, f"0{full + 1}b")[::-1]  # digit m: mask m
+    eq = report.equivalent_bits
     return all(
-        digits[full ^ c] == "0"
-        and all(digits[(full ^ c) | 1 << b] == "1" for b in range(k) if c >> b & 1)
+        not eq >> (full ^ c) & 1
+        and all(eq >> ((full ^ c) | 1 << b) & 1 for b in range(k) if c >> b & 1)
         for c in report.colmns.masks
     )

@@ -44,15 +44,14 @@ switched on, against one shared solver; only a clause under test enters
 as assumptions, its negated literals.  Each query leaves its evidence
 behind: a core of labels after an unsatisfiable or an entailed answer,
 and a model of the formula's variables after a satisfiable, a
-non-entailed or a non-equivalent one.  An equivalence query checks the
-removed clauses latest first, and its entailment answers settle later
-queries: entailment is upward-closed over label sets, so a clause proven
-entailed by the labels of a core stays entailed by every set that keeps
-them, and the oracle records such cores per clause and skips the solves
-they decide.  ``record_subsumers`` gives the exhaustive pass, which keeps
-its own such sets, the labels of each clause's subsuming clauses.  Each
-label's clause list, built on the first query that needs it, is keyed by
-the label's bit.
+non-entailed or a non-equivalent one.  Unsatisfiability is entailment of
+the empty clause, and entailment is upward-closed over label sets, so a
+core settles the same question for every label set that keeps it.  The
+oracle keeps no answer: an equivalence query makes one solve per removed
+clause, latest first, until one is not entailed.  The exhaustive pass
+keeps the closures itself, seeded by ``record_subsumers`` with the labels
+of each clause's subsuming clauses.  Each label's clause list, built on
+the first query that needs it, is keyed by the label's bit.
 ``rotate`` turns one model into many necessary labels by recursive model
 rotation, with no solve; the per-literal clause index it reads is built
 on its first call, so an oracle that never rotates never pays for it.
@@ -734,10 +733,6 @@ class LcnfOracle:
         self._full = (1 << len(phi.label_bits)) - 1  # every active label's bit
         self._solver = Solver(conflict_budget=conflict_budget)
         self._solver._add_rows(self._rows)
-        # per clause: None until an entailment solve of is_equivalent_subformula
-        # first proves it, then the label masks K known to make phi|K entail
-        # it, none inside another
-        self._entailed_by: list[list[int] | None] = [None] * len(self._rows)
         # what the latest query proved: ("model", the model) or ("core", None);
         # see _latest
         self._evidence: tuple | None = None
@@ -808,10 +803,12 @@ class LcnfOracle:
 
         They are the labels of the clauses that the refutation of the latest
         query used (``Solver.analyze_final``), so they lie inside the mask it
-        was asked about.  After ``is_sat_induced`` answered False they induce
-        an unsatisfiable subformula on their own.  After ``entails_clause``
-        answered True they induce a subformula that entails the clause, and
-        an unsatisfiable one when ``core_unsatisfiable`` says so.
+        was asked about, and the subformula they induce entails the clause
+        tested: after ``entails_clause`` answered True, its clause, and after
+        ``is_sat_induced`` answered False, the empty clause, so that
+        subformula is unsatisfiable.  So is one after ``entails_clause``
+        when ``core_unsatisfiable`` says so.  Every mask that contains the
+        core gets the same answer.
         """
         self._latest("core")
         return self._solver.analyze_final()[1]
@@ -939,15 +936,8 @@ class LcnfOracle:
         ``mask``, must be entailed by the kept ones; the first non-entailed
         clause short-circuits, and ``model`` then holds a model of the kept
         clauses that falsifies it.  The order changes which clause that is,
-        never the answer.
-
-        Entailment is upward-closed over label sets, so an answer settles
-        later queries: from the second time an entailment solve proves a
-        clause on, the labels its refutation used (``Solver.analyze_final``)
-        are recorded as a mask K with phi|K entailing the clause, and a later
-        query whose ``mask`` contains a recorded K skips that clause's
-        solve.  The first proof only marks the clause, so a sweep that asks
-        about each clause once pays for no core.
+        never the answer.  Each removed clause costs one solve, up to the
+        first that is not entailed; no answer is kept for later queries.
         """
         kept = self._mask(mask)
         sup = self._full if within is None else self._mask(within)
@@ -960,41 +950,30 @@ class LcnfOracle:
             removed = range(len(rows) - 1, -1, -1)  # every clause, latest first
         else:
             removed = self._with_bit.get(gone, ())
-        entailed_by = self._entailed_by
-        outside, missing = ~sup, ~kept
+        outside = ~sup
         # the formula's own rows, checked when it made them, need none of the
         # checks entails_clause makes on a caller's clause
         for i in removed:
             lits, m = rows[i]
             if m & gone and not m & outside:
-                known = entailed_by[i]
-                if known and any(not k & missing for k in known):
-                    continue
                 outcome = self._solver.solve(map(neg, lits), kept)
                 if outcome.satisfiable:
                     self._evidence = ("model", outcome.model)
                     return False
-                if known is None:
-                    entailed_by[i] = []
-                else:
-                    # no recorded K lies inside the core, as none lies inside kept
-                    core = self._solver.analyze_final()[1]
-                    entailed_by[i] = [k for k in known if core & ~k] + [core]
         return True
 
     def record_subsumers(self) -> list[list[int]]:
-        """Per clause, the antichain of the label masks of the clauses that
-        subsume it, ascending.
+        """Per clause, the label mask of each other clause that subsumes it.
 
         When clause d's literals are a subset of clause c's, phi|K entails c
         for K the labels of d, with no solve (syntactic subsumption; Een &
         Biere, SAT 2005), so a caller may skip c's solve wherever it keeps
         K.  Each clause gets the label masks of the other clauses whose
-        literals lie inside its own, less each one that contains another;
-        a clause with no subsumer gets an empty list.  Rows are sorted, so
-        each in-order sub-tuple of a row is a literal tuple that may key
-        other rows; per clause and per width the formula has, the lookup
-        enumerates those sub-tuples or scans the keys of that width,
+        literals lie inside its own, one per such clause and in no set
+        order; a clause with no subsumer gets an empty list.  Rows are
+        sorted, so each in-order sub-tuple of a row is a literal tuple that
+        may key other rows; per clause and per width the formula has, the
+        lookup enumerates those sub-tuples or scans the keys of that width,
         whichever are fewer, so wide clauses cost no more than a scan.
         Worth its cost where many queries ask about the same clauses, as
         ``classify_all``'s equivalence pass does; witness sweeps never call
@@ -1007,7 +986,7 @@ class LcnfOracle:
         keys_of_width: dict[int, list[tuple]] = {}
         for key in with_literals:
             keys_of_width.setdefault(len(key), []).append(key)
-        found: dict[int, set] = {}
+        subsumers: list[list[int]] = [[] for _ in rows]
         for i, (lits, _) in enumerate(rows):
             for width, keys in keys_of_width.items():
                 if width > len(lits):
@@ -1020,8 +999,5 @@ class LcnfOracle:
                 for key in inside:
                     for j in with_literals.get(key, ()):
                         if j != i:
-                            found.setdefault(i, set()).add(rows[j][1])
-        subsumers: list[list[int]] = [[] for _ in rows]
-        for i, ks in found.items():
-            subsumers[i] = sorted(k for k in ks if not any(o != k and not o & ~k for o in ks))
+                            subsumers[i].append(rows[j][1])
         return subsumers

@@ -277,11 +277,11 @@ def sparse(phi):
 def test_each_closure_pass_matches_the_truth_tables(monkeypatch):
     # a zero limit sends small formulas down the oracle path, and each status
     # kind is read from a fresh report, so each pass runs on its own: the
-    # satisfiability pass, and the equivalence pass, which goes on as the
-    # satisfiability pass once an entailment core proves the whole
+    # satisfiability pass, and the equivalence pass, which goes on with the
+    # empty-clause test alone once an entailment core proves the whole
     # unsatisfiable.  Rows carry up to three labels, label 0 and labels far
-    # apart take their bits in the formula's numbering, and half the wholes
-    # are made unsatisfiable
+    # apart take their bits in the formula's numbering, and more than half
+    # the wholes are made unsatisfiable, some by a labelled empty clause
     monkeypatch.setattr(bruteforce, "MODEL_ENUMERATION_LIMIT", 0)
     nested = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=3)
     group = GenerationProfile(variables=6, clauses=16, labels=6, labelling="group")
@@ -290,8 +290,9 @@ def test_each_closure_pass_matches_the_truth_tables(monkeypatch):
         "unsatisfiable": contradicted,
         "sparse": lambda seed, profile: sparse(random_lcnf(seed, profile)),
         "sparse unsatisfiable": lambda seed, profile: sparse(contradicted(seed, profile)),
+        "empty clause": emptied,
     }
-    seen = {"unsatisfiable": 0, "label 0": 0, "three labels": 0}
+    seen = {"unsatisfiable": 0, "label 0": 0, "three labels": 0, "empty clause": 0}
     for profile in (nested, group):
         for name, build in builds.items():
             for seed in range(60):
@@ -303,7 +304,60 @@ def test_each_closure_pass_matches_the_truth_tables(monkeypatch):
                 seen["unsatisfiable"] += sat.bit_length() < 1 << len(phi.active_labels)
                 seen["label 0"] += 0 in phi.active_labels
                 seen["three labels"] += any(len(labels) == 3 for _, labels in phi.rows)
-    assert seen["unsatisfiable"] >= 240 and seen["label 0"] >= 100 and seen["three labels"] >= 40, seen
+                seen["empty clause"] += any(not lits for lits, _ in phi.rows)
+    assert seen["unsatisfiable"] >= 360 and seen["label 0"] >= 100 and seen["three labels"] >= 40, seen
+    assert seen["empty clause"] >= 120, seen
+
+
+def test_a_pass_under_an_unsatisfiable_whole_decides_both_kinds(monkeypatch):
+    # under an unsatisfiable whole a mask is equivalent iff it is
+    # unsatisfiable, so a pass that ends on the empty-clause test there
+    # keeps both kinds, and the second read of a report makes no solve:
+    # always after the satisfiability pass, and after an equivalence pass
+    # once a core proved the whole unsatisfiable (core_unsatisfiable).
+    # Under a satisfiable whole the second read runs its own pass:
+    # satisfiability costs one solve, and equivalence is not the
+    # complement of satisfiability.  Both orders give the truth tables'
+    # statuses
+    monkeypatch.setattr(bruteforce, "MODEL_ENUMERATION_LIMIT", 0)
+    solves = refuted = 0
+    real_solve, real_refuted = Solver.solve, LcnfOracle.core_unsatisfiable
+
+    def counted_solve(self, *args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return real_solve(self, *args, **kwargs)
+
+    def counted_refuted(self):
+        nonlocal refuted
+        answer = real_refuted(self)
+        refuted += answer
+        return answer
+
+    monkeypatch.setattr(Solver, "solve", counted_solve)
+    monkeypatch.setattr(LcnfOracle, "core_unsatisfiable", counted_refuted)
+    profile = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
+    kept = {"sat_bits": 0, "equivalent_bits": 0, "satisfiable": 0}
+    for seed in range(60):
+        for build in (random_lcnf, contradicted, emptied):
+            phi = build(seed, profile)
+            truth = truth_table_statuses(phi)
+            satisfiable = truth[0].bit_length() == 1 << len(phi.active_labels)
+            for first, second in (("sat_bits", "equivalent_bits"), ("equivalent_bits", "sat_bits")):
+                where = f"{build.__name__}, seed {seed}, {first} first"
+                report = AnalysisReport(phi)
+                refuted = 0
+                getattr(report, first)
+                proved, solves = refuted, 0
+                getattr(report, second)
+                assert statuses(report) == truth, where
+                if satisfiable:
+                    assert solves == 1 or first == "sat_bits", where
+                    kept["satisfiable"] += 1
+                elif first == "sat_bits" or proved:
+                    assert solves == 0, where
+                    kept[first] += 1
+    assert kept["sat_bits"] >= 150 and kept["equivalent_bits"] >= 60 and kept["satisfiable"] >= 40, kept
 
 
 def three_clause(rng, variables):
@@ -351,7 +405,7 @@ def test_closure_passes_on_unsatisfiable_wholes_query_near_the_boundary(shape, b
     # near the boundary between the statuses, on either shape.  A walk that
     # queried each mask its one-label neighbours leave open made, on shape
     # A, 12601 satisfiability solves bottom-up and 2572 equivalence solves
-    # top-down; on shape B, 380 and 12338.  These passes make 447 and 587 on
+    # top-down; on shape B, 380 and 12338.  These passes make 447 and 584 on
     # A, 134 and 177 on B.  Under an unsatisfiable whole a mask is
     # equivalent iff it is unsatisfiable, and a few masks per formula are
     # checked by a one-shot solve that shares nothing with the oracle
@@ -504,6 +558,15 @@ def contradicted(seed, profile):
     clauses = [lits for lits, _ in phi.rows] + [(1,), (-1,)]
     units = [(rng.randint(1, profile.labels),) for _ in range(2)]
     return LcnfFormula.from_clauses(clauses, [labels for _, labels in phi.rows] + units)
+
+
+def emptied(seed, profile):
+    """``random_lcnf`` with a labelled empty clause put among its rows."""
+    phi = random_lcnf(seed, profile)
+    rng = random.Random(seed)
+    rows = list(phi.rows)
+    rows.insert(rng.randint(0, len(rows)), ((), (rng.randint(1, profile.labels),)))
+    return LcnfFormula.from_clauses([lits for lits, _ in rows], [labels for _, labels in rows])
 
 
 def duplicated(seed, profile):
