@@ -19,13 +19,14 @@ upward-closed over label sets and satisfiability is downward-closed, so a
 label kept while shrinking (or rejected while growing) stays so as the
 current set keeps shrinking (or growing).  Each sweep skips the steps that
 earlier solves already decide: a deletion step drops a label outside the
-latest UNSAT core and keeps one that model rotation proved necessary, and a
-grow step adds a label whose clauses the latest model satisfies; ``_shrink``
-and ``_grow`` give the reasons.  So the LMES, LMSS and LMNS sweeps return
-exactly what a sweep solving every step returns.  The LMUS sweep also
-continues inside each UNSAT answer's core (clause-set refinement), so its
-result is an LMUS that depends on the cores the solver returns, and, on a
-shared oracle, on the oracle's earlier queries.
+latest UNSAT core and keeps one that model rotation proved necessary, a
+grow step adds a label whose clauses the latest model satisfies, and the
+LMNS sweep adds a whole run of labels when one look-ahead query on them
+holds; ``_shrink`` and ``_grow`` give the reasons.  So the LMES, LMSS and
+LMNS sweeps return exactly what a sweep solving every step returns.  The
+LMUS sweep also continues inside each UNSAT answer's core (clause-set
+refinement), so its result is an LMUS that depends on the cores the solver
+returns, and, on a shared oracle, on the oracle's earlier queries.
 
 The sweeps take and return label sets, and inside keep their current,
 kept and core sets as int masks over the formula's numbering of its
@@ -35,6 +36,8 @@ the solver visits only the clauses of the label that changed.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable
 
 from .core import LcnfFormula
@@ -219,11 +222,13 @@ def compute_lmns(
         raise PreconditionError(REASON_ALL_REDUNDANT)
     return _grow(
         ora, seed, _normalize_order(phi, order),
-        lambda labels: not ora.is_equivalent_subformula(labels),
+        lambda labels: not ora.is_equivalent_subformula(labels), look_ahead=True,
     )
 
 
-def _grow(ora: LcnfOracle, seed: int, order: list[int], holds) -> frozenset:
+def _grow(
+    ora: LcnfOracle, seed: int, order: list[int], holds, look_ahead: bool = False
+) -> frozenset:
     """The grow pass from ``seed``: add each label of ``order`` that keeps
     the subformula satisfiable or non-equivalent, as ``holds`` says.
 
@@ -233,20 +238,57 @@ def _grow(ora: LcnfOracle, seed: int, order: list[int], holds) -> frozenset:
     is added with no query: the model shows the grown subformula is
     satisfiable, or misses that clause.  Only a query that holds brings a
     new model.
+
+    With ``look_ahead`` (the LMNS sweep), a query due at label l, when none
+    was asked since the start or since the latest rejection, is preceded by
+    look-aheads: ``holds`` on the current set, l and every later label but
+    the last 1, then but the last 2, 4, ..., while that run holds more
+    labels than the current set and l.  The first that holds adds its whole
+    run, its model becomes the latest, and the sweep resumes at the first
+    label left out; if none holds, the usual query on the current set and l
+    follows.  Exact: every set the plain sweep would ask about from l to the
+    end of the run lies inside the run, and what holds for the run holds
+    for each of its subsets, as non-equivalence is downward-closed, so the
+    plain sweep adds every label of the run too.  It pays because a prefix
+    of the order becomes equivalent only once it entails every label after
+    it, so rejections gather at the end of the order.  The LMSS sweep asks
+    none: there a look-ahead mostly fails, and a failed one is a
+    refutation, which costs more than the solves it would save.
     """
     model = ora.model()
-    bits = ora.formula.label_bits
+    bits = [ora.formula.label_bits[l] for l in order]
+    n = len(bits)
+    after = list(accumulate(reversed(bits), or_, initial=0))[::-1]  # after[i]: order[i:]
+
+    def ahead_of(i: int, grown: int):
+        # the first look-ahead from label i that holds: its run and where
+        # the sweep resumes, or None
+        out = 1  # the last labels that the run leaves out
+        while n - out > i + 1:
+            run = grown | after[i] ^ after[n - out]
+            if run != grown and holds(run):
+                return run, n - out
+            out *= 2
+        return None
+
     current = seed
-    for l in order:
-        b = bits[l]
-        if current & b:
+    ahead = look_ahead  # no look-ahead asked since the start or the latest rejection
+    i = 0
+    while i < n:
+        grown = current | bits[i]
+        if grown == current or ora.satisfies(model, bits[i], grown):
+            current, i = grown, i + 1
             continue
-        grown = current | b
-        if ora.satisfies(model, b, grown):
-            current = grown
+        found = ahead and ahead_of(i, grown)
+        ahead = False
+        if found:
+            current, i = found
         elif holds(grown):
-            current = grown
-            model = ora.model()
+            current, i = grown, i + 1
+        else:
+            ahead, i = look_ahead, i + 1
+            continue
+        model = ora.model()
     return ora.formula.labels_in(current)
 
 

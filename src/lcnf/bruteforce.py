@@ -158,6 +158,9 @@ class AnalysisReport:
     Under an unsatisfiable whole a mask is equivalent iff it is
     unsatisfiable, so a pass that ends on the empty-clause test there
     gives both kinds, and both are kept: the second read makes no solve.
+    A satisfiability read after any equivalence pass makes at most one:
+    a satisfiable whole makes every mask satisfiable, and under an
+    unsatisfiable one satisfiability is the complement of equivalence.
     Each family is a ``SetFamily`` of masks, which makes label sets only
     when they are read.  Everything else is also built when first read.
     Maximal non-equivalent sets exist unless every subformula is
@@ -175,6 +178,15 @@ class AnalysisReport:
     oracle = cached_property(lambda self: LcnfOracle(self.formula))
 
     def _passed(self, name: str) -> int:
+        equivalent = self.__dict__.get("equivalent_bits")
+        if name == "sat_bits" and equivalent is not None:
+            # a satisfiable whole makes every mask satisfiable; under an
+            # unsatisfiable one a mask is satisfiable iff it is not equivalent
+            k = len(self.active_labels)
+            everything = (1 << (1 << k)) - 1
+            if self.oracle.is_sat_induced((1 << k) - 1):
+                return everything
+            return everything ^ equivalent
         # a pass may decide both kinds, and each it decides is kept
         self.__dict__.update(_closure_pass(self.oracle, name == "equivalent_bits"))
         return self.__dict__[name]

@@ -15,7 +15,7 @@ from lcnf.analysis import (
 from lcnf.bruteforce import classify_all, random_lcnf
 from lcnf.core import LcnfFormula, label
 from lcnf.errors import PreconditionError
-from lcnf.oracle import LcnfOracle
+from lcnf.oracle import LcnfOracle, Solver
 
 from conftest import WORKED_LMES, WORKED_LMNS, PHI_U_LMSS, PHI_U_LMUS, sweep_formula
 
@@ -296,13 +296,13 @@ class _RecordingOracle(LcnfOracle):
         return sat
 
 
-def _random_3sat(seed, variables):
-    """Clause-labelled random 3-SAT at ratio 5.5: each clause on three
-    distinct variables."""
+def _random_3sat(seed, variables, ratio=5.5):
+    """Clause-labelled random 3-SAT at ``ratio`` clauses per variable: each
+    clause on three distinct variables."""
     rng = random.Random(seed)
     clauses = [
         [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, variables + 1), 3)]
-        for _ in range(round(5.5 * variables))
+        for _ in range(round(ratio * variables))
     ]
     return label(clauses, "clause")
 
@@ -339,3 +339,97 @@ def test_lmus_sweep_continues_inside_each_core():
             assert not check.is_sat_induced(phi.mask_of(lmus)), i
             assert all(check.is_sat_induced(phi.mask_of(lmus - {l})) for l in lmus), i
     assert unsat[0] > 100 and unsat[1] >= 6 and bounded > 200, (unsat, bounded)
+
+
+def test_lmns_look_ahead_settles_the_sweep_before_the_last_label(monkeypatch):
+    # with the last clause irredundant, every label but the last is
+    # non-equivalent, so from an empty seed the first query due is a
+    # look-ahead that adds them all; then the sweep asks about the whole
+    # and rejects the last label.  The seed query, the look-ahead and the
+    # query on the whole make at most one solve each
+    solves = 0
+    real_solve = Solver.solve
+
+    def counted_solve(self, *args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return real_solve(self, *args, **kwargs)
+
+    checked = 0
+    for seed in range(80):
+        phi = _random_3sat(seed, 20 + seed % 11, ratio=3.6)
+        check = LcnfOracle(phi)
+        last = max(phi.active_labels)
+        if not check.is_sat_induced(phi.mask_of(phi.active_labels)):
+            continue
+        if is_label_redundant(phi, last, oracle=check):
+            continue
+        monkeypatch.setattr(Solver, "solve", counted_solve)
+        solves = 0
+        lmns = compute_lmns(phi, oracle=LcnfOracle(phi))
+        monkeypatch.setattr(Solver, "solve", real_solve)
+        assert solves <= 3, seed
+        assert lmns == phi.active_labels - {last}, seed
+        checked += 1
+    assert checked >= 30, checked
+
+
+def _redundant_last(phi, rng):
+    """``phi`` with one more row, under a new label above every other: a
+    copy of one of its clauses, or that clause weakened by a literal on
+    another variable, so the new label is redundant."""
+    rows = [(lits, labels) for lits, labels in phi.rows]
+    lits, _ = rng.choice([row for row in rows if row[0]])
+    others = sorted(set(phi.variables) - {abs(x) for x in lits})
+    if others and rng.random() < 0.5:
+        v = rng.choice(others)
+        lits = (*lits, v if rng.random() < 0.5 else -v)
+    rows.append((lits, (max(phi.active_labels, default=0) + 1,)))
+    return LcnfFormula.from_clauses([l for l, _ in rows], [labels for _, labels in rows])
+
+
+def test_lmns_matches_the_plain_sweep_where_the_look_ahead_fails():
+    # the last label of every order is redundant, so a look-ahead on every
+    # label but the last, asked before any rejection, is equivalent and
+    # refused; the sweep falls back to its usual queries, halves the run,
+    # and rejects labels mid-order.  Every result equals the plain sweep's
+    rng = random.Random(3030)
+    mid_order = 0
+    for i in range(400):
+        phi = _redundant_last(sweep_formula(i), rng)
+        last = max(phi.active_labels)
+        others = sorted(phi.active_labels - {last})
+        order = rng.sample(others, rng.randint(0, len(others)))  # the last comes last
+        full = _normalize_order(phi, order)
+        seed = frozenset(l for l in others if rng.random() < 0.2)
+        plain = LcnfOracle(phi)
+        lmns = _or_none(compute_lmns, phi, seed, order, oracle=LcnfOracle(phi))
+        assert lmns == _plain_lmns(phi, seed, full, plain), (i, seed, order)
+        assert plain.is_equivalent_subformula(phi.mask_of(phi.active_labels - {last})), i
+        mid_order += lmns is not None and bool(phi.active_labels - lmns - {last})
+    assert mid_order > 250, mid_order
+
+
+def test_each_lmss_query_adds_one_label():
+    # the LMSS sweep asks no look-ahead: after the precondition queries on
+    # the empty set and the seed, each query asks about the current set
+    # and one label l, the current set being the seed and the result's
+    # labels before l in the order
+    rng = random.Random(4242)
+    asked = 0
+    formulas = [sweep_formula(i) for i in range(200)]
+    formulas += [_random_3sat(seed, 15 + seed % 6) for seed in range(8)]
+    for i, phi in enumerate(formulas):
+        order = sorted(phi.active_labels)
+        rng.shuffle(order)
+        place = {l: j for j, l in enumerate(order)}
+        seed = frozenset(l for l in order if rng.random() < 0.2)
+        ora = _RecordingOracle(phi)
+        lmss = _or_none(compute_lmss, phi, seed, order, oracle=ora)
+        if lmss is None:
+            continue
+        for labels, _, _ in ora.queries[1 + bool(seed):]:
+            l = max(labels - seed, key=place.get)
+            assert labels == seed | {m for m in lmss if place[m] < place[l]} | {l}, (i, order)
+            asked += 1
+    assert asked > 300, asked

@@ -315,10 +315,12 @@ def test_a_pass_under_an_unsatisfiable_whole_decides_both_kinds(monkeypatch):
     # keeps both kinds, and the second read of a report makes no solve:
     # always after the satisfiability pass, and after an equivalence pass
     # once a core proved the whole unsatisfiable (core_unsatisfiable).
-    # Under a satisfiable whole the second read runs its own pass:
-    # satisfiability costs one solve, and equivalence is not the
-    # complement of satisfiability.  Both orders give the truth tables'
-    # statuses
+    # Any other satisfiability read after an equivalence pass makes one
+    # solve, on the whole: satisfiable, every mask is; unsatisfiable, a
+    # mask is iff it is not equivalent.  Under a satisfiable whole an
+    # equivalence read after the satisfiability pass runs its own pass, as
+    # equivalence is not the complement of satisfiability there.  Both
+    # orders give the truth tables' statuses
     monkeypatch.setattr(bruteforce, "MODEL_ENUMERATION_LIMIT", 0)
     solves = refuted = 0
     real_solve, real_refuted = Solver.solve, LcnfOracle.core_unsatisfiable
@@ -337,7 +339,7 @@ def test_a_pass_under_an_unsatisfiable_whole_decides_both_kinds(monkeypatch):
     monkeypatch.setattr(Solver, "solve", counted_solve)
     monkeypatch.setattr(LcnfOracle, "core_unsatisfiable", counted_refuted)
     profile = GenerationProfile(variables=5, clauses=14, labels=6, clause_labels=2)
-    kept = {"sat_bits": 0, "equivalent_bits": 0, "satisfiable": 0}
+    kept = {"sat_bits": 0, "equivalent_bits": 0, "satisfiable": 0, "one solve": 0}
     for seed in range(60):
         for build in (random_lcnf, contradicted, emptied):
             phi = build(seed, profile)
@@ -351,13 +353,18 @@ def test_a_pass_under_an_unsatisfiable_whole_decides_both_kinds(monkeypatch):
                 proved, solves = refuted, 0
                 getattr(report, second)
                 assert statuses(report) == truth, where
+                if first == "equivalent_bits":
+                    assert solves <= 1, where
                 if satisfiable:
                     assert solves == 1 or first == "sat_bits", where
                     kept["satisfiable"] += 1
                 elif first == "sat_bits" or proved:
                     assert solves == 0, where
                     kept[first] += 1
-    assert kept["sat_bits"] >= 150 and kept["equivalent_bits"] >= 60 and kept["satisfiable"] >= 40, kept
+                else:  # the pass may still have ended on the empty-clause test
+                    kept["one solve"] += solves
+    assert kept["sat_bits"] >= 150 and kept["equivalent_bits"] >= 60, kept
+    assert kept["satisfiable"] >= 40 and kept["one solve"] >= 40, kept
 
 
 def three_clause(rng, variables):
