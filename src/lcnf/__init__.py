@@ -32,19 +32,10 @@ from .duality import (
     DualityVerdict,
     SetFamily,
     enumerate_minimal_hitting_sets,
-    is_irreducible_hitting_set,
     verify_duality,
 )
 from .errors import LcnfError, ParseError, PreconditionError, ResourceLimitError
-from .interface import (
-    main,
-    parse_dimacs,
-    parse_gcnf,
-    parse_lcnf,
-    serialize_dimacs,
-    serialize_gcnf,
-    serialize_lcnf,
-)
+from .interface import main, parse_dimacs, parse_gcnf, parse_lcnf
 from .oracle import LcnfOracle, SatOutcome, Solver, solve
 
 __version__ = "0.1.0"
@@ -68,7 +59,6 @@ __all__ = [
     "compute_lmss",
     "compute_lmus",
     "enumerate_minimal_hitting_sets",
-    "is_irreducible_hitting_set",
     "is_label_redundant",
     "label",
     "main",
@@ -76,9 +66,6 @@ __all__ = [
     "parse_gcnf",
     "parse_lcnf",
     "random_lcnf",
-    "serialize_dimacs",
-    "serialize_gcnf",
-    "serialize_lcnf",
     "solve",
     "duality_preconditions",
     "verify_duality",

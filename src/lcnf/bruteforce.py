@@ -47,6 +47,7 @@ from .oracle import LcnfOracle
 MODEL_ENUMERATION_LIMIT = 12  # variables; beyond this, statuses come from the oracle
 TRUTH_TABLE_CHUNK = 1 << 10  # masks per transform chunk, rounded down to a power of two
 MAX_VARIABLES = 24  # classify_all refuses formulas with more variables
+MAX_LABELS = 24  # classify_all refuses more labels, whatever max_labels says
 DEFAULT_MAX_LABELS = 16  # classify_all refuses more labels unless told otherwise
 
 
@@ -466,17 +467,18 @@ def classify_all(phi: LcnfFormula, max_labels: int = DEFAULT_MAX_LABELS) -> Anal
     """Classify every label subset; the report computes what it is asked on first read.
 
     Exhaustive over the 2^k subsets of the k active labels, so ``max_labels``
-    guards against blowup (exceeding it, or ``MAX_VARIABLES``, raises
-    ResourceLimitError).  Up to ``MODEL_ENUMERATION_LIMIT`` variables both
-    status kinds come from truth tables before this returns
-    (``_classify_truth_tables``), over chunks of at most
-    ``TRUTH_TABLE_CHUNK`` subsets so that memory stays bounded.  Larger
+    guards against blowup (exceeding it, ``MAX_LABELS`` or ``MAX_VARIABLES``
+    raises ResourceLimitError before any 2^k-sized allocation).  Up to
+    ``MODEL_ENUMERATION_LIMIT`` variables both status kinds come from truth
+    tables before this returns (``_classify_truth_tables``), over chunks of
+    at most ``TRUTH_TABLE_CHUNK`` subsets so that memory stays bounded.  Larger
     formulas are classified by one oracle, and each status kind only when
     a reader of the report first asks for it (``AnalysisReport``): LMUS and
     LMSS need only satisfiability, LMES, LMNS and the duality check only
     equivalence.  Both paths run in one process.
     """
     k = len(phi.active_labels)
+    max_labels = min(max_labels, MAX_LABELS)
     if k > max_labels:
         raise ResourceLimitError(
             f"formula has {k} labels, over the limit of {max_labels}"

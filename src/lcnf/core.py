@@ -12,7 +12,7 @@ row per clause, in clause order.  The literals are a tuple, distinct and in
 the canonical order of ``sort_literals`` (by variable, the positive one
 first); the labels are a frozenset.  A clause is checked once, when its row
 is made (literal 0, a complementary pair, a negative label); the oracle,
-the truth tables, the serializers and ``label`` read rows as they are.
+the truth tables and ``label`` read rows as they are.
 
 Below the public API a label set is an int mask, bit i for the i-th
 smallest active label (``label_bits``).  The formula owns that numbering:

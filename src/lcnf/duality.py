@@ -9,13 +9,12 @@ against ground-truth families.
 
 A hitting set H of a family is irreducible exactly when every element of H
 has a private member: some family member whose intersection with H is that
-single element.  This is what ``is_irreducible_hitting_set`` checks.  For a
-set that hits every member, irreducible and inclusion-minimal coincide.  A
-set whose element has lost its private member never regains one as the set
-grows, so the enumeration prunes such sets at once and reaches only minimal
-hitting sets.  It is an MMCS search over ints: a family (``SetFamily``) is a
-list of label masks, and stays one through dualization and comparison until
-the API or the CLI reads its label sets.
+single element.  For a set that hits every member, irreducible and
+inclusion-minimal coincide.  A set whose element has lost its private member
+never regains one as the set grows, so the enumeration prunes such sets at
+once and reaches only minimal hitting sets.  It is an MMCS search over ints:
+a family (``SetFamily``) is a list of label masks, and stays one through
+dualization and comparison until the API or the CLI reads its label sets.
 """
 from __future__ import annotations
 
@@ -101,23 +100,6 @@ class SetFamily:
         return f"SetFamily([{body}])"
 
 
-def _as_family(family: SetFamily | Iterable) -> SetFamily:
-    return family if isinstance(family, SetFamily) else SetFamily(family)
-
-
-def is_irreducible_hitting_set(candidate: Iterable[int], family: SetFamily | Iterable) -> bool:
-    """Whether ``candidate`` hits the family and no proper subset does.
-
-    Irreducibility is checked by private members: each element of the
-    candidate must be the sole intersection with some family member.
-    """
-    h = frozenset(int(l) for l in candidate)
-    members = _as_family(family).members
-    return all(h & m for m in members) and all(
-        any(h & m == {e} for m in members) for e in h
-    )
-
-
 def enumerate_minimal_hitting_sets(
     family: SetFamily | Iterable, *, limit: int = 10**6
 ) -> SetFamily:
@@ -137,7 +119,8 @@ def enumerate_minimal_hitting_sets(
     """
     if limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
-    family = _as_family(family)
+    if not isinstance(family, SetFamily):
+        family = SetFamily(family)
     members, k = family.masks, len(family.labels)
     if 0 in members:
         return SetFamily.from_masks([], family.labels)

@@ -240,47 +240,6 @@ def parse_lcnf(text: str) -> LcnfFormula:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _write(kind: str, phi: LcnfFormula, blocks: Iterable[str], *counts: int) -> str:
-    """A ``p kind`` file: the header, then each row's literals after its block."""
-    clauses = [lits for lits, _ in phi.rows]
-    max_var = max((abs(l) for c in clauses for l in c), default=0)
-    header = " ".join(str(x) for x in ("p", kind, max_var, len(clauses), *counts))
-    rows = (block + " ".join(map(str, c)) + " 0" for block, c in zip(blocks, clauses))
-    return "\n".join([header, *rows]) + "\n"
-
-
-def serialize_dimacs(formula) -> str:
-    """DIMACS text for a clause list or the CNF part of a labelled formula.
-    A clause list is checked as ``LcnfFormula.from_clauses`` checks it."""
-    if not isinstance(formula, LcnfFormula):
-        formula = LcnfFormula.from_clauses(formula)
-    return _write("cnf", formula, repeat(""))
-
-
-def serialize_gcnf(phi: LcnfFormula) -> str:
-    """Group CNF text; requires at most one label per clause, and none 0,
-    as gcnf group 0 holds the unlabelled clauses."""
-    groups = []
-    for i, (_, ls) in enumerate(phi.rows):
-        if len(ls) > 1:
-            raise ValueError(f"clause {i} has {len(ls)} labels; gcnf allows at most one")
-        if 0 in ls:
-            raise ValueError(f"clause {i} has label 0; gcnf reads group 0 as unlabelled")
-        groups.append(next(iter(ls)) if ls else 0)
-    blocks = [f"{{{g}}} " for g in groups]
-    return _write("gcnf", phi, blocks, max(groups, default=0))
-
-
-def serialize_lcnf(phi: LcnfFormula) -> str:
-    """Labelled CNF text with every clause's full label set."""
-    blocks = ["{" + " ".join(map(str, sorted(ls))) + "} " for _, ls in phi.rows]
-    return _write("lcnf", phi, blocks)
-
-
-# ---------------------------------------------------------------------------
 # command line
 
 _EXTENSIONS = {
@@ -345,22 +304,19 @@ def _int_at_least(low: int, text: str) -> int:
     return value
 
 
-def _formula_info(phi: LcnfFormula, path: str) -> dict:
-    return {
-        "path": path,
-        "variables": len(phi.variables),
-        "clauses": len(phi),
-        "active_labels": sorted(phi.active_labels),
-    }
-
-
 def _emit(args, phi, fields: dict, lines: Iterable[str]) -> None:
     """Print ``fields`` after the formula's description as JSON under
     ``--json``, else the text ``lines``."""
     if args.json:
         import json  # here, so that only --json runs pay for it
 
-        print(json.dumps({"formula": _formula_info(phi, args.file), **fields}, indent=2))
+        formula = {
+            "path": args.file,
+            "variables": len(phi.variables),
+            "clauses": len(phi),
+            "active_labels": sorted(phi.active_labels),
+        }
+        print(json.dumps({"formula": formula, **fields}, indent=2))
     else:
         for line in lines:
             print(line)
@@ -545,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-duality", exhaustive, help="check the hitting-set duality on this formula")
     p.set_defaults(handler=_cmd_verify_duality)
 
-    p = add("stats", budgeted, help="formula statistics")
+    p = add("stats", budgeted, help="facts about the formula: sizes, labels, satisfiability")
     p.set_defaults(handler=_cmd_stats)
 
     for option, owner in (("--conflict-budget", budgeted), ("--max-labels", exhaustive)):

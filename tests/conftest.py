@@ -141,6 +141,24 @@ def variables_of(clauses):
     return {abs(l) for c in clauses for l in c}
 
 
+def formula_text(phi, kind="lcnf"):
+    """``phi`` as the text of a ``p kind`` file: ``lcnf`` writes each clause's
+    sorted label block, ``gcnf`` its one group or group 0 for no label, and
+    ``cnf`` no block.  The parsers' round-trip tests read it back."""
+    clauses = cnf(phi)
+    header = ["p", kind, max(variables_of(clauses), default=0), len(clauses)]
+    if kind == "gcnf":
+        header.append(max(phi.active_labels, default=0))
+    lines = [" ".join(map(str, header))]
+    for lits, labels in phi.rows:
+        if kind == "lcnf":
+            block = "{" + " ".join(map(str, sorted(labels))) + "} "
+        else:
+            block = f"{{{max(labels, default=0)}}} " if kind == "gcnf" else ""
+        lines.append(block + " ".join(map(str, [*lits, 0])))
+    return "\n".join(lines) + "\n"
+
+
 def run_cli_streams(*argv):
     """Run the command line in-process; returns (exit code, stdout, stderr)."""
     out = io.StringIO()

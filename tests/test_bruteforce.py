@@ -21,7 +21,6 @@ from lcnf.bruteforce import (
 from lcnf.core import LcnfFormula
 from lcnf.duality import verify_duality
 from lcnf.errors import ResourceLimitError
-from lcnf.interface import serialize_lcnf
 from lcnf.oracle import LcnfOracle, Solver, solve
 
 from conftest import (
@@ -101,6 +100,11 @@ def test_label_count_guard():
     with pytest.raises(ResourceLimitError):
         classify_all(phi, max_labels=4)
     assert classify_all(phi, max_labels=5).active_labels == frozenset(range(1, 6))
+    # past MAX_LABELS the refusal comes whatever max_labels says, before any
+    # 2^k-sized table or mask is built
+    wide = LcnfFormula.from_clauses([(1,)] * 25, [(i,) for i in range(1, 26)])
+    with pytest.raises(ResourceLimitError, match="25 labels, over the limit of 24"):
+        classify_all(wide, max_labels=64)
 
 
 def test_variable_count_guard():
@@ -455,7 +459,9 @@ def test_cli_lmus_refusal_on_the_oracle_path_costs_one_solve(tmp_path, monkeypat
 
     monkeypatch.setattr(Solver, "solve", counted_solve)
     f = tmp_path / "thirteen.lcnf"
-    f.write_text(serialize_lcnf(thirteen_variables()))
+    f.write_text(
+        "p lcnf 13 14\n" + "".join(f"{{1}} {i} 0\n" for i in range(1, 14)) + "{2} 1 2 0\n"
+    )
     assert run_cli_streams("enum", "--family", "lmus", str(f)) == (
         3,
         "",
@@ -720,7 +726,10 @@ def test_truth_table_path_makes_no_solver_call(tmp_path, monkeypatch):
             getattr(report, name)
         verify_duality(phi, report)
     f = tmp_path / "twelve.lcnf"
-    f.write_text(serialize_lcnf(twelve))
+    f.write_text(
+        "p lcnf 12 9\n{1} 1 2 3 0\n{2} 1 2 3 0\n{3} 4 5 0\n{} -4 6 7 0\n"
+        + "".join(f"{{4}} {i} 0\n" for i in range(8, 13))
+    )
     assert run_cli_streams("enum", "--family", "lmes", str(f)) == (0, "1 3 4\n2 3 4\n", "")
     code, out, err = run_cli_streams("verify-duality", str(f))
     assert (code, out.splitlines()[-1], err) == (0, "result: pass", "")

@@ -10,12 +10,23 @@ from lcnf.duality import (
     DualityVerdict,
     SetFamily,
     enumerate_minimal_hitting_sets,
-    is_irreducible_hitting_set,
     verify_duality,
 )
 from lcnf.errors import ResourceLimitError
 
 from conftest import WORKED_COLMNS, WORKED_LMES, WORKED_LMNS
+
+
+def is_irreducible_hitting_set(candidate, family):
+    """Whether ``candidate`` hits every member of ``family`` and no proper
+    subset does: each of its elements is the sole intersection with some
+    member (a private member).  A frozenset scan, independent of the MMCS
+    search over masks that it checks."""
+    h = frozenset(candidate)
+    members = [frozenset(m) for m in family]
+    return all(h & m for m in members) and all(
+        any(h & m == {e} for m in members) for e in h
+    )
 
 
 def test_set_family_canonical_order():

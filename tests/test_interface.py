@@ -20,9 +20,6 @@ from lcnf.interface import (
     parse_dimacs,
     parse_gcnf,
     parse_lcnf,
-    serialize_dimacs,
-    serialize_gcnf,
-    serialize_lcnf,
     main,
 )
 from lcnf.oracle import SatOutcome
@@ -31,8 +28,8 @@ from conftest import (
     WORKED_CLAUSES,
     WORKED_LABELS,
     WORKED_LCNF,
-    PHI_U_GCNF,
     cnf,
+    formula_text,
     run_cli,
     run_cli_streams,
 )
@@ -291,61 +288,20 @@ def test_parse_lcnf_rejects_clause_before_header():
         assert e.value.line == 2
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def test_serialize_dimacs_sorted_literals():
-    text = serialize_dimacs([(3, -1, 2)])
-    assert text == "p cnf 3 1\n-1 2 3 0\n"
-
-
-def test_serialize_dimacs_checks_a_clause_list_as_from_clauses_does():
-    # written as it stood, [1, 0] would read back as two clauses and [1, -1]
-    # not at all
-    with pytest.raises(ValueError, match="^literal 0 is not allowed in a clause$"):
-        serialize_dimacs([[1, 0]])
-    with pytest.raises(ValueError, match="^clause 0 contains both 1 and its negation$"):
-        serialize_dimacs([[1, -1]])
-    text = serialize_dimacs([[2, 1, 2, -3, 1]])
-    assert text == "p cnf 3 1\n1 2 -3 0\n"
-    assert parse_dimacs(text) == [(1, 2, -3)]
-    phi = LcnfFormula.from_clauses([[2, 1, 2, -3, 1]])
-    assert serialize_dimacs(phi) == text
-
-
-def test_serialize_lcnf_worked_example(worked_example):
-    assert serialize_lcnf(worked_example) == WORKED_LCNF
-
-
-def test_serialize_gcnf_roundtrip_text():
-    phi = parse_gcnf(PHI_U_GCNF)
-    assert serialize_gcnf(phi) == PHI_U_GCNF
-
-
-def test_serialize_gcnf_rejects_multi_label_clause(worked_example):
-    with pytest.raises(ValueError):
-        serialize_gcnf(worked_example)
-
-
-def test_serialize_gcnf_rejects_label_zero():
-    # gcnf group 0 holds the unlabelled clauses, so label 0 would come back
-    # as no label at all
-    phi = LcnfFormula.from_clauses([(1,), (-1, 2)], [(0,), (1,)])
-    with pytest.raises(ValueError, match="clause 0 has label 0"):
-        serialize_gcnf(phi)
+# -- round trips ------------------------------------------------------------
 
 
 def test_roundtrip_500_random_formulas():
     for seed in range(500):
         phi = random_lcnf(seed)
-        assert parse_lcnf(serialize_lcnf(phi)) == phi
+        assert parse_lcnf(formula_text(phi)) == phi
 
 
 def test_roundtrip_group_formulas_through_gcnf():
     prof = GenerationProfile(labelling="group")
     for seed in range(100):
         phi = random_lcnf(seed, prof)
-        again = parse_gcnf(serialize_gcnf(phi))
+        again = parse_gcnf(formula_text(phi, "gcnf"))
         assert again == phi
 
 
@@ -357,7 +313,7 @@ def test_roundtrip_plain_cnf_through_dimacs():
         for _ in range(rng.randint(1, 10)):
             vs = rng.sample(range(1, n + 1), rng.randint(1, n))
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-        parsed = parse_dimacs(serialize_dimacs(clauses))
+        parsed = parse_dimacs(formula_text(LcnfFormula.from_clauses(clauses), "cnf"))
         assert [frozenset(c) for c in parsed] == [frozenset(c) for c in clauses]
 
 
