@@ -249,9 +249,15 @@ def _label_patterns(k: int) -> tuple:
     """
     patterns = []
     for b in range(k):
-        half = 1 << b  # a run of 2^b zeros, then 2^b ones, repeated
-        runs = ((1 << (1 << k)) - 1) // ((1 << (half << 1)) - 1)
-        patterns.append(runs * (((1 << half) - 1) << half))
+        half = 1 << b
+        pattern = ((1 << half) - 1) << half  # a run of 2^b zeros, then 2^b ones
+        # repeat it by doubling, linear in 2^k; CPython divides 2^k-bit ints
+        # in quadratic time
+        width = half << 1
+        while width < 1 << k:
+            pattern |= pattern << width
+            width <<= 1
+        patterns.append(pattern)
     return tuple(patterns)
 
 

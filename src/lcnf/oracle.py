@@ -28,7 +28,8 @@ an int with one bit per label, in whatever numbering the caller chose.
 It keeps each clause's labels, the labels switched on and each
 learned clause's labels as masks, with one clause list per bit position;
 a solve visits only the clauses of the labels it switches, so a query
-pays for the labels it changes.
+pays for the labels it changes.  A learned clause carries many labels, and
+is filed under them a byte of its mask at a time.
 
 ``LcnfOracle`` gives its solver the rows of the formula, once, as they
 are: each clause's sorted literals with its mask in the formula's own
@@ -53,8 +54,11 @@ keeps the closures itself, seeded by ``record_subsumers`` with the labels
 of each clause's subsuming clauses.  Each label's clause list, built on
 the first query that needs it, is keyed by the label's bit.
 ``rotate`` turns one model into many necessary labels by recursive model
-rotation, with no solve; the per-literal clause index it reads is built
-on its first call, so an oracle that never rotates never pays for it.
+rotation, with no solve.  It holds an assignment as an int with a bit per
+true literal and each row as the mask of its literals, so a clause is
+falsified when the two share no bit; those masks and the rows per literal
+are built on its first call, so an oracle that never rotates never pays
+for them.
 """
 from __future__ import annotations
 
@@ -95,6 +99,10 @@ class SatOutcome(_SatOutcomeFields):
         return "SAT" if self.satisfiable else "UNSAT"
 
 
+# per byte value, the positions of its set bits, ascending
+_BIT_POSITIONS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def _luby(x: int) -> int:
     # luby restart sequence (0-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
     size, seq = 1, 0
@@ -130,6 +138,10 @@ class Solver:
     switched off leaves the watch lists the first time propagation meets
     it; one switched on again goes back in before the activation level is
     opened, checked against the level-0 facts that arrived meanwhile.
+
+    Propagation visits the watch list of each literal made false, and looks
+    for a replacement watch with an index loop; conflict analysis bumps the
+    activity of each variable it meets in place.
 
     ``conflicts`` counts, over every ``solve`` of the solver's life, each
     conflict found above level 0: one at the activation level, which
@@ -274,13 +286,21 @@ class Solver:
         with_bit = self._with_bit
         while len(with_bit) < labels.bit_length():
             with_bit.append([])
-        while labels:
-            low = labels & -labels
-            with_bit[low.bit_length() - 1].append(ci)
-            labels ^= low
+        if labels.bit_count() < 4:
+            while labels:
+                low = labels & -labels
+                with_bit[low.bit_length() - 1].append(ci)
+                labels ^= low
+        else:
+            # a learned clause carries many labels: file them a byte at a time
+            base = 0
+            for byte in labels.to_bytes((labels.bit_length() + 7) // 8, "little"):
+                for i in _BIT_POSITIONS[byte]:
+                    with_bit[base + i].append(ci)
+                base += 8
         if len(lits) < 2:
             self._short.append(ci)
-        elif not self._off[ci]:
+        elif not off:
             self._attach(ci)
         return ci
 
@@ -415,6 +435,8 @@ class Solver:
         clauses = self._clauses
         trail = self._trail
         level = len(self._trail_lim)
+        levels = self._level
+        reasons = self._reason
         off = self._off
         gate = off if level else self._labels
         qhead = self._qhead
@@ -425,7 +447,7 @@ class Solver:
             if not watchlist:
                 continue
             kept: list[int] = []
-            for wi, ci in enumerate(watchlist):
+            for ci in watchlist:
                 lits = clauses[ci]
                 if gate[ci]:
                     watches[lits[1] if lits[0] == false_lit else lits[0]].remove(ci)
@@ -442,36 +464,34 @@ class Solver:
                 if first_value:
                     kept.append(ci)
                     continue
-                for j in range(2, len(lits)):
+                # an index loop: a range per visit costs more than the scan
+                j = 2
+                end = len(lits)
+                while j < end:
                     q = lits[j]
                     if value[q] is not False:
                         lits[1] = q
                         lits[j] = false_lit
                         watches[q].append(ci)
                         break
+                    j += 1
                 else:
                     kept.append(ci)
                     if first_value is False:
-                        kept.extend(watchlist[wi + 1 :])
+                        kept.extend(watchlist[watchlist.index(ci) + 1 :])
                         watches[false_lit] = kept
                         self._qhead = qhead
                         return ci
                     value[first] = True
                     value[first ^ 1] = False
-                    self._level[first >> 1] = level
-                    self._reason[first >> 1] = ci
+                    levels[first >> 1] = level
+                    reasons[first >> 1] = ci
                     trail.append(first)
             watches[false_lit] = kept
         self._qhead = qhead
         return None
 
     # -- conflict analysis --------------------------------------------------
-
-    def _bump(self, var: int):
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            self._activity = [a * 1e-100 for a in self._activity]
-            self._var_inc *= 1e-100
 
     def _analyze(self, confl: int) -> tuple[list[int], int, int]:
         """First-UIP learning above the activation level.
@@ -484,28 +504,36 @@ class Solver:
         """
         level = self._level
         labels = self._labels
+        clauses = self._clauses
+        trail = self._trail
+        activity = self._activity
+        var_inc = self._var_inc
         cur_level = len(self._trail_lim)
         seen: set[int] = set()
         learned: list[int] = [0]
         used = labels[confl]
         counter = 0
-        index = len(self._trail)
-        reason_lits = self._clauses[confl]
+        index = len(trail)
+        reason_lits = clauses[confl]
         while True:
             for q in reason_lits:
                 # the literal a reason clause implied is already seen
                 v = q >> 1
-                if v in seen or level[v] == 0:
+                lv = level[v]
+                if not lv or v in seen:
                     continue
                 seen.add(v)
-                self._bump(v)
-                if level[v] == cur_level:
+                activity[v] += var_inc  # bump; rescale all past 1e100
+                if activity[v] > 1e100:
+                    self._activity = activity = [a * 1e-100 for a in activity]
+                    self._var_inc = var_inc = var_inc * 1e-100
+                if lv == cur_level:
                     counter += 1
                 else:
                     learned.append(q)
             while True:
                 index -= 1
-                p = self._trail[index]
+                p = trail[index]
                 if p >> 1 in seen:
                     break
             counter -= 1
@@ -513,7 +541,7 @@ class Solver:
                 break
             r = self._reason[p >> 1]
             used |= labels[r]
-            reason_lits = self._clauses[r]
+            reason_lits = clauses[r]
         learned[0] = p ^ 1
         if len(learned) == 1:
             return learned, used, 1 if used else 0
@@ -760,14 +788,24 @@ class LcnfOracle:
         return with_bit
 
     @cached_property
-    def _rotation_index(self) -> tuple[dict[int, list[tuple]], list[int]]:
-        """The rows per literal and the variables, sorted.  Built by the
-        first ``rotate``, so an oracle that never rotates never pays for it."""
-        occurs: dict[int, list[tuple]] = {}
-        for row in self._rows:
-            for x in row[0]:
-                occurs.setdefault(x, []).append(row)
-        return occurs, sorted({abs(x) for x in occurs})
+    def _rotation_index(self) -> tuple[list[tuple], list[list[tuple]], list[int]]:
+        """Per row, its literal mask, its label mask and the bits of its
+        variables, in row order; per literal bit, the rows holding that
+        literal; and the variables, sorted.  Literal v of the i-th variable
+        is bit 2i and -v bit 2i + 1, and the variable is named by bit 2i.
+        Built by the first ``rotate``, so an oracle that never rotates never
+        pays for it."""
+        variables = sorted({abs(x) for lits, _ in self._rows for x in lits})
+        code = {x: 2 * i + (x < 0) for i, v in enumerate(variables) for x in (v, -v)}
+        occurs: list[list[tuple]] = [[] for _ in code]
+        rows = []
+        for lits, mask in self._rows:
+            bits = [code[x] for x in lits]
+            row = (sum([1 << b for b in bits]), mask, tuple([b & -2 for b in bits]))
+            rows.append(row)
+            for b in bits:
+                occurs[b].append(row)
+        return rows, occurs, variables
 
     def is_sat_induced(self, mask: int) -> bool:
         """Satisfiability of the subformula induced by the labels of ``mask``.
@@ -858,18 +896,19 @@ class LcnfOracle:
         assignment, as ``model()`` hands out, and is left as it was.
         Returns the labels proven, less ``known``; no solve is made.
         """
-        occurs, variables = self._rotation_index
-        rows = self._rows
+        rows, occurs, variables = self._rotation_index
         outside = ~self._mask(within)
         proven = known = self._mask(known)
-        # the assignment as its set of true literals: a clause is falsified
-        # exactly when it shares none of them
-        true = {v if model[v] else -v for v in variables}
+        # the assignment as an int with the bit of each true literal set: a
+        # clause is falsified exactly when its literal mask misses them all
+        true = 0
+        for i, v in enumerate(variables):
+            true |= (1 if model[v] else 2) << 2 * i
         falsified = []
         if left_out:
             for i in self._with_bit.get(left_out, ()):
                 c = rows[i]
-                if not c[1] & outside and true.isdisjoint(c[0]):
+                if not c[1] & outside and not true & c[0]:
                     falsified.append(c)
             falsified.reverse()  # in formula order
         stack = [(true, falsified)]
@@ -877,17 +916,17 @@ class LcnfOracle:
         while stack:
             true, falsified = stack.pop()
             if falsified:
-                flips = dict.fromkeys(abs(x) for c in falsified for x in c[0])
+                flips = dict.fromkeys(s for c in falsified for s in c[2])
             else:
-                flips = variables
-            for v in flips:
-                lit = v if v in true else -v
-                true.remove(lit)
-                true.add(-lit)
-                # the falsified clauses without v, and those lit alone satisfied
-                now = [c for c in falsified if -lit not in c[0]] if falsified else []
-                for c in occurs.get(lit, ()):
-                    if true.isdisjoint(c[0]) and not c[1] & outside:
+                flips = range(0, 2 * len(variables), 2)
+            for s in flips:
+                lit = s if true >> s & 1 else s + 1  # the literal the flip falsifies
+                pair = 3 << s
+                true ^= pair
+                # the falsified clauses without the variable, and those lit alone satisfied
+                now = [c for c in falsified if not c[0] & pair] if falsified else []
+                for c in occurs[lit]:
+                    if not true & c[0] and not c[1] & outside:
                         now.append(c)
                 if now:
                     shared = now[0][1] & ~proven
@@ -895,12 +934,11 @@ class LcnfOracle:
                         shared &= c[1]
                     if shared:
                         proven |= shared
-                        stack.append((set(true), now))
+                        stack.append((true, now))
                 elif whole:
                     whole = False
-                    stack.append((set(true), now))
-                true.remove(-lit)
-                true.add(lit)
+                    stack.append((true, now))
+                true ^= pair
         return proven & ~known
 
     def entails_clause(self, mask: int, clause) -> bool:

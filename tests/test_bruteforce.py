@@ -107,6 +107,26 @@ def test_label_count_guard():
         classify_all(wide, max_labels=64)
 
 
+def _label_patterns_by_division(k):
+    """Each pattern as the 2^k-bit all-ones int divided by one period's
+    all-ones, times one period's run of ones: the reference for the
+    doubling build."""
+    patterns = []
+    for b in range(k):
+        half = 1 << b
+        runs = ((1 << (1 << k)) - 1) // ((1 << (half << 1)) - 1)
+        patterns.append(runs * (((1 << half) - 1) << half))
+    return tuple(patterns)
+
+
+def test_label_patterns_match_the_division_reference():
+    for k in range(13):
+        patterns = bruteforce._label_patterns(k)
+        assert patterns == _label_patterns_by_division(k), k
+        # bit m of pattern b is bit b of m
+        assert all((patterns[b] >> m & 1) == (m >> b & 1) for b in range(k) for m in range(1 << k))
+
+
 def test_variable_count_guard():
     limit = bruteforce.MAX_VARIABLES
     clauses = [(i,) for i in range(1, limit + 2)]

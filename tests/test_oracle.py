@@ -800,6 +800,111 @@ def test_rotation_scans_only_the_left_out_label_for_falsified_clauses():
     assert min(rotations.values()) > 30, rotations
 
 
+def _rotate_on_literal_sets(ora, model, within, known=0, left_out=0):
+    """Recursive model rotation on sets of true literals: the reference for
+    ``LcnfOracle.rotate`` on literal masks, with the same flips in the same
+    order over the same rows."""
+    rows = ora._rows
+    occurs = {}
+    for row in rows:
+        for x in row[0]:
+            occurs.setdefault(x, []).append(row)
+    variables = sorted({abs(x) for x in occurs})
+    outside = ~ora._mask(within)
+    proven = known = ora._mask(known)
+    true = {v if model[v] else -v for v in variables}
+    falsified = []
+    if left_out:
+        for i in ora._with_bit.get(left_out, ()):
+            c = rows[i]
+            if not c[1] & outside and true.isdisjoint(c[0]):
+                falsified.append(c)
+        falsified.reverse()
+    stack = [(true, falsified)]
+    whole = bool(falsified)
+    while stack:
+        true, falsified = stack.pop()
+        if falsified:
+            flips = dict.fromkeys(abs(x) for c in falsified for x in c[0])
+        else:
+            flips = variables
+        for v in flips:
+            lit = v if v in true else -v
+            true.remove(lit)
+            true.add(-lit)
+            now = [c for c in falsified if -lit not in c[0]] if falsified else []
+            for c in occurs.get(lit, ()):
+                if true.isdisjoint(c[0]) and not c[1] & outside:
+                    now.append(c)
+            if now:
+                shared = now[0][1] & ~proven
+                for c in now[1:]:
+                    shared &= c[1]
+                if shared:
+                    proven |= shared
+                    stack.append((set(true), now))
+            elif whole:
+                whole = False
+                stack.append((set(true), now))
+            true.remove(-lit)
+            true.add(lit)
+    return proven & ~known
+
+
+def test_rotation_on_literal_masks_matches_the_set_reference():
+    # free (multi-label), group, clause- and variable-labelled formulas, with
+    # random total models, masks and left-out bits, 0 among them: the kernel
+    # proves exactly the labels the set-based reference does
+    rng = random.Random(911)
+    proven = {"left out": 0, "none": 0}
+    for i in range(400):
+        phi = sweep_formula(i)
+        ora = LcnfOracle(phi)
+        bits = list(phi.label_bits.values())
+        for _ in range(6):
+            model = {v: rng.random() < 0.5 for v in phi.variables}
+            within = rng.getrandbits(len(bits))
+            known = rng.getrandbits(len(bits)) & rng.getrandbits(len(bits))
+            left_out = rng.choice([0, *bits]) if bits else 0
+            expected = _rotate_on_literal_sets(ora, model, within, known, left_out)
+            assert ora.rotate(model, within, known, left_out) == expected, (i, within, left_out)
+            proven["left out" if left_out else "none"] += expected.bit_count()
+    assert min(proven.values()) > 200, proven
+
+
+@pytest.mark.parametrize("added", [0, 5, 40])
+def test_labels_are_filed_per_bit_in_clause_order(added):
+    # masks with bits at byte edges and past 64 bits, and popcounts 1 to 20,
+    # on added clauses and then learned ones: each bit's clause list is the
+    # one a plain loop over the set bits builds, and switching every label
+    # on and off again leaves each clause's count of off labels as it was
+    rng = random.Random(912 + added)
+    edges = [0, 7, 8, 15, 16, 63, 64, 129]
+    masks = [1 << b for b in edges] + [sum(1 << b for b in edges)]
+    masks += [sum(1 << b for b in rng.sample(edges + list(range(130)), n)) for n in range(1, 21)]
+    masks += [sum(1 << b for b in rng.sample(range(130), rng.randint(1, 20))) for _ in range(30)]
+    s = Solver()
+    s.add_clause([1, -1, 2, 3, 4, 5])  # a tautology: only its variables enter
+    for i, mask in enumerate(masks):
+        lits = rng.sample([1, 2, 3, -4, 5], rng.randint(1, 3))
+        if i < added:
+            s.add_clause(lits, mask)
+        else:
+            s._store([s._code[l] for l in lits], mask, True)
+    expected = [[] for _ in range(130)]
+    for ci, mask in enumerate(s._labels):
+        for b in range(mask.bit_length()):
+            if mask >> b & 1:
+                expected[b].append(ci)
+    assert s._with_bit == expected
+    off, holds = list(s._off), list(s._holds)
+    assert off == [m.bit_count() for m in s._labels]
+    s._switch((1 << 130) - 1)
+    assert s._off == [0] * len(masks)
+    s._switch(0)
+    assert (s._off, s._holds) == (off, holds)
+
+
 def test_mask_bits_past_every_label_change_no_answer():
     # two solvers live through the same queries, one asked with a bit past
     # every clause's on, and two oracles, one asked with exact masks and one
