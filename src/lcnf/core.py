@@ -200,8 +200,19 @@ def label(formula, scheme: str = "clause") -> LcnfFormula:
     else:
         literals = _canonical(formula)
     if scheme == "clause":
-        labelling = [frozenset((i + 1,)) for i in range(len(literals))]
-    elif scheme == "variable":
+        # clause i's label i + 1 is the i-th smallest, so its bit is 1 << i:
+        # the numbering is filled in here, where the cached properties
+        # would find it row by row
+        labels = range(1, len(literals) + 1)
+        masks = tuple([1 << i for i in range(len(literals))])
+        phi = LcnfFormula(zip(literals, map(frozenset, zip(labels))))
+        phi.__dict__.update(
+            active_labels=frozenset(labels),
+            label_bits=dict(zip(labels, masks)),
+            label_masks=masks,
+        )
+        return phi
+    if scheme == "variable":
         labelling = [frozenset(map(abs, lits)) for lits in literals]
     else:  # literal
         labelling = [frozenset(2 * abs(l) + (l < 0) for l in lits) for lits in literals]

@@ -12,9 +12,17 @@ Three input formats are supported:
 All three skip blank and ``c`` lines and need exactly one ``p`` header
 before any data.  Header count mismatches and labels repeated in a block
 warn; structural problems (missing terminator, bad tokens, complementary
-literals in one clause) are errors with line numbers.  Each clause is
-checked once, as its line is parsed into the formula's row (see ``core``);
-relabelling on load reads the rows with no second check.
+literals in one clause) are errors with line numbers.  Each reader makes
+one pass over a well-formed file, on a short path: the header, then for
+DIMACS the whole body's tokens converted at once and cut at their zeros,
+for the tagged formats one split per line, and per clause one sort and
+one distinctness test.  Anything off that path, an error or a warning to
+give, sends the whole file to the diagnosing reader (``diagnose``),
+which names the first problem and its line exactly as it always has; it
+is imported only then, so a cold start on well-formed files never
+compiles it.  Each clause is checked once, as its line is parsed into
+the formula's row (see ``core``); relabelling on load reads the rows with
+no second check.
 
 The ``lcnf`` command exposes the analysis operations over these files, the
 five single-witness commands from one table.  Each command takes only the
@@ -53,7 +61,7 @@ from .analysis import (
     is_label_redundant,
 )
 from .bruteforce import DEFAULT_MAX_LABELS, classify_all
-from .core import LcnfFormula, complementary_variable, label, sort_literals
+from .core import LcnfFormula, label
 from .duality import verify_duality
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .oracle import LcnfOracle
@@ -73,68 +81,99 @@ class FormatWarning(UserWarning):
 # parsing
 
 
-def _read(text: str, kind: str, fields: int) -> tuple[list[int], list[tuple[int, str]]]:
-    """The header counts and the numbered data lines of a ``p kind`` file.
-
-    Blank lines and ``c`` comment lines are skipped; exactly one header with
-    ``fields`` counts must come before any data line.
-    """
-    header = None
-    data = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+def _header(lines: list[str], kind: str, fields: int) -> tuple[list[int], int] | None:
+    """The header counts and the index of the line after the header, when
+    only blank and ``c`` lines come before one well-formed ``p kind`` header;
+    None otherwise."""
+    for i, raw in enumerate(lines):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            if header is not None:
-                raise ParseError("duplicate header", lineno)
+        if line and line[0] != "c":
             parts = line.split()
-            if len(parts) != 2 + fields or parts[0] != "p" or parts[1] != kind:
-                raise ParseError(
-                    f"malformed header, expected 'p {kind}' with {fields} counts", lineno
-                )
-            try:
-                header = [int(x) for x in parts[2:]]
-            except ValueError:
-                raise ParseError("malformed integer in header", lineno) from None
-            if any(c < 0 for c in header):
-                raise ParseError("negative count in header", lineno)
-        elif header is None:
-            raise ParseError(f"clause data before the 'p {kind}' header", lineno)
-        else:
-            data.append((lineno, line))
-    if header is None:
-        raise ParseError(f"missing 'p {kind}' header")
-    return header, data
+            if len(parts) == 2 + fields and parts[0] == "p" and parts[1] == kind:
+                try:
+                    header = list(map(int, parts[2:]))
+                except ValueError:
+                    return None
+                if min(header) >= 0:
+                    return header, i + 1
+            return None
+    return None
 
 
-def _int(token: str, lineno: int, what: str = "integer") -> int:
+def _clean_dimacs(lines: list[str]) -> tuple[list[int], list[tuple]] | None:
+    """The header and clauses of a DIMACS file whose body is all clause
+    data, with no literal repeated in a clause; None otherwise.
+
+    The body's tokens are converted at once and cut at their zeros; a
+    comment, a second header or a malformed token fails the conversion.
+    """
+    head = _header(lines, "cnf", 2)
+    if head is None:
+        return None
+    tokens = " ".join(lines[head[1] :]).split()
     try:
-        return int(token)
+        # a file repeats few distinct tokens: convert each once
+        ints = list(map({t: int(t) for t in set(tokens)}.__getitem__, tokens))
     except ValueError:
-        raise ParseError(f"malformed {what} {token!r}", lineno) from None
+        return None
+    if ints and ints[-1]:
+        return None  # the last clause has no terminator
+    clauses = []
+    zero = ints.index
+    start = 0
+    while start < len(ints):
+        end = zero(0, start)
+        lits = ints[start:end]
+        lits.sort(key=abs)  # distinct variables: the canonical order
+        if len(set(map(abs, lits))) < len(lits):
+            return None  # a literal repeated, or a complementary pair
+        clauses.append(tuple(lits))
+        start = end + 1
+    return head[0], clauses
 
 
-def _ints(tokens: list[str], lineno: int, what: str = "integer") -> list[int]:
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        # name the first malformed token
-        return [_int(token, lineno, what) for token in tokens]
-
-
-def _clause(literals: list[int], lineno: int) -> tuple:
-    """The row literals of a data line's clause: distinct, in the canonical
-    order (``sort_literals``).  A complementary pair is an error naming the
-    first literal, in file order, whose negation came before it."""
-    lits = sort_literals(literals)
-    if len(set(map(abs, lits))) < len(lits):
-        # a literal repeated, or a complementary pair
-        v = complementary_variable(literals)
-        if v:
-            raise ParseError(f"clause contains variable {v} with both signs", lineno)
-        lits = sort_literals(set(literals))
-    return lits
+def _clean_tagged(lines: list[str], kind: str, fields: int) -> tuple | None:
+    """The header, clauses, label sets and (no) warning notes of a ``p
+    kind`` file whose lines after the header are blank, ``c`` or
+    well-formed clause lines with no literal or label repeated and every
+    label or group in range; None otherwise."""
+    head = _header(lines, kind, fields)
+    if head is None:
+        return None
+    header, start = head
+    groups = header[2] if kind == "gcnf" else None
+    clauses = []
+    labelling = []
+    for raw in lines[start:]:
+        tag, _, rest = raw.partition("}")
+        tag = tag.lstrip()
+        if tag[:1] != "{":
+            line = raw.strip()
+            if line and line[0] != "c":
+                return None
+            continue
+        tokens = rest.split()
+        if not tokens or tokens.pop() != "0":
+            return None  # no terminator, or no "}" to end the block
+        try:
+            block = list(map(int, tag[1:].split()))
+            lits = list(map(int, tokens))
+        except ValueError:
+            return None
+        lits.sort(key=abs)
+        if len(set(map(abs, lits))) < len(lits) or 0 in lits:
+            return None
+        labels = frozenset(block)
+        if groups is None:
+            if len(labels) < len(block) or block and min(block) < 0:
+                return None
+        elif len(block) != 1 or not 0 <= block[0] <= groups:
+            return None
+        elif not block[0]:
+            labels = frozenset()
+        clauses.append(tuple(lits))
+        labelling.append(labels)
+    return header, clauses, labelling, []
 
 
 def _warn(header: list[int], clauses: list[tuple], notes: list[str], stacklevel: int):
@@ -159,84 +198,44 @@ def parse_dimacs(text: str) -> list[tuple]:
     (``sort_literals``).  A clause or variable count that disagrees with
     the header is a warning, not an error.
     """
-    header, lines = _read(text, "cnf", 2)
-    clauses = []
-    current: list[int] = []
-    for lineno, line in lines:
-        current += _ints(line.split(), lineno)
-        while 0 in current:
-            end = current.index(0)
-            clauses.append(_clause(current[:end], lineno))
-            del current[: end + 1]
-    if current:
-        raise ParseError("missing clause terminator 0", lines[-1][0])
+    lines = text.splitlines()
+    found = _clean_dimacs(lines)
+    if found is None:
+        from .diagnose import read_dimacs
+
+        found = read_dimacs(lines)
+    header, clauses = found
     _warn(header, clauses, [], 2)
     return clauses
 
 
-def _tagged(text: str, kind: str, fields: int, block_labels) -> LcnfFormula:
+def _tagged(text: str, kind: str, fields: int) -> LcnfFormula:
     """The formula of a brace-tagged format.
 
-    Each clause sits on one line as ``{...} literals 0``; ``block_labels``
-    turns the block's integers into the clause's labels, given the header.
-    Labels repeated in a block, and counts that disagree with the header,
-    warn at the caller of the format's parser.
+    Each clause sits on one line as ``{...} literals 0``; the block holds
+    the clause's labels (``lcnf``) or its one group (``gcnf``).  Labels
+    repeated in a block, and counts that disagree with the header, warn at
+    the caller of the format's parser.
     """
-    header, lines = _read(text, kind, fields)
-    clauses = []
-    labelling = []
-    notes = []
-    for lineno, line in lines:
-        if not line.startswith("{"):
-            raise ParseError("clause line must start with a {...} label block", lineno)
-        close = line.find("}")
-        if close < 0:
-            raise ParseError("unterminated label block", lineno)
-        block = _ints(line[1:close].split(), lineno, "label")
-        rest = line[close + 1 :].split()
-        if not rest or rest[-1] != "0":
-            raise ParseError("clause line must end with terminator 0", lineno)
-        literals = _ints(rest[:-1], lineno)
-        if 0 in literals:
-            raise ParseError("literal 0 inside a clause", lineno)
-        clauses.append(_clause(literals, lineno))
-        labels = block_labels(block, header, lineno)
-        label_set = frozenset(labels)
-        if len(label_set) != len(labels):
-            notes += [
-                f"line {lineno}: duplicate label {l} in block"
-                for i, l in enumerate(labels)
-                if l in labels[:i]
-            ]
-        labelling.append(label_set)
+    lines = text.splitlines()
+    found = _clean_tagged(lines, kind, fields)
+    if found is None:
+        from .diagnose import read_tagged
+
+        found = read_tagged(lines, kind, fields)
+    header, clauses, labelling, notes = found
     _warn(header, clauses, notes, 3)
     return LcnfFormula(zip(clauses, labelling))
 
 
-def _group_tag(block: list[int], header: list[int], lineno: int) -> tuple:
-    if len(block) != 1:
-        raise ParseError("gcnf clause needs exactly one group tag", lineno)
-    g, groups = block[0], header[2]
-    if g < 0 or g > groups:
-        raise ParseError(f"group {g} outside the declared range 0..{groups}", lineno)
-    return () if g == 0 else (g,)
-
-
-def _label_block(block: list[int], header: list[int], lineno: int) -> list[int]:
-    for l in block:
-        if l < 0:
-            raise ParseError(f"negative label {l}", lineno)
-    return block
-
-
 def parse_gcnf(text: str) -> LcnfFormula:
     """Parse group CNF: clauses tagged ``{g}``, group 0 meaning unlabelled."""
-    return _tagged(text, "gcnf", 3, _group_tag)
+    return _tagged(text, "gcnf", 3)
 
 
 def parse_lcnf(text: str) -> LcnfFormula:
     """Parse labelled CNF: clauses tagged with their full label set."""
-    return _tagged(text, "lcnf", 2, _label_block)
+    return _tagged(text, "lcnf", 2)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,10 @@ are: each clause's sorted literals with its mask in the formula's own
 numbering (``LcnfFormula.label_masks``), the one that ``classify_all``'s
 subset masks use too.  The formula checked each clause when it made the
 row, and ``Solver.add_clause`` checks a clause from any other caller
-before it takes the same path.  Every oracle method names labels by mask
+before it takes the same path.  A fresh solver takes the rows in bulk
+(``Solver._load``), one loop per array, into the state that adding them
+one by one leaves; rows that give level 0 a fact go one by one.  Every
+oracle method names labels by mask
 in that numbering, and so do its answers; the analysis API and the
 command line convert label sets at their edge (``LcnfFormula.mask_of``
 and ``labels_in``).  Satisfiability, entailment and equivalence queries
@@ -50,14 +53,15 @@ core settles the same question for every label set that keeps it.  The
 oracle keeps no answer: an equivalence query makes one solve per removed
 clause, latest first, until one is not entailed.  The exhaustive pass
 keeps the closures itself, seeded by ``record_subsumers`` with the labels
-of each clause's subsuming clauses.  Each label's clause list, built on
-the first query that needs it, is keyed by the label's bit.
-``rotate`` turns one model into many necessary labels by recursive model
-rotation, with no solve.  It holds an assignment as an int with a bit per
-true literal and each row as the mask of its literals, so a clause is
-falsified when the two share no bit; those masks and the rows per literal
-are built on its first call, so an oracle that never rotates never pays
-for them.
+of each clause's subsuming clauses.  Each label's clause list is keyed by
+the label's bit; a bulk load leaves it in the solver, and otherwise the
+first query that needs it builds it.  ``rotate`` turns one model into
+many necessary labels by recursive model rotation, with no solve.  It
+works in the solver's literal codes: an assignment is an int with the bit
+of each true literal's code, and each row the mask of its literals'
+codes, so a row is falsified when the two share no bit; those masks and
+the rows per literal are built on its first call, so an oracle that never
+rotates never pays for them.
 """
 from __future__ import annotations
 
@@ -260,6 +264,61 @@ class Solver:
             else:
                 self._ok = False
 
+    def _load(self, rows: list[tuple]) -> bool:
+        """Add ``(literals, label mask)`` rows, unchecked as for
+        ``_add_rows``, to a solver that has no variable yet, leaving the
+        state ``_add_rows`` would: each array is filled in one loop.
+
+        No fact holds at level 0 and no label is on, so every variable is
+        unassigned and every clause is stored as ``_store`` stores it, in
+        row order: an unlabelled one watched, a labelled one of fewer than
+        two literals short, any other left for the first solve that
+        switches it on.  An unlabelled row of fewer than two literals gives
+        level 0 a fact, which changes how the rows after it are stored, so
+        then every row goes through ``_add_rows``.  True when the rows were
+        loaded in bulk, so that clause i is row i.
+        """
+        if any(not mask and len(lits) < 2 for lits, mask in rows):
+            self._add_rows(rows)
+            return False
+        code = self._code
+        names = self._names
+        names += dict.fromkeys([abs(l) for lits, _ in rows for l in lits])  # first seen first
+        for i, v in enumerate(names):
+            code[v] = 2 * i
+            code[-v] = 2 * i + 1
+        n = len(names)
+        self._level = [0] * n
+        self._reason = [None] * n
+        self._activity = [0.0] * n
+        self._phase = [1] * n
+        self._holds = holds = [0] * n
+        self._value = [None] * (2 * n)
+        self._watches = watches = [[] for _ in range(2 * n)]
+        self._clauses = clauses = [[code[l] for l in lits] for lits, _ in rows]
+        self._labels = masks = [mask for _, mask in rows]
+        self._off = [mask.bit_count() for mask in masks]
+        self._watched = watched = [False] * len(rows)
+        self._learned = [False] * len(rows)
+        with_bit = self._with_bit = [[] for _ in range(max(masks, default=0).bit_length())]
+        short = self._short
+        for ci, labels in enumerate(masks):
+            lits = clauses[ci]
+            if not labels:
+                for q in lits:
+                    holds[q >> 1] += 1
+                watches[lits[0]].append(ci)
+                watches[lits[1]].append(ci)
+                watched[ci] = True
+                continue
+            while labels:
+                low = labels & -labels
+                with_bit[low.bit_length() - 1].append(ci)
+                labels ^= low
+            if len(lits) < 2:
+                short.append(ci)
+        return True
+
     def _store(self, lits: list[int], labels: int, learned: bool = False) -> int:
         """Keep a clause of literal codes that is labelled or has two or more.
 
@@ -288,14 +347,10 @@ class Solver:
         if len(lits) < 2:
             self._short.append(ci)
         elif not off:
-            self._attach(ci)
+            self._watches[lits[0]].append(ci)
+            self._watches[lits[1]].append(ci)
+            self._watched[ci] = True
         return ci
-
-    def _attach(self, ci: int):
-        lits = self._clauses[ci]
-        self._watches[lits[0]].append(ci)
-        self._watches[lits[1]].append(ci)
-        self._watched[ci] = True
 
     def _switch(self, labels: int):
         """Switch on exactly the labels of mask ``labels``; clauses switched
@@ -356,25 +411,26 @@ class Solver:
         clauses = self._clauses
         off = self._off
         watched = self._watched
+        watches = self._watches
         for ci in self._pending:
             lits = clauses[ci]
             if off[ci] or watched[ci] or len(lits) < 2:
                 continue
-            if value[lits[0]] is not False and value[lits[1]] is not False:
-                self._attach(ci)
-                continue
-            true = [q for q in lits if value[q]]
-            if true:
-                # satisfied for good: watch the true literal, which never goes
-                q = true[0]
-                lits.remove(q)
-                lits.insert(0, q)
-            else:
-                lits[:] = [q for q in lits if value[q] is None]
-                if len(lits) < 2:
-                    self._short.append(ci)
-                    continue
-            self._attach(ci)
+            if value[lits[0]] is False or value[lits[1]] is False:
+                true = [q for q in lits if value[q]]
+                if true:
+                    # satisfied for good: watch the true literal, which never goes
+                    q = true[0]
+                    lits.remove(q)
+                    lits.insert(0, q)
+                else:
+                    lits[:] = [q for q in lits if value[q] is None]
+                    if len(lits) < 2:
+                        self._short.append(ci)
+                        continue
+            watches[lits[0]].append(ci)
+            watches[lits[1]].append(ci)
+            watched[ci] = True
         self._pending = []
         self._trail_lim.append(len(self._trail))
         for ci in self._short:
@@ -749,7 +805,10 @@ class LcnfOracle:
         self._rows = list(zip((lits for lits, _ in phi.rows), phi.label_masks))
         self._full = (1 << len(phi.label_bits)) - 1  # every active label's bit
         self._solver = Solver(conflict_budget=conflict_budget)
-        self._solver._add_rows(self._rows)
+        if self._solver._load(self._rows):
+            # each row is the solver's clause of the same index, so the
+            # solver's clauses per label bit, reversed, are _with_bit
+            self._with_bit = {1 << i: c[::-1] for i, c in enumerate(self._solver._with_bit)}
         # what the latest query proved: ("model", the model) or ("core", None);
         # see _latest
         self._evidence: tuple | None = None
@@ -763,9 +822,9 @@ class LcnfOracle:
 
     @cached_property
     def _with_bit(self) -> dict[int, list[int]]:
-        """Per label bit, the clauses carrying that label, latest first.
-        Built on first use, so an oracle asked only about satisfiability
-        never pays for it."""
+        """Per label bit, the rows carrying that label, latest first.  Read
+        off the solver when it loads the rows in bulk, else built on first
+        use."""
         rows = self._rows
         with_bit: dict[int, list[int]] = {b: [] for b in self.formula.label_bits.values()}
         for i in range(len(rows) - 1, -1, -1):
@@ -777,24 +836,25 @@ class LcnfOracle:
         return with_bit
 
     @cached_property
-    def _rotation_index(self) -> tuple[list[tuple], list[list[tuple]], list[int]]:
-        """Per row, its literal mask, its label mask and the bits of its
-        variables, in row order; per literal bit, the rows holding that
-        literal; and the variables, sorted.  Literal v of the i-th variable
-        is bit 2i and -v bit 2i + 1, and the variable is named by bit 2i.
-        Built by the first ``rotate``, so an oracle that never rotates never
-        pays for it."""
-        variables = sorted({abs(x) for lits, _ in self._rows for x in lits})
-        code = {x: 2 * i + (x < 0) for i, v in enumerate(variables) for x in (v, -v)}
-        occurs: list[list[tuple]] = [[] for _ in code]
-        rows = []
-        for lits, mask in self._rows:
-            bits = [code[x] for x in lits]
-            row = (sum([1 << b for b in bits]), mask, tuple([b & -2 for b in bits]))
-            rows.append(row)
-            for b in bits:
-                occurs[b].append(row)
-        return rows, occurs, variables
+    def _rotation_index(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """Per row, the mask of its literals; per literal, the rows holding
+        it, in row order; and the positive literals in variable order, the
+        order of the flips over a whole model.  A literal is its solver code
+        (``Solver._code``): literal v of the solver's i-th variable is bit
+        2i, and -v bit 2i + 1.  Built by the first ``rotate``, so an oracle
+        that never rotates never pays for it."""
+        solver = self._solver
+        code = solver._code
+        occurs: list[list[int]] = [[] for _ in solver._value]
+        literal_masks = []
+        for i, (lits, _) in enumerate(self._rows):
+            m = 0
+            for x in lits:
+                c = code[x]
+                m |= 1 << c
+                occurs[c].append(i)
+            literal_masks.append(m)
+        return literal_masks, occurs, [code[v] for v in sorted(solver._names)]
 
     def is_sat_induced(self, mask: int) -> bool:
         """Satisfiability of the subformula induced by the labels of ``mask``.
@@ -891,42 +951,45 @@ class LcnfOracle:
         tens of variables best; it still beats a set of true literals, which
         is copied for each label proven, at 10000.
         """
-        rows, occurs, variables = self._rotation_index
+        literal_masks, occurs, by_variable = self._rotation_index
+        rows = self._rows
+        labels = self.formula.label_masks  # per row
+        code = self._solver._code
         outside = ~self._mask(within)
         proven = known = self._mask(known)
         # the assignment as an int with the bit of each true literal set: a
         # clause is falsified exactly when its literal mask misses them all
         true = 0
-        for i, v in enumerate(variables):
+        for i, v in enumerate(self._solver._names):
             true |= (1 if model[v] else 2) << 2 * i
         falsified = []
         if left_out:
             for i in self._with_bit.get(left_out, ()):
-                c = rows[i]
-                if not c[1] & outside and not true & c[0]:
-                    falsified.append(c)
+                if not labels[i] & outside and not true & literal_masks[i]:
+                    falsified.append(i)
             falsified.reverse()  # in formula order
         stack = [(true, falsified)]
         whole = bool(falsified)  # no model of ``within`` has been met yet
         while stack:
             true, falsified = stack.pop()
             if falsified:
-                flips = dict.fromkeys(s for c in falsified for s in c[2])
+                # each falsified row's variables, in its literal order
+                flips = dict.fromkeys(code[x] & -2 for i in falsified for x in rows[i][0])
             else:
-                flips = range(0, 2 * len(variables), 2)
+                flips = by_variable
             for s in flips:
                 lit = s if true >> s & 1 else s + 1  # the literal the flip falsifies
                 pair = 3 << s
                 true ^= pair
-                # the falsified clauses without the variable, and those lit alone satisfied
-                now = [c for c in falsified if not c[0] & pair] if falsified else []
-                for c in occurs[lit]:
-                    if not true & c[0] and not c[1] & outside:
-                        now.append(c)
+                # the falsified rows without the variable, and those lit alone satisfied
+                now = [i for i in falsified if not literal_masks[i] & pair] if falsified else []
+                for i in occurs[lit]:
+                    if not true & literal_masks[i] and not labels[i] & outside:
+                        now.append(i)
                 if now:
-                    shared = now[0][1] & ~proven
-                    for c in now[1:]:
-                        shared &= c[1]
+                    shared = labels[now[0]] & ~proven
+                    for i in now[1:]:
+                        shared &= labels[i]
                     if shared:
                         proven |= shared
                         stack.append((true, now))

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,11 @@ from lcnf.bruteforce import GenerationProfile, SubsetStatus, random_lcnf
 from lcnf.core import LcnfFormula, label
 from lcnf.duality import DualityVerdict
 from lcnf.errors import ParseError
+from lcnf.diagnose import read_dimacs, read_tagged
 from lcnf.interface import (
     FormatWarning,
+    _clean_dimacs,
+    _clean_tagged,
     parse_dimacs,
     parse_gcnf,
     parse_lcnf,
@@ -315,6 +319,244 @@ def test_roundtrip_plain_cnf_through_dimacs():
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
         parsed = parse_dimacs(formula_text(LcnfFormula.from_clauses(clauses), "cnf"))
         assert [frozenset(c) for c in parsed] == [frozenset(c) for c in clauses]
+
+
+# -- the short path and the diagnosis ----------------------------------------
+
+FIELDS = {"cnf": 2, "lcnf": 2, "gcnf": 3}
+PARSE = {"cnf": parse_dimacs, "lcnf": parse_lcnf, "gcnf": parse_gcnf}
+
+
+def loose_formula(rng, kind):
+    """Seeded clauses and label sets for a ``p kind`` file, and the file's
+    lines as token lists, each clause's literals in random order.
+
+    A DIMACS clause's tokens run on across lines, several clauses per line
+    or one clause over several; a tagged clause is one line whose first
+    token is its label block, a list.  Blank and ``c`` lines come before
+    the header and between data lines.  Returns the clauses, the label
+    sets, the lines, and per clause the (line, index) of each of its
+    tokens, the terminator last.
+    """
+    n = rng.randint(1, 12)
+    groups = rng.randint(1, 5)
+    clauses, labelling = [], []
+    for _ in range(rng.randint(0, 14)):
+        clause = [v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))]
+        clauses.append(clause)
+        if kind == "gcnf":
+            labelling.append(rng.sample([0, *range(1, groups + 1)], 1))
+        else:
+            labelling.append(rng.sample(range(9), rng.randint(0, 3)))
+    head = ["p", kind, str(n), str(len(clauses))] + ([str(groups)] if kind == "gcnf" else [])
+
+    def filler():
+        return rng.choice([[], [], ["c"], ["c", "p", "cnf", "1", "2"], ["c", "{x}", "0"]])
+
+    lines = [filler() for _ in range(rng.randint(0, 2))] + [head]
+    where = []
+    comments = rng.random() < 0.5  # else a DIMACS body is clause data only
+    lines.append([])
+    for clause, labels in zip(clauses, labelling):
+        if kind != "cnf":
+            if rng.random() < 0.3:
+                lines.append(filler())
+            lines.append([[str(l) for l in labels]])
+        elif rng.random() < 0.3:
+            lines.append([])
+        spots = []
+        for token in [*map(str, clause), "0"]:
+            if kind == "cnf" and rng.random() < 0.2:
+                lines += [filler()] if comments and rng.random() < 0.5 else []
+                lines.append([])
+            spots.append((len(lines) - 1, len(lines[-1])))
+            lines[-1].append(token)
+        where.append(spots)
+    if rng.random() < 0.3:
+        lines.append(filler())
+    labels = [[g for g in ls if g] for ls in labelling] if kind == "gcnf" else labelling
+    return clauses, labels, lines, where
+
+
+def written(rng, lines):
+    """The text of token-list ``lines``: random blanks and tabs around and
+    between tokens, and ``\n``, ``\r\n`` or ``\f`` after each line."""
+    def gap(least=1):
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+    def token(t):
+        if isinstance(t, str):
+            return t
+        return "{" + gap(0) + gap().join(t) + gap(0) + "}"
+
+    return "".join(
+        gap(0) + gap().join(map(token, tokens)) + gap(0) + rng.choice(["\n", "\r\n", "\f"])
+        for tokens in lines
+    )
+
+
+def test_loosely_written_files_read_as_their_rows():
+    # every format, with spacing, blank and comment lines and line breaks
+    # drawn at random: the rows are those from_clauses makes, with no
+    # warning, and where the short path reads a file it reads what the
+    # diagnosing reader does
+    rng = random.Random(2024)
+    short = dict.fromkeys(FIELDS, 0)
+    for i in range(600):
+        kind = list(FIELDS)[i % 3]
+        clauses, labelling, lines, _ = loose_formula(rng, kind)
+        text = written(rng, lines)
+        expected = LcnfFormula.from_clauses(clauses, labelling)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = PARSE[kind](text)
+        split = text.splitlines()
+        if kind == "cnf":
+            assert got == cnf(expected), text
+            clean = _clean_dimacs(split)
+            if clean is not None:
+                assert clean == read_dimacs(split)
+        else:
+            assert got.rows == expected.rows, text
+            clean = _clean_tagged(split, kind, FIELDS[kind])
+            if clean is not None:
+                assert clean == read_tagged(split, kind, FIELDS[kind])
+        short[kind] += clean is not None
+    assert min(short.values()) > 60, short
+
+
+@pytest.mark.parametrize("kind", list(FIELDS))
+def test_a_header_off_the_short_path_keeps_its_diagnosis(kind):
+    # a header the short path does not take: the diagnosing reader names
+    # the problem and its line; blank and comment lines count as lines
+    counts = "1 1 1" if kind == "gcnf" else "1 1"
+    body = "{1} 1 0\n" if kind != "cnf" else "1 0\n"
+    other = "lcnf" if kind == "cnf" else "cnf"
+    malformed = f"malformed header, expected 'p {kind}' with {FIELDS[kind]} counts"
+    for header, message in [
+        (f"pp {kind} {counts}", malformed),
+        (f"p {other} {counts}", malformed),
+        (f"p {kind} {counts} 1", malformed),
+        (f"p {kind} 1", malformed),
+        (f"p {kind} x {counts[2:]}", "malformed integer in header"),
+        (f"p {kind} -1 {counts[2:]}", "negative count in header"),
+        (f"q {kind} {counts}", f"clause data before the 'p {kind}' header"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            PARSE[kind](f"c first\n\n{header}\n{body}")
+        assert (str(e.value), e.value.line) == (f"line 3: {message}", 3)
+
+
+def mutated(rng, kind, branch, clauses, labelling, lines, where):
+    """Mutate one clause of a ``loose_formula`` for ``branch``.  Returns the
+    message of the error or the warning the file must give and, for a
+    warning or none, the formula it reads as; None when no clause of this
+    formula can be mutated so."""
+    fit = {
+        "bad token": lambda k: clauses[k],
+        "bad label": lambda k: True,
+        "no opener": lambda k: True,
+        "inner 0": lambda k: True,
+        # a DIMACS clause with no terminator runs on into the next one
+        "missing terminator": lambda k: kind != "cnf" or k == len(clauses) - 1 and clauses[k],
+        "complementary pair": lambda k: clauses[k],
+        "repeated literal": lambda k: clauses[k],
+        "negative label": lambda k: True,
+        "duplicate label": lambda k: labelling[k],
+        "bad group": lambda k: True,
+    }[branch]
+    candidates = [k for k in range(len(clauses)) if fit(k)]
+    if not candidates:
+        return None
+    k = rng.choice(candidates)
+    spots = where[k]
+    i, end = spots[-1]  # the terminator
+    line = lines[i]
+    block = line[0]  # the label block of a tagged clause
+    given = LcnfFormula.from_clauses(clauses, labelling)
+    if branch == "bad token":
+        i, j = rng.choice(spots[:-1])
+        bad = lines[i][j] = rng.choice(["x", "1.5", "--2", "2-", "+-1", "1e3"])
+        return f"line {i + 1}: malformed integer {bad!r}", None
+    if branch == "no opener":
+        line[0] = " ".join(block) + "}"
+        return f"line {i + 1}: clause line must start with a {{...}} label block", None
+    if branch == "bad label":
+        bad = rng.choice(["x", "1.5", "-"])
+        block.insert(rng.randint(0, len(block)), bad)
+        return f"line {i + 1}: malformed label {bad!r}", None
+    if branch == "inner 0":
+        line.insert(rng.randint(1, end), rng.choice(["0", "-0", "00", "+0"]))
+        return f"line {i + 1}: literal 0 inside a clause", None
+    if branch == "missing terminator":
+        del line[end]
+        if kind == "cnf":
+            data = [j for j, tokens in enumerate(lines) if tokens and tokens[0] not in ("c", "p")]
+            return f"line {data[-1] + 1}: missing clause terminator 0", None
+        return f"line {i + 1}: clause line must end with terminator 0", None
+    if branch == "complementary pair":
+        # the one literal whose negation came before it is the one added
+        lit = rng.choice(clauses[k])
+        line.insert(end, str(-lit))
+        return f"line {i + 1}: clause contains variable {abs(lit)} with both signs", None
+    if branch == "repeated literal":
+        line.insert(end, str(rng.choice(clauses[k])))
+        return None, given
+    if branch == "negative label":
+        bad = -rng.randint(1, 9)
+        block.insert(rng.randint(0, len(block)), str(bad))
+        return f"line {i + 1}: negative label {bad}", None
+    if branch == "duplicate label":
+        l = rng.choice(block)
+        block.insert(rng.randint(block.index(l) + 1, len(block)), l)
+        return f"line {i + 1}: duplicate label {l} in block", given
+    groups = int(next(tokens for tokens in lines if tokens[:1] == ["p"])[4])
+    bad = rng.choice([-1, groups + 1, groups + 7])
+    block[:] = [str(bad)]
+    return f"line {i + 1}: group {bad} outside the declared range 0..{groups}", None
+
+
+TAGGED = ["bad token", "no opener", "bad label", "inner 0", "missing terminator",
+          "complementary pair", "repeated literal"]
+DIAGNOSES = {
+    "cnf": ["bad token", "missing terminator", "complementary pair", "repeated literal"],
+    "lcnf": [*TAGGED, "negative label", "duplicate label"],
+    "gcnf": [*TAGGED, "bad group"],
+}
+
+
+@pytest.mark.parametrize("kind, branch", [(k, b) for k, bs in DIAGNOSES.items() for b in bs])
+def test_each_diagnosis_keeps_its_message_and_line(kind, branch):
+    # one seeded mutation per formula: the short path turns the file down,
+    # and the diagnosing reader names the error and its line, or warns and
+    # reads the rows from_clauses makes
+    rng = random.Random(f"{kind}:{branch}")
+    checked = 0
+    for _ in range(200):
+        clauses, labelling, lines, where = loose_formula(rng, kind)
+        found = mutated(rng, kind, branch, clauses, labelling, lines, where)
+        if found is None:
+            continue
+        message, given = found
+        text = written(rng, lines)
+        split = text.splitlines()
+        short = _clean_dimacs(split) if kind == "cnf" else _clean_tagged(split, kind, FIELDS[kind])
+        assert short is None, text
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if given is None:
+                with pytest.raises(ParseError) as e:
+                    PARSE[kind](text)
+                assert str(e.value) == message, text
+                assert e.value.line == int(message.split()[1][:-1])
+            else:
+                got = PARSE[kind](text)
+                assert got == (cnf(given) if kind == "cnf" else given), text
+        notes = [str(w.message) for w in caught if w.category is FormatWarning]
+        assert notes == ([message] if given is not None and message else []), text
+        checked += 1
+    assert checked > 50, checked
 
 
 # -- command line -----------------------------------------------------------

@@ -872,6 +872,60 @@ def test_rotation_on_literal_masks_matches_the_set_reference():
     assert min(proven.values()) > 200, proven
 
 
+def test_rotation_reads_the_rows_when_level_0_facts_reshape_the_clauses():
+    # an unlabelled unit clause first: the solver keeps it as a level-0
+    # fact, drops the rows it satisfies and strips the literal it falsifies
+    # from the others, so its clauses are no longer the rows and the bulk
+    # load hands every row to _add_rows; rotation still reads the rows
+    rng = random.Random(914)
+    seen = {"dropped": 0, "stripped": 0, "proven": 0}
+    for i in range(300):
+        rows = sweep_formula(i).rows
+        if not rows:
+            continue
+        unit = rng.choice(rng.choice(rows)[0]) * rng.choice((1, -1))
+        phi = LcnfFormula([((unit,), frozenset()), *rows])
+        ora = LcnfOracle(phi)
+        s = ora._solver
+        assert s._trail[0] == s._code[unit] and "_with_bit" not in ora.__dict__
+        seen["dropped"] += sum(unit in lits for lits, _ in rows)
+        seen["stripped"] += sum(-unit in lits for lits, _ in rows)
+        bits = list(phi.label_bits.values())
+        for _ in range(4):
+            model = {x: rng.random() < 0.5 for x in phi.variables}
+            within = rng.getrandbits(len(bits))
+            known = rng.getrandbits(len(bits)) & rng.getrandbits(len(bits))
+            left_out = rng.choice([0, *bits]) if bits else 0
+            expected = _rotate_on_literal_sets(ora, model, within, known, left_out)
+            assert ora.rotate(model, within, known, left_out) == expected, (i, within, left_out)
+            seen["proven"] += expected.bit_count()
+    assert min(seen.values()) > 50, seen
+
+
+def test_bulk_load_leaves_the_state_of_row_by_row_adding():
+    # free (multi-label), group, clause- and variable-labelled rows, some
+    # formulas with unlabelled clauses of two or more literals and labelled
+    # units: the bulk load fills every array exactly as _add_rows does, one
+    # _store per row, and so does the one with an unlabelled unit, which
+    # _load hands to _add_rows
+    state = ("_clauses", "_labels", "_off", "_watched", "_learned", "_with_bit", "_on",
+             "_short", "_pending", "_code", "_names", "_level", "_reason", "_activity",
+             "_phase", "_holds", "_value", "_watches", "_var_inc", "_trail", "_trail_lim",
+             "_qhead", "_failed", "_ok", "conflicts")
+    bulk = 0
+    for i in range(400):
+        phi = sweep_formula(i)
+        rows = list(zip(cnf(phi), phi.label_masks))
+        if i % 5 == 4 and rows:
+            rows.insert(len(rows) // 2, (rows[0][0][:1], 0))
+        loaded, added = Solver(), Solver()
+        bulk += loaded._load(rows)
+        added._add_rows(rows)
+        for name in state:
+            assert getattr(loaded, name) == getattr(added, name), (i, name)
+    assert bulk > 200, bulk
+
+
 @pytest.mark.parametrize("added", [0, 5, 40])
 def test_labels_are_filed_per_bit_in_clause_order(added):
     # masks with bits at byte edges and past 64 bits, and popcounts 1 to 20,
