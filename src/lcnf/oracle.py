@@ -35,11 +35,9 @@ are: each clause's sorted literals with its mask in the formula's own
 numbering (``LcnfFormula.label_masks``), the one that ``classify_all``'s
 subset masks use too.  The formula checked each clause when it made the
 row, and ``Solver.add_clause`` checks a clause from any other caller
-before it takes the same path.  A fresh solver takes the rows in bulk
-(``Solver._load``), one loop per array, into the state that adding them
-one by one leaves; rows that give level 0 a fact go one by one.  Every
-oracle method names labels by mask
-in that numbering, and so do its answers; the analysis API and the
+before it takes the same path, ``Solver._add_rows``, the one way an
+added clause enters the solver.  Every oracle method names labels by
+mask in that numbering, and so do its answers; the analysis API and the
 command line convert label sets at their edge (``LcnfFormula.mask_of``
 and ``labels_in``).  Satisfiability, entailment and equivalence queries
 about any label subset are then single ``solve`` calls with that subset
@@ -52,16 +50,17 @@ the empty clause, and entailment is upward-closed over label sets, so a
 core settles the same question for every label set that keeps it.  The
 oracle keeps no answer: an equivalence query makes one solve per removed
 clause, latest first, until one is not entailed.  The exhaustive pass
-keeps the closures itself, seeded by ``record_subsumers`` with the labels
-of each clause's subsuming clauses.  Each label's clause list is keyed by
-the label's bit; a bulk load leaves it in the solver, and otherwise the
-first query that needs it builds it.  ``rotate`` turns one model into
-many necessary labels by recursive model rotation, with no solve.  It
-works in the solver's literal codes: an assignment is an int with the bit
-of each true literal's code, and each row the mask of its literals'
-codes, so a row is falsified when the two share no bit; those masks and
-the rows per literal are built on its first call, so an oracle that never
-rotates never pays for them.
+keeps the closures itself, seeded by ``record_subsumers`` with the
+labels of each clause's subsuming clauses.  Each label's clause list is
+keyed by the label's bit; when no row gave level 0 a fact, the solver
+stored every row as its clause of the same index and the lists are read
+off its own, and otherwise the first query that needs them builds them.
+``rotate`` turns one model into many necessary labels by recursive model
+rotation, with no solve.  It works in the solver's literal codes: an
+assignment is an int with the bit of each true literal's code, and each
+row the mask of its literals' codes, so a row is falsified when the two
+share no bit; those masks and the rows per literal are built on its
+first call, so an oracle that never rotates never pays for them.
 """
 from __future__ import annotations
 
@@ -236,9 +235,13 @@ class Solver:
     def _add_rows(self, rows: Iterable[tuple]):
         """Add ``(literals, label mask)`` rows in order, unchecked: literals
         distinct, nonzero and free of complementary pairs, as ``LcnfFormula``
-        rows are.  A clause satisfied at level 0 is dropped and its literals
-        false there leave it, but every variable it names enters the solver,
-        so that models name it."""
+        rows are.  The one way an added clause enters: ``add_clause``
+        checks a caller's clause and comes here, and ``LcnfOracle`` hands
+        its rows here as they are.  A clause satisfied at level 0 is
+        dropped and its literals false there leave it, but every variable
+        it names enters the solver, so that models name it.  An unlabelled
+        row of fewer than two literals is not stored: it gives level 0 a
+        fact, or refutes the unlabelled clauses."""
         self._failed = None
         self._cancel_until(0)
         code_of = self._code
@@ -263,61 +266,6 @@ class Solver:
                 self._enqueue(clause[0], None)
             else:
                 self._ok = False
-
-    def _load(self, rows: list[tuple]) -> bool:
-        """Add ``(literals, label mask)`` rows, unchecked as for
-        ``_add_rows``, to a solver that has no variable yet, leaving the
-        state ``_add_rows`` would: each array is filled in one loop.
-
-        No fact holds at level 0 and no label is on, so every variable is
-        unassigned and every clause is stored as ``_store`` stores it, in
-        row order: an unlabelled one watched, a labelled one of fewer than
-        two literals short, any other left for the first solve that
-        switches it on.  An unlabelled row of fewer than two literals gives
-        level 0 a fact, which changes how the rows after it are stored, so
-        then every row goes through ``_add_rows``.  True when the rows were
-        loaded in bulk, so that clause i is row i.
-        """
-        if any(not mask and len(lits) < 2 for lits, mask in rows):
-            self._add_rows(rows)
-            return False
-        code = self._code
-        names = self._names
-        names += dict.fromkeys([abs(l) for lits, _ in rows for l in lits])  # first seen first
-        for i, v in enumerate(names):
-            code[v] = 2 * i
-            code[-v] = 2 * i + 1
-        n = len(names)
-        self._level = [0] * n
-        self._reason = [None] * n
-        self._activity = [0.0] * n
-        self._phase = [1] * n
-        self._holds = holds = [0] * n
-        self._value = [None] * (2 * n)
-        self._watches = watches = [[] for _ in range(2 * n)]
-        self._clauses = clauses = [[code[l] for l in lits] for lits, _ in rows]
-        self._labels = masks = [mask for _, mask in rows]
-        self._off = [mask.bit_count() for mask in masks]
-        self._watched = watched = [False] * len(rows)
-        self._learned = [False] * len(rows)
-        with_bit = self._with_bit = [[] for _ in range(max(masks, default=0).bit_length())]
-        short = self._short
-        for ci, labels in enumerate(masks):
-            lits = clauses[ci]
-            if not labels:
-                for q in lits:
-                    holds[q >> 1] += 1
-                watches[lits[0]].append(ci)
-                watches[lits[1]].append(ci)
-                watched[ci] = True
-                continue
-            while labels:
-                low = labels & -labels
-                with_bit[low.bit_length() - 1].append(ci)
-                labels ^= low
-            if len(lits) < 2:
-                short.append(ci)
-        return True
 
     def _store(self, lits: list[int], labels: int, learned: bool = False) -> int:
         """Keep a clause of literal codes that is labelled or has two or more.
@@ -748,23 +696,16 @@ class Solver:
                 continue
             level = len(self._trail_lim)
             if level < n:
-                # open assumption levels until one needs propagating
-                value = self._value
-                watches = self._watches
-                trail = self._trail
-                trail_lim = self._trail_lim
-                while level < n:
-                    a = codes[level - 1]
-                    v = value[a]
-                    if v is False:
-                        self._failed = ("assumption", a)
-                        return SatOutcome(False)
-                    trail_lim.append(len(trail))
-                    level += 1
-                    if v is None:
-                        self._enqueue(a, None)
-                        if watches[a ^ 1]:
-                            break
+                # one assumption level per turn: propagating a literal
+                # whose negation no clause watches costs one empty visit
+                a = codes[level - 1]
+                v = self._value[a]
+                if v is False:
+                    self._failed = ("assumption", a)
+                    return SatOutcome(False)
+                self._trail_lim.append(len(self._trail))
+                if v is None:
+                    self._enqueue(a, None)
                 continue
             var = self._pick_branch()
             if var < 0:
@@ -804,11 +745,13 @@ class LcnfOracle:
         # (sorted literals, label mask) per clause, in formula order
         self._rows = list(zip((lits for lits, _ in phi.rows), phi.label_masks))
         self._full = (1 << len(phi.label_bits)) - 1  # every active label's bit
-        self._solver = Solver(conflict_budget=conflict_budget)
-        if self._solver._load(self._rows):
-            # each row is the solver's clause of the same index, so the
-            # solver's clauses per label bit, reversed, are _with_bit
-            self._with_bit = {1 << i: c[::-1] for i, c in enumerate(self._solver._with_bit)}
+        self._solver = solver = Solver(conflict_budget=conflict_budget)
+        solver._add_rows(self._rows)
+        if len(solver._clauses) == len(self._rows):
+            # no level-0 fact, so _add_rows stored every row as it is: each
+            # row is the solver's clause of the same index, and the solver's
+            # clauses per label bit, reversed, are _with_bit
+            self._with_bit = {1 << i: c[::-1] for i, c in enumerate(solver._with_bit)}
         # what the latest query proved: ("model", the model) or ("core", None);
         # see _latest
         self._evidence: tuple | None = None
@@ -823,8 +766,8 @@ class LcnfOracle:
     @cached_property
     def _with_bit(self) -> dict[int, list[int]]:
         """Per label bit, the rows carrying that label, latest first.  Read
-        off the solver when it loads the rows in bulk, else built on first
-        use."""
+        off the solver's per-bit clause lists when ``_add_rows`` stored every
+        row, so that clause i is row i; else built on first use."""
         rows = self._rows
         with_bit: dict[int, list[int]] = {b: [] for b in self.formula.label_bits.values()}
         for i in range(len(rows) - 1, -1, -1):

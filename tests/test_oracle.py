@@ -875,8 +875,8 @@ def test_rotation_on_literal_masks_matches_the_set_reference():
 def test_rotation_reads_the_rows_when_level_0_facts_reshape_the_clauses():
     # an unlabelled unit clause first: the solver keeps it as a level-0
     # fact, drops the rows it satisfies and strips the literal it falsifies
-    # from the others, so its clauses are no longer the rows and the bulk
-    # load hands every row to _add_rows; rotation still reads the rows
+    # from the others, so its clauses are no longer the rows and _with_bit
+    # is not read off the solver; rotation still reads the rows
     rng = random.Random(914)
     seen = {"dropped": 0, "stripped": 0, "proven": 0}
     for i in range(300):
@@ -902,28 +902,29 @@ def test_rotation_reads_the_rows_when_level_0_facts_reshape_the_clauses():
     assert min(seen.values()) > 50, seen
 
 
-def test_bulk_load_leaves_the_state_of_row_by_row_adding():
-    # free (multi-label), group, clause- and variable-labelled rows, some
-    # formulas with unlabelled clauses of two or more literals and labelled
-    # units: the bulk load fills every array exactly as _add_rows does, one
-    # _store per row, and so does the one with an unlabelled unit, which
-    # _load hands to _add_rows
-    state = ("_clauses", "_labels", "_off", "_watched", "_learned", "_with_bit", "_on",
-             "_short", "_pending", "_code", "_names", "_level", "_reason", "_activity",
-             "_phase", "_holds", "_value", "_watches", "_var_inc", "_trail", "_trail_lim",
-             "_qhead", "_failed", "_ok", "conflicts")
-    bulk = 0
+def test_per_bit_rows_are_read_off_the_solver_exactly_when_it_stored_every_row():
+    # free (multi-label), group, clause- and variable-labelled rows, an
+    # unlabelled unit in every fifth formula and an unlabelled empty row in
+    # some: with no unlabelled row of fewer than two literals, _add_rows
+    # stores row i as clause i and the oracle reads _with_bit off the
+    # solver, equal to the one built from the rows; with one, level 0 gets
+    # a fact or a refutation and _with_bit waits for its first use
+    seen = {"read off": 0, "fact": 0, "refuted": 0}
     for i in range(400):
-        phi = sweep_formula(i)
-        rows = list(zip(cnf(phi), phi.label_masks))
+        rows = list(sweep_formula(i).rows)
         if i % 5 == 4 and rows:
-            rows.insert(len(rows) // 2, (rows[0][0][:1], 0))
-        loaded, added = Solver(), Solver()
-        bulk += loaded._load(rows)
-        added._add_rows(rows)
-        for name in state:
-            assert getattr(loaded, name) == getattr(added, name), (i, name)
-    assert bulk > 200, bulk
+            rows.insert(len(rows) // 2, (rows[0][0][:1], frozenset()))
+        if i % 7 == 3:
+            rows.insert(len(rows) // 3, ((), frozenset()))
+        ora = LcnfOracle(LcnfFormula(rows))
+        stored = not any(not labels and len(lits) < 2 for lits, labels in rows)
+        assert ("_with_bit" in ora.__dict__) == stored, i
+        if stored:
+            assert ora._with_bit == LcnfOracle._with_bit.func(ora), i
+            seen["read off"] += 1
+        else:
+            seen["fact" if ora._solver._ok else "refuted"] += 1
+    assert min(seen.values()) > 30, seen
 
 
 @pytest.mark.parametrize("added", [0, 5, 40])
